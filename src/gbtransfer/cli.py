@@ -328,14 +328,7 @@ def _cmd_sweep(args) -> int:
     caps = _caps_from_args(args)
     primes, prime_range = _parse_primes_flag(args.primes)
     try:
-        report = sweep(
-            system,
-            witness,
-            primes,
-            caps,
-            jobs=args.jobs,
-            prime_range=prime_range,
-        )
+        report = sweep(system, witness, primes, caps, prime_range=prime_range)
     except CharZeroFailure as exc:
         print("witness fails in characteristic zero", file=sys.stderr)
         _emit(exc.result.as_dict())
@@ -347,75 +340,107 @@ def _cmd_sweep(args) -> int:
     return 0 if report.all_passed() else 1
 
 
-def _cmd_gb(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    basis = buchberger(pres).basis
-    _emit({"basis": [format_polynomial(g) for g in basis]})
-    return 0
+def _run_gb(pres, args):
+    return {"basis": [format_polynomial(g) for g in buchberger(pres).basis]}, 0
 
 
-def _cmd_member(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    f = _parse_poly_arg(args.f, ring)
-    residue = normal_form(f, buchberger(pres).basis)
-    member = not residue
-    _emit({"member": member, "normal_form": format_polynomial(residue)})
-    return 0 if member else 1
+def _run_member(pres, args):
+    residue = normal_form(_parse_poly_arg(args.f, pres.ring), buchberger(pres).basis)
+    payload = {"member": not residue, "normal_form": format_polynomial(residue)}
+    return payload, 1 if residue else 0
 
 
-def _cmd_dim(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    _emit({"dimension": dimension(pres)})
-    return 0
+def _run_dim(pres, args):
+    return {"dimension": dimension(pres)}, 0
 
 
-def _cmd_height(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    _emit(height_poly(pres).as_dict())
-    return 0
+def _run_height(pres, args):
+    return height_poly(pres).as_dict(), 0
 
 
-def _cmd_radical_eq(args) -> int:
-    ring = _ring_from_args(args)
-    I = _parse_ideal_arg(args.ideal, ring)
-    P = _parse_ideal_arg(args.radical, ring)
-    result = radical_equals(I, P, args.cap)
-    _emit(result.as_dict())
-    return 0 if result.equal else 1
+def _run_radical_eq(pres, args):
+    P = _parse_ideal_arg(args.radical, pres.ring)
+    result = radical_equals(pres, P, args.cap)
+    return result.as_dict(), 0 if result.equal else 1
 
 
-def _cmd_prime_probe(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
+def _run_prime_probe(pres, args):
     result = prime_probe(pres, args.degree_bound, args.trials, args.seed)
-    _emit(result.as_dict())
-    return 0 if result.probably_prime else 1
+    return result.as_dict(), 0 if result.probably_prime else 1
 
 
-def _cmd_maximal(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
+def _run_maximal(pres, args):
+    ring = pres.ring
     point = _parse_point_arg(args.point, ring)
     if len(point) != ring.nvars:
         raise CaseFormatError("point length does not match --vars")
     verdict = rational_maximal(pres, point)
-    _emit({
+    payload = {
         "rational_maximal": verdict,
         "point": [ring.field.format(c) for c in point],
-    })
-    return 0 if verdict else 1
+    }
+    return payload, 0 if verdict else 1
 
 
-def _cmd_encode(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    code = encode_ideal(pres, args.d)
-    print(code_to_json(code))
-    return 0
+def _run_encode(pres, args):
+    return code_to_json(encode_ideal(pres, args.d)), 0
+
+
+def _run_complexity(pres, args):
+    return complexity(pres).as_dict(), 0
+
+
+# Commands on one ideal given by the ring flags and --ideal: (name, help,
+# extra flags, run(pres, args) -> (payload, exit code)).  A str payload is
+# printed as is, any other as indented JSON.
+_IDEAL_COMMANDS = (
+    ("gb", "reduced Groebner basis", {}, _run_gb),
+    ("member", "ideal membership", {"--f": {"required": True}}, _run_member),
+    ("dim", "Krull dimension of ring/I", {}, _run_dim),
+    ("height", "codimension of an ideal", {}, _run_height),
+    (
+        "radical-eq",
+        "bounded radical equality check",
+        {
+            "--radical": {"required": True, "help": "the candidate prime P"},
+            "--cap": {"type": int, "default": 16},
+        },
+        _run_radical_eq,
+    ),
+    (
+        "prime-probe",
+        "randomized non-primality search",
+        {
+            "--degree-bound": {"type": int, "default": 2},
+            "--trials": {"type": int, "default": 200},
+            "--seed": {"type": int, "default": 0},
+        },
+        _run_prime_probe,
+    ),
+    (
+        "maximal",
+        "rational maximality certification",
+        {"--point": {"required": True, "help": "comma-separated coordinates"}},
+        _run_maximal,
+    ),
+    (
+        "encode",
+        "flatten an ideal to its code",
+        {"--d": {"type": int, "required": True}},
+        _run_encode,
+    ),
+    ("complexity", "presentation complexity report", {}, _run_complexity),
+)
+
+
+def _cmd_ideal(args) -> int:
+    pres = _parse_ideal_arg(args.ideal, _ring_from_args(args))
+    payload, code = args.run(pres, args)
+    if isinstance(payload, str):
+        print(payload)
+    else:
+        _emit(payload)
+    return code
 
 
 def _cmd_decode(args) -> int:
@@ -427,19 +452,6 @@ def _cmd_decode(args) -> int:
         "generators": [format_polynomial(g) for g in pres.generators],
     })
     return 0
-
-
-def _cmd_complexity(args) -> int:
-    ring = _ring_from_args(args)
-    pres = _parse_ideal_arg(args.ideal, ring)
-    _emit(complexity(pres).as_dict())
-    return 0
-
-
-def _add_ring_flags(sub) -> None:
-    sub.add_argument("--vars", required=True, help="comma-separated variable names")
-    sub.add_argument("--field", default="Q", help='"Q" (default) or "F<p>"')
-    sub.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
 
 
 def _add_caps_flags(sub) -> None:
@@ -467,67 +479,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="re-verify a case at every good prime")
     p.add_argument("case")
     p.add_argument("--primes", required=True, help='"LO..HI" or "p1,p2,..."')
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default=None)
     _add_caps_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = subs.add_parser("gb", help="reduced Groebner basis")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_gb)
-
-    p = subs.add_parser("member", help="ideal membership")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--f", required=True)
-    p.set_defaults(func=_cmd_member)
-
-    p = subs.add_parser("dim", help="Krull dimension of ring/I")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_dim)
-
-    p = subs.add_parser("height", help="codimension of an ideal")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_height)
-
-    p = subs.add_parser("radical-eq", help="bounded radical equality check")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--radical", required=True, help="the candidate prime P")
-    p.add_argument("--cap", type=int, default=16)
-    p.set_defaults(func=_cmd_radical_eq)
-
-    p = subs.add_parser("prime-probe", help="randomized non-primality search")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--degree-bound", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_prime_probe)
-
-    p = subs.add_parser("maximal", help="rational maximality certification")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_cmd_maximal)
-
-    p = subs.add_parser("encode", help="flatten an ideal to its code")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_encode)
-
-    p = subs.add_parser("decode", help="rebuild generators from a code")
-    p.add_argument("--code", required=True, help="inline JSON or @file")
-    p.set_defaults(func=_cmd_decode)
-
-    p = subs.add_parser("complexity", help="presentation complexity report")
-    _add_ring_flags(p)
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_complexity)
+    for name, help_text, flags, run in _IDEAL_COMMANDS:
+        if name == "complexity":  # decode keeps its place in the help listing
+            p = subs.add_parser("decode", help="rebuild generators from a code")
+            p.add_argument("--code", required=True, help="inline JSON or @file")
+            p.set_defaults(func=_cmd_decode)
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--vars", required=True, help="comma-separated variable names")
+        p.add_argument("--field", default="Q", help='"Q" (default) or "F<p>"')
+        p.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
+        p.add_argument("--ideal", required=True)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=_cmd_ideal, run=run)
 
     return parser
 

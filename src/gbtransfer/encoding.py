@@ -142,12 +142,12 @@ def encode_ideal(I: IdealPresentation, d: int) -> IdealCode:
     return IdealCode(n, d, ring.order, ring.field, tuple(rows))
 
 
-def decode_ideal(code: IdealCode, names: tuple[str, ...] = ()) -> IdealPresentation:
+def decode_ideal(code: IdealCode) -> IdealPresentation:
     """Rebuild a presentation from the nonzero rows of a code."""
     size = code_size(code.nvars, code.complexity)
     if len(code.rows) != size or any(len(r) != size for r in code.rows):
         raise ValueError(f"malformed code: expected {size} rows of {size} entries")
-    ring = PolyRing(code.field, code.nvars, code.order, tuple(names))
+    ring = PolyRing(code.field, code.nvars, code.order)
     monos = monomial_basis(code.nvars, code.complexity, code.order)
     gens = []
     for row in code.rows:
@@ -171,12 +171,6 @@ def field_from_json(obj) -> Field:
     raise ValueError(f"unknown field descriptor {obj!r}")
 
 
-def order_to_json(order: MonomialOrder) -> str:
-    if order.perm is not None:
-        raise ValueError("serialized orders cannot carry a variable permutation")
-    return order.kind
-
-
 def order_from_json(text) -> MonomialOrder:
     if text == "grevlex":
         return GREVLEX
@@ -191,7 +185,7 @@ def code_to_json(code: IdealCode) -> str:
     obj = {
         "nvars": code.nvars,
         "complexity": code.complexity,
-        "order": order_to_json(code.order),
+        "order": code.order.kind,
         "field": field_to_json(fld),
         "rows": [[fld.format(c) for c in row] for row in code.rows],
     }

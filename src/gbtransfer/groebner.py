@@ -3,8 +3,8 @@
 The reduced Groebner basis is the canonical identity of an ideal here: it
 is unique for a given (ideal, order), which is what makes equality and
 containment decidable through normal forms alone.  Bases are memoized per
-presentation because the layers above fire many predicates at the same
-ideals.
+presentation and caps because the layers above fire many predicates at
+the same ideals.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .polyarith import (
     AmbientMismatch,
-    MonomialOrder,
     Polynomial,
     PolyRing,
     mono_degree,
@@ -60,10 +59,6 @@ class IdealPresentation:
             gens = [self.ring.zero()]
         object.__setattr__(self, "generators", tuple(gens))
 
-    @property
-    def order(self) -> MonomialOrder:
-        return self.ring.order
-
     def is_zero_ideal(self) -> bool:
         return len(self.generators) == 1 and not self.generators[0]
 
@@ -82,7 +77,6 @@ class GroebnerBasis:
     """A reduced basis: monic, pairwise lead-irreducible, canonically sorted."""
 
     basis: tuple[Polynomial, ...]
-    order: MonomialOrder
     source: IdealPresentation
 
 
@@ -240,17 +234,19 @@ def buchberger(
     prune pairs.  The caps convert pathological growth into a
     DegreeCapExceeded error rather than an open-ended run.
     """
-    cache_key = (pres.ring, pres.generators)
+    cache_key = (
+        pres.ring, pres.generators, degree_cap, pair_cap, step_cap, coeff_bit_cap
+    )
     cached = _BASIS_CACHE.get(cache_key)
     if cached is not None:
-        return GroebnerBasis(cached, pres.order, pres)
+        return GroebnerBasis(cached, pres)
 
     ring = pres.ring
     key = ring.order.sort_key
     G = [g.monic() for g in pres.generators if g]
     if not G:
         _BASIS_CACHE[cache_key] = ()
-        return GroebnerBasis((), pres.order, pres)
+        return GroebnerBasis((), pres)
 
     lms = [g.leading_monomial() for g in G]
     heap: list = []
@@ -299,7 +295,7 @@ def buchberger(
 
     reduced = _reduce_basis(G, ring, degree_cap, step_cap, coeff_bit_cap)
     _BASIS_CACHE[cache_key] = reduced
-    return GroebnerBasis(reduced, pres.order, pres)
+    return GroebnerBasis(reduced, pres)
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:
@@ -322,8 +318,3 @@ def ideal_equal(I: IdealPresentation, J: IdealPresentation) -> bool:
     if I.ring != J.ring:
         raise AmbientMismatch("ideals from different rings")
     return buchberger(I).basis == buchberger(J).basis
-
-
-def quotient_is_zero(f: Polynomial, I: IdealPresentation) -> bool:
-    """Whether f's residue in ring/I is zero."""
-    return ideal_member(f, I)

@@ -10,7 +10,6 @@ mathematical equality.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
@@ -66,7 +65,6 @@ _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 class RationalField:
     """The rational numbers; elements are reduced `Fraction` values."""
 
-    char = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -135,10 +133,6 @@ class PrimeField:
             raise ValueError("modulus exceeds the machine-word bound")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     @property
     def zero(self) -> int:
@@ -244,10 +238,13 @@ def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
         raise ValueError("need at least one variable")
     if max_degree < 0:
         raise ValueError("degree bound must be non-negative")
+    # Lexicographic in the exponent vector: the first exponent varies slowest.
+    if nvars == 1:
+        return tuple((e,) for e in range(max_degree + 1))
     return tuple(
-        m
-        for m in itertools.product(range(max_degree + 1), repeat=nvars)
-        if sum(m) <= max_degree
+        (e,) + rest
+        for e in range(max_degree + 1)
+        for rest in monomials_up_to(nvars - 1, max_degree - e)
     )
 
 
@@ -256,21 +253,15 @@ class MonomialOrder:
     """A fixed multiplicative well-order on monomials (lex or grevlex)."""
 
     kind: str = "grevlex"
-    perm: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        if self.perm is not None:
-            object.__setattr__(self, "perm", tuple(self.perm))
-            if sorted(self.perm) != list(range(len(self.perm))):
-                raise ValueError("perm must be a permutation of 0..k-1")
 
     def sort_key(self, m: Mono):
-        e = m if self.perm is None else tuple(m[i] for i in self.perm)
         if self.kind == "lex":
-            return e
-        return (sum(e), tuple(-x for x in reversed(e)))
+            return m
+        return (sum(m), tuple(-x for x in reversed(m)))
 
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 for a < b, a = b, a > b; lengths must agree."""
@@ -308,8 +299,6 @@ class PolyRing:
             object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) != self.nvars:
             raise ValueError("variable name count does not match nvars")
-        if self.order.perm is not None and len(self.order.perm) != self.nvars:
-            raise ValueError("order permutation length does not match nvars")
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())

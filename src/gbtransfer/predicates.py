@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .groebner import (
     IdealPresentation,
@@ -55,20 +56,22 @@ class ComplexityReport:
         }
 
 
+def complexity_of(nvars: int, polys: Sequence[Polynomial]) -> ComplexityReport:
+    """Complexity of a polynomial list: max(nvars, nonzero degrees).
+
+    generator_count is the length of the list as given.
+    """
+    max_degree = max((int(g.degree()) for g in polys if g), default=0)
+    return ComplexityReport(nvars, max_degree, max(nvars, max_degree), len(polys))
+
+
 def complexity(I: IdealPresentation) -> ComplexityReport:
     """Complexity of the given presentation: max(nvars, generator degrees).
 
     Measured on the generators as listed; this is an upper bound for any
     smaller presentation of the same ideal.
     """
-    degs = [int(g.degree()) for g in I.generators if g]
-    max_degree = max(degs) if degs else 0
-    return ComplexityReport(
-        nvars=I.ring.nvars,
-        max_degree=max_degree,
-        complexity=max(I.ring.nvars, max_degree),
-        generator_count=len(I.generators),
-    )
+    return complexity_of(I.ring.nvars, I.generators)
 
 
 def _lead_supports(I: IdealPresentation) -> list[frozenset[int]]:

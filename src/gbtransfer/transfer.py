@@ -13,7 +13,6 @@ seen, which never exceeds the characteristic-zero complexity.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -47,6 +46,7 @@ from .predicates import (
     ProbeResult,
     RadicalResult,
     UnitIdeal,
+    complexity_of,
     height_in_quotient,
     prime_probe,
     radical_equals,
@@ -145,23 +145,6 @@ class Caps:
     probe_trials: int = 200
     probe_degree: int = 2
     seed: int = 0
-
-
-def witness_complexity(w: Witness) -> ComplexityReport:
-    """Complexity aggregated over I, m and both image tuples."""
-    polys = [
-        g
-        for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
-        if g
-    ]
-    degs = [int(g.degree()) for g in polys]
-    max_degree = max(degs) if degs else 0
-    return ComplexityReport(
-        nvars=w.ring.nvars,
-        max_degree=max_degree,
-        complexity=max(w.ring.nvars, max_degree),
-        generator_count=len(polys),
-    )
 
 
 CERT_PASSED = "passed"
@@ -266,7 +249,10 @@ def verify_witness(
         height_computed=height_n,
         claimed_n=w.claimed_n,
         prime_probe=probe,
-        complexity=witness_complexity(w),
+        complexity=complexity_of(
+            ring.nvars,
+            [g for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images) if g],
+        ),
         passed=passed,
     )
 
@@ -446,15 +432,14 @@ def sweep(
     w: Witness,
     primes: Sequence[int],
     caps: Caps = Caps(),
-    jobs: int = 1,
     prime_range: tuple[int, int] | None = None,
 ) -> SweepReport:
     """Reduce and re-verify the witness at every requested good prime.
 
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
-    recorded in the report, never raised.  The report is independent of
-    the job count: outcomes are merged in prime order.
+    recorded in the report, never raised.  Primes run one after another in
+    ascending order, so the report is the same on every run.
     """
     candidates = sorted({int(p) for p in primes})
     for p in candidates:
@@ -465,16 +450,7 @@ def sweep(
         raise CharZeroFailure(char0)
     bad = bad_primes(sys_, w)
     bad_in_range = tuple((p, bad[p]) for p in candidates if p in bad)
-    work = [p for p in candidates if p not in bad]
-
-    if jobs > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(lambda p: _run_prime(sys_, w, p, caps), work)
-            )
-    else:
-        outcomes = [_run_prime(sys_, w, p, caps) for p in work]
-    outcomes.sort(key=lambda o: o.p)
+    outcomes = [_run_prime(sys_, w, p, caps) for p in candidates if p not in bad]
 
     ds = [o.d for o in outcomes if o.d is not None]
     uniform_d = max(ds) if ds else None

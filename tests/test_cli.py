@@ -138,12 +138,6 @@ class TestSweepCommand:
         assert json.loads(target.read_text())["char0_d"] == 2
         assert target.read_text().strip() == out.strip()
 
-    def test_jobs_byte_identical(self, capsys):
-        args = ["sweep", str(CASES / "sixth_scaled.json"), "--primes", "2..60"]
-        _, out1 = run(capsys, *args, "--jobs", "1")
-        _, out4 = run(capsys, *args, "--jobs", "4")
-        assert out1 == out4
-
     def test_report_reparses(self, capsys):
         _, out = run(
             capsys, "sweep", str(CASES / "square_root.json"), "--primes", "2..30"

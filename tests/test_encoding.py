@@ -142,14 +142,6 @@ class TestCodeJson:
         assert obj["field"] == {"Fp": 5}
         assert code_to_json(code_from_json(text)) == text
 
-    def test_no_permutation_serialization(self):
-        from gbtransfer.polyarith import MonomialOrder
-
-        ring = PolyRing(QQ, 2, MonomialOrder("lex", (1, 0)), ("x", "y"))
-        pres = IdealPresentation(ring, (ring.variable(0),))
-        with pytest.raises(ValueError):
-            code_to_json(encode_ideal(pres, 2))
-
 
 class TestRandomRoundTrips:
     def test_twenty_random_ideals(self):

@@ -1,5 +1,6 @@
 """Coefficient fields, monomial orders, polynomial arithmetic, reduction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -82,11 +83,6 @@ class TestMonomialOrder:
     def test_length_mismatch(self):
         with pytest.raises(AmbientMismatch):
             GREVLEX.compare((1,), (1, 2))
-
-    def test_permutation_changes_significance(self):
-        swapped = MonomialOrder("lex", (1, 0))
-        assert LEX.compare((1, 0), (0, 2)) == 1
-        assert swapped.compare((1, 0), (0, 2)) == -1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -235,3 +231,16 @@ def test_monomials_up_to_counts():
     assert len(monomials_up_to(2, 3)) == 10
     assert len(monomials_up_to(1, 1)) == 2
     assert len(monomials_up_to(3, 2)) == 10
+
+
+def test_monomials_up_to_matches_product_filter():
+    # The seeded prime probe draws from this tuple by index, so its order
+    # is part of the output bytes.
+    for n in range(1, 6):
+        for d in range(7):
+            reference = tuple(
+                m
+                for m in itertools.product(range(d + 1), repeat=n)
+                if sum(m) <= d
+            )
+            assert monomials_up_to(n, d) == reference
