@@ -22,12 +22,7 @@ from .encoding import (
     field_from_json,
     order_from_json,
 )
-from .groebner import (
-    DegreeCapExceeded,
-    IdealPresentation,
-    buchberger,
-    normal_form,
-)
+from .groebner import DegreeCapExceeded, IdealPresentation, normal_form
 from .polyarith import (
     AmbientMismatch,
     BadPrime,
@@ -257,8 +252,14 @@ def _parse_poly_arg(text: str, ring: PolyRing):
 
 def _parse_ideal_arg(text: str, ring: PolyRing) -> IdealPresentation:
     body = _read_operand(text).strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
+    if body.startswith("("):  # strip one pair only if it encloses everything
+        depth = 0
+        for k, ch in enumerate(body):
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                if k == len(body) - 1:
+                    body = body[1:-1]
+                break
     parts, depth, start = [], 0, 0
     for k, ch in enumerate(body):
         if ch == "(":
@@ -341,11 +342,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_gb(pres, args):
-    return {"basis": [format_polynomial(g) for g in buchberger(pres).basis]}, 0
+    return {"basis": [format_polynomial(g) for g in pres.basis]}, 0
 
 
 def _run_member(pres, args):
-    residue = normal_form(_parse_poly_arg(args.f, pres.ring), buchberger(pres).basis)
+    residue = normal_form(_parse_poly_arg(args.f, pres.ring), pres.basis)
     payload = {"member": not residue, "normal_form": format_polynomial(residue)}
     return payload, 1 if residue else 0
 

@@ -29,6 +29,9 @@ from .polyarith import (
 )
 
 
+CODE_CELL_CAP = 10 ** 6  # largest D x D grid encode_ideal builds
+
+
 class ComplexityExceeded(ValueError):
     """The presentation does not fit within the requested complexity."""
 
@@ -115,15 +118,17 @@ def encode_ideal(I: IdealPresentation, d: int) -> IdealCode:
     """Coefficient rows of the normalized generators on the monomial list."""
     ring = I.ring
     n = ring.nvars
-    norm = normalize_generators(I)
     if d < n:
         raise ComplexityExceeded(d, f"{n} variables force complexity >= {n}")
+    size = code_size(n, d)
+    if size * size > CODE_CELL_CAP:
+        raise ComplexityExceeded(d, f"a {size} x {size} code is too large")
+    norm = normalize_generators(I)
     degs = [int(g.degree()) for g in norm.generators if g]
     if degs and max(degs) > d:
         raise ComplexityExceeded(
             d, f"a normalized generator has degree {max(degs)}"
         )
-    size = code_size(n, d)
     monos = monomial_basis(n, d, ring.order)
     index = {m: i for i, m in enumerate(monos)}
     zero = ring.field.zero

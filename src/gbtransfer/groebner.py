@@ -2,9 +2,9 @@
 
 The reduced Groebner basis is the canonical identity of an ideal here: it
 is unique for a given (ideal, order), which is what makes equality and
-containment decidable through normal forms alone.  Bases are memoized per
-presentation and caps because the layers above fire many predicates at
-the same ideals.
+containment decidable through normal forms alone.  Each presentation
+computes its basis once, on first use, because the layers above fire many
+predicates at the same ideals.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polyarith import (
@@ -62,6 +63,11 @@ class IdealPresentation:
     def is_zero_ideal(self) -> bool:
         return len(self.generators) == 1 and not self.generators[0]
 
+    @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """Reduced Groebner basis under the default caps, computed once."""
+        return buchberger(self).basis
+
 
 def ideal(*gens: Polynomial, ring: PolyRing | None = None) -> IdealPresentation:
     """Presentation builder; the ring is inferred from the first generator."""
@@ -77,7 +83,6 @@ class GroebnerBasis:
     """A reduced basis: monic, pairwise lead-irreducible, canonically sorted."""
 
     basis: tuple[Polynomial, ...]
-    source: IdealPresentation
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -165,13 +170,6 @@ def normal_form(
     return ring.from_dict(rem)
 
 
-_BASIS_CACHE: dict = {}
-
-
-def clear_cache() -> None:
-    _BASIS_CACHE.clear()
-
-
 def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:
     # Skip (i, j) when a third lead divides their lcm and both linking
     # pairs are already settled (classic second Buchberger criterion).
@@ -232,21 +230,14 @@ def buchberger(
     Pair selection is normal strategy: smallest (lcm degree, lcm order key)
     first, which makes runs reproducible.  The product and chain criteria
     prune pairs.  The caps convert pathological growth into a
-    DegreeCapExceeded error rather than an open-ended run.
+    DegreeCapExceeded error rather than an open-ended run.  Every call
+    computes; ``pres.basis`` keeps the default-caps result.
     """
-    cache_key = (
-        pres.ring, pres.generators, degree_cap, pair_cap, step_cap, coeff_bit_cap
-    )
-    cached = _BASIS_CACHE.get(cache_key)
-    if cached is not None:
-        return GroebnerBasis(cached, pres)
-
     ring = pres.ring
     key = ring.order.sort_key
     G = [g.monic() for g in pres.generators if g]
     if not G:
-        _BASIS_CACHE[cache_key] = ()
-        return GroebnerBasis((), pres)
+        return GroebnerBasis(())
 
     lms = [g.leading_monomial() for g in G]
     heap: list = []
@@ -293,28 +284,25 @@ def buchberger(
         for i2 in range(t):
             push(i2, t)
 
-    reduced = _reduce_basis(G, ring, degree_cap, step_cap, coeff_bit_cap)
-    _BASIS_CACHE[cache_key] = reduced
-    return GroebnerBasis(reduced, pres)
+    return GroebnerBasis(_reduce_basis(G, ring, degree_cap, step_cap, coeff_bit_cap))
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:
     """Membership through the reduced basis: normal form equals zero."""
     if f.ring != I.ring:
         raise AmbientMismatch("polynomial outside the ideal's ring")
-    return not normal_form(f, buchberger(I).basis)
+    return not normal_form(f, I.basis)
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation) -> bool:
     """Whether I is a subset of J (every generator of I lies in J)."""
     if I.ring != J.ring:
         raise AmbientMismatch("ideals from different rings")
-    basis = buchberger(J).basis
-    return all(not normal_form(g, basis) for g in I.generators)
+    return all(not normal_form(g, J.basis) for g in I.generators)
 
 
 def ideal_equal(I: IdealPresentation, J: IdealPresentation) -> bool:
     """Equality as ideals: identical reduced bases."""
     if I.ring != J.ring:
         raise AmbientMismatch("ideals from different rings")
-    return buchberger(I).basis == buchberger(J).basis
+    return I.basis == J.basis

@@ -10,13 +10,14 @@ mathematical equality.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
 
 
 class AmbientMismatch(ValueError):
@@ -231,13 +232,14 @@ def mono_degree(m: Mono) -> int:
     return sum(m)
 
 
-@lru_cache(maxsize=None)
 def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
-    """Every exponent vector with total degree <= max_degree."""
+    """Every exponent vector with total degree <= max_degree (at most TERM_CAP)."""
     if nvars < 1:
         raise ValueError("need at least one variable")
     if max_degree < 0:
         raise ValueError("degree bound must be non-negative")
+    if math.comb(nvars + max_degree, nvars) > TERM_CAP:
+        raise ValueError(f"over {TERM_CAP} monomials of degree <= {max_degree}")
     # Lexicographic in the exponent vector: the first exponent varies slowest.
     if nvars == 1:
         return tuple((e,) for e in range(max_degree + 1))
@@ -599,6 +601,11 @@ def _tokenize(text: str) -> list[tuple]:
     return out
 
 
+def _check_terms(bound: int) -> None:
+    if bound > TERM_CAP:
+        raise ValueError(f"expansion could pass {TERM_CAP} terms")
+
+
 class _PolyParser:
     """Recursive-descent parser for "+ - * ^ ( )" polynomial expressions."""
 
@@ -647,7 +654,9 @@ class _PolyParser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                _check_terms(len(p.terms) * len(q.terms))
+                p = p * q
             else:
                 return p
 
@@ -659,6 +668,10 @@ class _PolyParser:
             k, v = self.take()
             if k != "num":
                 raise ValueError("exponent must be a non-negative integer")
+            # (t terms)^v has at most C(t + v - 1, v) terms, and >= v + 1 if t > 1
+            t = len(p.terms)
+            if t > 1:
+                _check_terms(v + 1 if v >= TERM_CAP else math.comb(t + v - 1, v))
             p = p ** v
         return p
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import (
-    IdealPresentation,
-    buchberger,
-    ideal,
-    ideal_contains,
-    ideal_equal,
-    ideal_member,
-)
+from .groebner import IdealPresentation, ideal, ideal_contains, ideal_member
 from .polyarith import (
     AmbientMismatch,
     Polynomial,
@@ -75,12 +68,11 @@ def complexity(I: IdealPresentation) -> ComplexityReport:
 
 
 def _lead_supports(I: IdealPresentation) -> list[frozenset[int]]:
-    basis = buchberger(I).basis
-    if any(g.degree() == 0 for g in basis):
+    if any(g.degree() == 0 for g in I.basis):
         raise UnitIdeal("the presented ideal is the whole ring")
     return [
         frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-        for g in basis
+        for g in I.basis
     ]
 
 
@@ -232,9 +224,8 @@ def _sample_coefficients(field) -> tuple:
     return tuple(out)
 
 
-def random_bounded_poly(ring, rng: random.Random, degree_bound: int) -> Polynomial:
-    """Sparse random polynomial of total degree <= bound, small coefficients."""
-    monos = monomials_up_to(ring.nvars, degree_bound)
+def random_bounded_poly(ring, rng: random.Random, monos: Sequence) -> Polynomial:
+    """Sparse random polynomial on the given monomials, small coefficients."""
     coeffs = _sample_coefficients(ring.field)
     fld = ring.field
     acc: dict = {}
@@ -257,12 +248,13 @@ def prime_probe(
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
-    if any(g.degree() == 0 for g in buchberger(P).basis):
+    if any(g.degree() == 0 for g in P.basis):
         raise UnitIdeal("the probed ideal is the whole ring")
+    monos = monomials_up_to(P.ring.nvars, degree_bound)
     rng = random.Random(seed)
     for _ in range(trials):
-        f = random_bounded_poly(P.ring, rng, degree_bound)
-        g = random_bounded_poly(P.ring, rng, degree_bound)
+        f = random_bounded_poly(P.ring, rng, monos)
+        g = random_bounded_poly(P.ring, rng, monos)
         if ideal_member(f, P) or ideal_member(g, P):
             continue
         if ideal_member(f * g, P):
@@ -275,13 +267,17 @@ def rational_maximal(m: IdealPresentation, point) -> bool:
 
     True means m equals the vanishing ideal of the point, so the residue
     field is the ground field itself.  False only means "not certified by
-    this point", never "not maximal".
+    this point", never "not maximal".  The point ideal is exactly the
+    polynomials vanishing at the point, so equality is: every generator of
+    m vanishes there, and every T_i - b_i lies in m.
     """
     ring = m.ring
     if len(point) != ring.nvars:
         raise AmbientMismatch("point length does not match the ring")
+    point = tuple(ring.field.coerce(b) for b in point)
+    if any(g.evaluate(point) for g in m.generators):
+        return False
     gens = tuple(
-        ring.variable(i) - ring.constant(ring.field.coerce(b))
-        for i, b in enumerate(point)
+        ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
     )
-    return ideal_equal(m, ideal(*gens, ring=ring))
+    return ideal_contains(ideal(*gens, ring=ring), m)

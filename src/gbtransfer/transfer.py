@@ -21,7 +21,6 @@ from typing import Sequence
 from .groebner import (
     DegreeCapExceeded,
     IdealPresentation,
-    buchberger,
     ideal_contains,
     normal_form,
 )
@@ -212,11 +211,10 @@ def verify_witness(
     radical_src = IdealPresentation(ring, w.x_images + w.i_gens)
     cond1 = radical_equals(radical_src, m, caps.exponent_cap)
 
-    basis = buchberger(I).basis
     images = list(w.x_images) + list(w.y_images)
     flags, residues = [], []
     for F in sys_.equations:
-        residue = normal_form(substitute(F, images), basis)
+        residue = normal_form(substitute(F, images), I.basis)
         flags.append(not residue)
         residues.append(format_polynomial(residue))
 
@@ -257,49 +255,38 @@ def verify_witness(
     )
 
 
-def _prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out: set[int] = set()
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out.add(f)
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
+def bad_primes(
+    sys_: DiophantineSystem, w: Witness, candidates: Sequence[int]
+) -> dict[int, tuple[str, ...]]:
+    """The candidate primes the sweep must exclude, with reasons.
 
-
-def bad_primes(sys_: DiophantineSystem, w: Witness) -> dict[int, tuple[str, ...]]:
-    """Finite exclusion set for the sweep, with reasons.
-
-    Denominator primes anywhere in the witness data, plus numerator primes
-    of the leading coefficients of the generators of I, m and (x): those
-    vanishing mod p would collapse leading-term structure or drop degrees,
-    silently distorting the uniform complexity claim.  A sound
-    over-approximation, not a minimal set.
+    A candidate is bad when it divides a denominator anywhere in the
+    witness data, or the numerator of a leading coefficient of a generator
+    of I, m or (x): those vanishing mod p would collapse leading-term
+    structure or drop degrees, silently distorting the uniform complexity
+    claim.  A sound over-approximation, not a minimal set.  Only the
+    candidates are tried, so huge coefficients cost no factoring.
     """
     if not isinstance(w.ring.field, RationalField):
         raise AmbientMismatch("bad primes only make sense for rational witnesses")
-    reasons: dict[int, set[str]] = {}
-
-    def note(p: int, why: str) -> None:
-        reasons.setdefault(p, set()).add(why)
-
-    for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images):
-        for _, c in g.terms:
-            for p in _prime_factors(c.denominator):
-                note(p, "denominator")
+    numbers = {
+        (c.denominator, "denominator")
+        for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
+        for _, c in g.terms
+    }
     if w.point_b is not None:
-        for c in w.point_b:
-            for p in _prime_factors(Fraction(c).denominator):
-                note(p, "denominator")
-    for g in (*w.i_gens, *w.m_gens, *w.x_images):
-        if g:
-            for p in _prime_factors(g.leading_coeff().numerator):
-                note(p, "leading-coeff")
-    return {p: tuple(sorted(reasons[p])) for p in sorted(reasons)}
+        numbers |= {(Fraction(c).denominator, "denominator") for c in w.point_b}
+    numbers |= {
+        (g.leading_coeff().numerator, "leading-coeff")
+        for g in (*w.i_gens, *w.m_gens, *w.x_images)
+        if g
+    }
+    out = {}
+    for p in sorted(set(candidates)):
+        reasons = sorted({why for n, why in numbers if n % p == 0})
+        if reasons:
+            out[p] = tuple(reasons)
+    return out
 
 
 def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
@@ -448,8 +435,7 @@ def sweep(
     char0 = verify_witness(sys_, w, caps)
     if not char0.passed:
         raise CharZeroFailure(char0)
-    bad = bad_primes(sys_, w)
-    bad_in_range = tuple((p, bad[p]) for p in candidates if p in bad)
+    bad = bad_primes(sys_, w, candidates)
     outcomes = [_run_prime(sys_, w, p, caps) for p in candidates if p not in bad]
 
     ds = [o.d for o in outcomes if o.d is not None]
@@ -458,7 +444,7 @@ def sweep(
         prime_range = (candidates[0], candidates[-1])
     return SweepReport(
         prime_range=prime_range,
-        bad_primes=bad_in_range,
+        bad_primes=tuple(bad.items()),
         per_prime=tuple(outcomes),
         uniform_d=uniform_d,
         char0_d=char0.complexity.complexity,

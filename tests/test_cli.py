@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: exit codes, JSON schemas, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,60 @@ class TestPredicateCommands:
     def test_bad_field_flag(self, capsys):
         code, _ = run(capsys, "dim", "--vars", "x", "--field", "R", "--ideal", "(x)")
         assert code == 2
+
+
+class TestOperandForms:
+    @pytest.mark.parametrize(
+        "operand, basis",
+        [
+            ("(x+1)*(y+1)", ["x*y + x + y + 1"]),
+            ("((x+1)*(y+1))", ["x*y + x + y + 1"]),
+            ("(x)*(y), (y)", ["y"]),
+            ("((x)*(y), (y))", ["y"]),
+        ],
+    )
+    def test_outer_parentheses_optional(self, capsys, operand, basis):
+        code, out = run(capsys, "gb", "--vars", "x,y", "--ideal", operand)
+        assert code == 0
+        assert json.loads(out)["basis"] == basis
+
+
+class TestInputBounds:
+    """Oversize inputs exit 2 promptly instead of expanding."""
+
+    SIX = "a,b,c,d,e,f"
+
+    def _refused(self, capsys, *argv):
+        t0 = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert time.monotonic() - t0 < 2
+
+    def test_large_power_refused(self, capsys):
+        self._refused(
+            capsys, "complexity", "--vars", "a,b,c,d", "--ideal", "((a+b+c+d)^40)"
+        )
+
+    def test_large_written_out_product_refused(self, capsys):
+        operand = "(" + "*".join(["(a+b+c+d)"] * 40) + ")"
+        self._refused(capsys, "complexity", "--vars", "a,b,c,d", "--ideal", operand)
+
+    def test_moderate_power_answers(self, capsys):
+        code, out = run(
+            capsys, "complexity", "--vars", "a,b,c,d", "--ideal", "((a+b+c+d)^20)"
+        )
+        assert code == 0
+        assert json.loads(out)["complexity"] == 20
+
+    def test_probe_degree_bound_refused(self, capsys):
+        self._refused(
+            capsys, "prime-probe", "--vars", self.SIX, "--ideal", "(a)",
+            "--degree-bound", "30",
+        )
+
+    @pytest.mark.parametrize("d", ["8", "16"])
+    def test_oversize_code_refused(self, capsys, d):
+        self._refused(capsys, "encode", "--vars", self.SIX, "--ideal", "(a)", "--d", d)
 
 
 class TestParseCase:

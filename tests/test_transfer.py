@@ -1,5 +1,6 @@
 """Witness verification, bad primes, reduction, sweep, point search."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from gbtransfer.transfer import (
 RT = PolyRing(QQ, 1, GREVLEX, ("T",))
 T = RT.variable(0)
 CAPS = Caps(seed=11)
+SMALL_PRIMES = primes_in_range(2, 30)
 
 
 def _system(*texts, n=1, r=1):
@@ -167,13 +169,13 @@ class TestVerifyWitness:
 
 class TestBadPrimes:
     def test_denominator_primes(self):
-        assert bad_primes(SIXTH_SYS, sixth_scaled_witness()) == {
+        assert bad_primes(SIXTH_SYS, sixth_scaled_witness(), SMALL_PRIMES) == {
             2: ("denominator",),
             3: ("denominator",),
         }
 
     def test_clean_witness_has_none(self):
-        assert bad_primes(SQUARE_SYS, square_root_witness()) == {}
+        assert bad_primes(SQUARE_SYS, square_root_witness(), SMALL_PRIMES) == {}
 
     def test_leading_coefficient_primes(self):
         w = Witness(
@@ -186,8 +188,23 @@ class TestBadPrimes:
             claimed_n=1,
             domain_claim=False,
         )
-        bad = bad_primes(SQUARE_SYS, w)
+        bad = bad_primes(SQUARE_SYS, w, SMALL_PRIMES)
         assert bad == {2: ("leading-coeff",), 3: ("leading-coeff",)}
+
+    def test_large_denominator_needs_no_factoring(self):
+        # a 20-digit denominator p*q: only the candidates are tried
+        p, q = 9999999943, 9999999967
+        w = square_root_witness(x1=(T * T).scale(Fraction(1, p * q)))
+        assert bad_primes(SQUARE_SYS, w, [2, 3, p, q]) == {
+            p: ("denominator",),
+            q: ("denominator",),
+        }
+        t0 = time.monotonic()
+        report = sweep(
+            _system(f"{p * q}*X1 - Y1^2"), w, primes_in_range(2, 100), CAPS
+        )
+        assert time.monotonic() - t0 < 10
+        assert report.bad_primes == () and report.all_passed()
 
 
 class TestReduceWitness:
@@ -293,7 +310,7 @@ class TestCorpusCoherence:
 
     def test_substitution_commutes_with_reduction(self):
         for name, (system, w) in self._rational_cases():
-            bad = set(bad_primes(system, w))
+            bad = set(bad_primes(system, w, SMALL_PRIMES))
             images = list(w.x_images) + list(w.y_images)
             values = [substitute(F, images) for F in system.equations]
             for p in (5, 7, 11):
@@ -308,7 +325,7 @@ class TestCorpusCoherence:
 
     def test_condition2_survives_reduction(self):
         for name, (system, w) in self._rational_cases():
-            bad = set(bad_primes(system, w))
+            bad = set(bad_primes(system, w, SMALL_PRIMES))
             assert verify_witness(system, w, CAPS).passed, name
             for p in (5, 7, 13):
                 if p in bad:
@@ -318,13 +335,31 @@ class TestCorpusCoherence:
 
     def test_bad_primes_sound(self):
         for name, (system, w) in self._rational_cases():
-            bad = bad_primes(system, w)
+            bad = bad_primes(system, w, SMALL_PRIMES)
             for p in bad:
                 with pytest.raises((BadPrime, DegenerateGenerator)):
                     reduce_witness_mod_p(w, p)
-            for p in primes_in_range(2, 30):
+            for p in SMALL_PRIMES:
                 if p not in bad:
                     reduce_witness_mod_p(w, p)
+
+    def test_three_bases_per_verification(self, monkeypatch):
+        # one basis each for I, m and (x) + I, in char 0 and mod 7
+        import gbtransfer.groebner as groebner
+
+        calls = []
+        real = groebner.buchberger
+
+        def counting(pres, **caps):
+            calls.append(pres)
+            return real(pres, **caps)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        for name, (system, w) in self._rational_cases():
+            for wit in (w, reduce_witness_mod_p(w, 7)):
+                calls.clear()
+                verify_witness(system, wit, CAPS)
+                assert len(calls) == 3, name
 
 
 class TestSearchPoints:
