@@ -111,6 +111,12 @@ def normal_form(
     result is divisible by any divisor's leading monomial, and f minus the
     result lies in the ideal the divisors generate.
 
+    The pending terms sit in a dict keyed by monomial, and each monomial is
+    pushed once, with its rank, onto a heap; the leading term is the top of
+    the heap, skipped when its coefficient has cancelled to zero.  Every
+    term a step adds is smaller than the term it removes, so the remainder
+    comes out in descending order and needs no final sort.
+
     Division always terminates, but under orders that are not
     degree-compatible (lex) the intermediate total degree and the rational
     coefficient size can explode; the optional caps (intermediate total
@@ -121,19 +127,24 @@ def normal_form(
     ring = f.ring
     fld = ring.field
     zero = fld.zero
-    key = ring.order.sort_key
+    rank = ring.order.rank
     table = []
     for g in divisors:
         if g.ring != ring:
             raise AmbientMismatch("divisor outside the ambient ring")
         if g:
             table.append((g.leading_monomial(), g.leading_coeff(), g.terms))
+    # work holds every monomial on the heap, cancelled ones with coefficient 0
     work = dict(f.terms)
-    rem: dict = {}
+    heap = [(rank(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = []
     steps = 0
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         for gm, gc, gterms in table:
             if mono_divides(gm, m):
                 steps += 1
@@ -159,15 +170,15 @@ def normal_form(
                         raise DegreeCapExceeded(
                             f"division intermediate degree passed {degree_cap}"
                         )
-                    nv = fld.sub(work.get(mm, zero), fld.mul(factor, tc))
-                    if nv:
-                        work[mm] = nv
-                    elif mm in work:
-                        del work[mm]
+                    prev = work.get(mm)
+                    if prev is None:
+                        heapq.heappush(heap, (rank(mm), mm))
+                        prev = zero
+                    work[mm] = fld.sub(prev, fld.mul(factor, tc))
                 break
         else:
-            rem[m] = c
-    return ring.from_dict(rem)
+            rem.append((m, c))
+    return Polynomial(ring, tuple(rem))
 
 
 def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:
@@ -213,7 +224,7 @@ def _reduce_basis(
         )
         if r:
             out.append(r.monic())
-    out.sort(key=lambda h: ring.order.sort_key(h.leading_monomial()), reverse=True)
+    out.sort(key=lambda h: ring.order.rank(h.leading_monomial()))
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ mathematical equality.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
+PRODUCT_BUDGET = 10 * TERM_CAP  # term pairs one parse or substitute may multiply
 
 
 class AmbientMismatch(ValueError):
@@ -208,12 +210,12 @@ Mono = tuple[int, ...]
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """Whether a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
@@ -250,6 +252,14 @@ def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
     )
 
 
+def _lex_rank(m: Mono):
+    return tuple(map(operator.neg, m))
+
+
+def _grevlex_rank(m: Mono):
+    return (-sum(m), m[::-1])
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A fixed multiplicative well-order on monomials (lex or grevlex)."""
@@ -259,6 +269,9 @@ class MonomialOrder:
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
+        # rank(m): a cheaper key than sort_key, leading monomial first
+        rank = _lex_rank if self.kind == "lex" else _grevlex_rank
+        object.__setattr__(self, "rank", rank)
 
     def sort_key(self, m: Mono):
         if self.kind == "lex":
@@ -321,9 +334,8 @@ class PolyRing:
         return Polynomial(self, ((exps, self.field.one),))
 
     def from_dict(self, terms: dict) -> "Polynomial":
-        items = [(m, c) for m, c in terms.items() if c]
-        items.sort(key=lambda mc: self.order.sort_key(mc[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+        monos = sorted((m for m, c in terms.items() if c), key=self.order.rank)
+        return Polynomial(self, tuple((m, terms[m]) for m in monos))
 
     def from_terms(self, pairs: Iterable[tuple]) -> "Polynomial":
         """Build from (coefficient, exponents) pairs; duplicates accumulate."""
@@ -476,15 +488,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take non-negative int exponents")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, operator.mul)
 
     def evaluate(self, point: Sequence):
         """Value at a point with coordinates in the coefficient field."""
@@ -505,6 +509,35 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def _power(base: Polynomial, e: int, mul) -> Polynomial:
+    """base ** e by square-and-multiply, forming every product with mul."""
+    result = base.ring.one()
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
+class _ProductBudget:
+    """Term pairs left for the products of one parse or substitute call.
+
+    The result's term count can stay small while the work grows with the
+    exponent ((x + 1)^e), so the work itself is bounded.
+    """
+
+    def __init__(self) -> None:
+        self.left = PRODUCT_BUDGET
+
+    def mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
+        self.left -= len(p.terms) * len(q.terms)
+        if self.left < 0:
+            raise ValueError(f"products would pass {PRODUCT_BUDGET} term pairs")
+        return p * q
+
+
 def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """Evaluate an integer-coefficient polynomial at polynomial images.
 
@@ -522,6 +555,7 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
         if g.ring != target:
             raise AmbientMismatch("images live in different rings")
     tf = target.field
+    budget = _ProductBudget()
     total = target.zero()
     for mono, c in f.terms:
         if not isinstance(c, Fraction) or c.denominator != 1:
@@ -529,7 +563,7 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
         term = target.constant(tf.from_int(c.numerator))
         for i, e in enumerate(mono):
             if e:
-                term = term * images[i] ** e
+                term = budget.mul(term, _power(images[i], e, budget.mul))
         total = total + term
     return total
 
@@ -614,6 +648,7 @@ class _PolyParser:
         self.i = 0
         self.ring = ring
         self.index = {name: k for k, name in enumerate(ring.names)}
+        self.budget = _ProductBudget()
 
     def peek(self):
         return self.toks[self.i]
@@ -656,7 +691,7 @@ class _PolyParser:
                 self.take()
                 q = self.factor()
                 _check_terms(len(p.terms) * len(q.terms))
-                p = p * q
+                p = self.budget.mul(p, q)
             else:
                 return p
 
@@ -672,7 +707,7 @@ class _PolyParser:
             t = len(p.terms)
             if t > 1:
                 _check_terms(v + 1 if v >= TERM_CAP else math.comb(t + v - 1, v))
-            p = p ** v
+            p = _power(p, v, self.budget.mul)
         return p
 
     def atom(self) -> Polynomial:

@@ -224,9 +224,10 @@ def _sample_coefficients(field) -> tuple:
     return tuple(out)
 
 
-def random_bounded_poly(ring, rng: random.Random, monos: Sequence) -> Polynomial:
-    """Sparse random polynomial on the given monomials, small coefficients."""
-    coeffs = _sample_coefficients(ring.field)
+def random_bounded_poly(
+    ring, rng: random.Random, monos: Sequence, coeffs: Sequence
+) -> Polynomial:
+    """Sparse random polynomial on the given monomials and coefficients."""
     fld = ring.field
     acc: dict = {}
     for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
@@ -251,10 +252,11 @@ def prime_probe(
     if any(g.degree() == 0 for g in P.basis):
         raise UnitIdeal("the probed ideal is the whole ring")
     monos = monomials_up_to(P.ring.nvars, degree_bound)
+    coeffs = _sample_coefficients(P.ring.field)
     rng = random.Random(seed)
     for _ in range(trials):
-        f = random_bounded_poly(P.ring, rng, monos)
-        g = random_bounded_poly(P.ring, rng, monos)
+        f = random_bounded_poly(P.ring, rng, monos, coeffs)
+        g = random_bounded_poly(P.ring, rng, monos, coeffs)
         if ideal_member(f, P) or ideal_member(g, P):
             continue
         if ideal_member(f * g, P):

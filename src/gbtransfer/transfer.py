@@ -46,7 +46,7 @@ from .predicates import (
     RadicalResult,
     UnitIdeal,
     complexity_of,
-    height_in_quotient,
+    height_poly,
     prime_probe,
     radical_equals,
     rational_maximal,
@@ -218,7 +218,8 @@ def verify_witness(
         flags.append(not residue)
         residues.append(format_polynomial(residue))
 
-    height_n = height_in_quotient(m, I)
+    # I inside m was checked above, so the height is a plain difference
+    height_n = height_poly(m).height - height_poly(I).height
 
     cond3 = CERT_NOT_CERTIFIED
     if w.point_b is not None:

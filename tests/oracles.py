@@ -3,14 +3,90 @@
 These deliberately avoid the Groebner path: membership is decided by exact
 linear algebra over the span of bounded-degree multiples of the
 generators, dimension by exhaustive variable-subset search on monomial
-generators.
+generators.  Division has a slow reference too: the plain loop that picks
+each leading term with ``max``, against which the heap-ordered
+``normal_form`` is checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gbtransfer.polyarith import monomials_up_to
+from gbtransfer.groebner import DegreeCapExceeded
+from gbtransfer.polyarith import AmbientMismatch, Polynomial, monomials_up_to
+
+
+def _mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def reference_normal_form(
+    f, divisors, degree_cap=None, step_cap=None, coeff_bit_cap=None
+):
+    """Multivariate division choosing each leading term with ``max``.
+
+    Same contract as ``groebner.normal_form``, including every cap and its
+    message; it rescans the whole work dict at every step.
+    """
+    ring = f.ring
+    fld = ring.field
+    zero = fld.zero
+    key = ring.order.sort_key
+    table = []
+    for g in divisors:
+        if g.ring != ring:
+            raise AmbientMismatch("divisor outside the ambient ring")
+        if g:
+            table.append((g.leading_monomial(), g.leading_coeff(), g.terms))
+    work = dict(f.terms)
+    rem: dict = {}
+    steps = 0
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for gm, gc, gterms in table:
+            if _mono_divides(gm, m):
+                steps += 1
+                if step_cap is not None and steps > step_cap:
+                    raise DegreeCapExceeded(
+                        f"division passed {step_cap} reduction steps"
+                    )
+                factor = fld.div(c, gc)
+                if (
+                    coeff_bit_cap is not None
+                    and isinstance(factor, Fraction)
+                    and factor.numerator.bit_length()
+                    + factor.denominator.bit_length()
+                    > coeff_bit_cap
+                ):
+                    raise DegreeCapExceeded(
+                        f"division coefficient passed {coeff_bit_cap} bits"
+                    )
+                quot = _mono_div(m, gm)
+                for tm, tc in gterms[1:]:
+                    mm = _mono_mul(tm, quot)
+                    if degree_cap is not None and sum(mm) > degree_cap:
+                        raise DegreeCapExceeded(
+                            f"division intermediate degree passed {degree_cap}"
+                        )
+                    nv = fld.sub(work.get(mm, zero), fld.mul(factor, tc))
+                    if nv:
+                        work[mm] = nv
+                    elif mm in work:
+                        del work[mm]
+                break
+        else:
+            rem[m] = c
+    terms = sorted(rem.items(), key=lambda mc: key(mc[0]), reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 def dimension_oracle(pres) -> int:

@@ -345,6 +345,22 @@ class TestInputBounds:
         operand = "(" + "*".join(["(a+b+c+d)"] * 40) + ")"
         self._refused(capsys, "complexity", "--vars", "a,b,c,d", "--ideal", operand)
 
+    def test_long_power_of_binomial_refused(self, capsys):
+        # (x+1)^4000 has only 4001 terms, but squaring up to it is the cost
+        self._refused(capsys, "complexity", "--vars", "x", "--ideal", "(x+1)^4000")
+
+    def test_long_power_through_substitution_refused(self, capsys, tmp_path):
+        case = json.loads((CASES / "square_root.json").read_text())
+        case["system"]["equations"] = [
+            [{"coeff": "1", "exps": [3000, 0]}, {"coeff": "-1", "exps": [0, 2]}]
+        ]
+        case["witness"]["x"] = [
+            [{"coeff": "1", "exps": [1]}, {"coeff": "1", "exps": [0]}]
+        ]
+        path = tmp_path / "long_power.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        self._refused(capsys, "verify", str(path), "--char0")
+
     def test_moderate_power_answers(self, capsys):
         code, out = run(
             capsys, "complexity", "--vars", "a,b,c,d", "--ideal", "((a+b+c+d)^20)"

@@ -2,7 +2,8 @@
 
 Bases are compared after monic normalization under the matching order;
 sympy prefers integer-primitive scaling where we keep leading coefficient
-one.  Skipped cleanly when sympy is not installed.
+one, and over F_p it writes symmetric residues where we keep 0..p-1.
+Skipped cleanly when sympy is not installed.
 """
 
 import random
@@ -12,7 +13,15 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from gbtransfer.groebner import IdealPresentation, buchberger
-from gbtransfer.polyarith import GREVLEX, LEX, PolyRing, QQ, format_polynomial, parse_polynomial
+from gbtransfer.polyarith import (
+    GREVLEX,
+    LEX,
+    PolyRing,
+    PrimeField,
+    QQ,
+    format_polynomial,
+    parse_polynomial,
+)
 
 SYMS = sp.symbols("x y z")
 
@@ -24,6 +33,22 @@ FIXED_CASES = [
     (3, ["x**2 - y", "y**2 - z"]),
     (3, ["x*y - z", "y*z - x"]),
 ]
+
+# Four-variable systems in w, x, y, z for the F_p comparison.
+CYCLIC4 = [
+    "w + x + y + z",
+    "w*x + x*y + y*z + z*w",
+    "w*x*y + x*y*z + y*z*w + z*w*x",
+    "w*x*y*z - 1",
+]
+KATSURA3 = [
+    "w + 2*x + 2*y + 2*z - 1",
+    "w**2 + 2*x**2 + 2*y**2 + 2*z**2 - w",
+    "2*w*x + 2*x*y + 2*y*z - x",
+    "x**2 + 2*w*y + 2*x*z - y",
+]
+
+P = 32003
 
 
 def _random_cases(count=10, seed=5):
@@ -72,3 +97,33 @@ def test_reduced_bases_agree_with_sympy(kind):
             ).exprs
         }
         assert mine == reference, f"{gens} under {kind}"
+
+
+def _monic_terms_mod_p(expr, syms, order):
+    terms = [
+        (m, int(c) % P) for m, c in sp.Poly(expr, *syms).terms(order=order)
+    ]
+    inv = pow(terms[0][1], -1, P)
+    return tuple((m, c * inv % P) for m, c in terms)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_reduced_bases_agree_with_sympy_mod_p(kind):
+    order = GREVLEX if kind == "grevlex" else LEX
+    cases = [(("x", "y", "z")[:n], gens) for n, gens in FIXED_CASES + _random_cases()]
+    cases += [(("w", "x", "y", "z"), CYCLIC4), (("w", "x", "y", "z"), KATSURA3)]
+    for names, gens in cases:
+        syms = sp.symbols(names)
+        ring = PolyRing(PrimeField(P), len(names), order, names)
+        pres = IdealPresentation(
+            ring,
+            tuple(parse_polynomial(g.replace("**", "^"), ring) for g in gens),
+        )
+        mine = {g.terms for g in buchberger(pres).basis}
+        reference = {
+            _monic_terms_mod_p(e, syms, kind)
+            for e in sp.groebner(
+                [sp.sympify(g) for g in gens], *syms, order=kind, modulus=P
+            ).exprs
+        }
+        assert mine == reference, f"{gens} under {kind} mod {P}"

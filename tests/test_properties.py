@@ -1,11 +1,12 @@
 """Property tests: order laws, ring axioms, reduction homomorphism,
-canonical-form and normal-form idempotence."""
+canonical-form and normal-form idempotence, and heap-ordered division
+against the max-based reference."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gbtransfer.groebner import ideal, ideal_member, normal_form
+from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_member, normal_form
 from gbtransfer.polyarith import (
     GREVLEX,
     LEX,
@@ -15,6 +16,8 @@ from gbtransfer.polyarith import (
     mono_mul,
     reduce_coeffs_mod_p,
 )
+
+from oracles import reference_normal_form
 
 RXY = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
 R3 = PolyRing(QQ, 3, GREVLEX, ("x", "y", "z"))
@@ -53,6 +56,12 @@ class TestOrderLaws:
     def test_multiplicative(self, order, a, b, t):
         c = order.compare(a, b)
         assert order.compare(mono_mul(a, t), mono_mul(b, t)) == c
+
+    @given(orders, st.lists(monomials3, unique=True))
+    def test_rank_sorts_leading_first(self, order, ms):
+        assert sorted(ms, key=order.rank) == sorted(
+            ms, key=order.sort_key, reverse=True
+        )
 
 
 class TestRingAxioms:
@@ -129,6 +138,41 @@ class TestNormalFormProperties:
         f2 = RXY.from_terms([(1, (1, 0)), (1, (0, 1))])
         pres = ideal(f1, f2)
         assert ideal_member(h1 * f1 + h2 * f2, pres)
+
+
+@st.composite
+def division_problems(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    ring = PolyRing(field, 3, draw(orders), ("x", "y", "z"))
+    polys = poly_strategy(ring, monomials3, max_terms=5)
+    return draw(polys), draw(st.lists(polys, max_size=4))
+
+
+def _division_outcome(divide, f, divisors, **caps):
+    try:
+        return divide(f, divisors, **caps).terms
+    except DegreeCapExceeded as exc:
+        return str(exc)
+
+
+class TestHeapDivisionMatchesReference:
+    @given(division_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_same_remainder(self, problem):
+        f, divisors = problem
+        caps = {"step_cap": 5000, "coeff_bit_cap": 512}
+        assert _division_outcome(normal_form, f, divisors, **caps) == (
+            _division_outcome(reference_normal_form, f, divisors, **caps)
+        )
+
+    @given(division_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_step_cap_raises_exactly_when_the_reference_does(self, problem):
+        f, divisors = problem
+        for k in range(6):
+            assert _division_outcome(normal_form, f, divisors, step_cap=k) == (
+                _division_outcome(reference_normal_form, f, divisors, step_cap=k)
+            )
 
 
 class TestNormalizationProperties:

@@ -361,6 +361,25 @@ class TestCorpusCoherence:
                 verify_witness(system, wit, CAPS)
                 assert len(calls) == 3, name
 
+    def test_i_inside_m_checked_once_per_verification(self, monkeypatch):
+        import gbtransfer.predicates as predicates
+        import gbtransfer.transfer as transfer
+
+        calls = []
+        real = transfer.ideal_contains
+
+        def counting(I, J):
+            calls.append((I, J))
+            return real(I, J)
+
+        monkeypatch.setattr(transfer, "ideal_contains", counting)
+        monkeypatch.setattr(predicates, "ideal_contains", counting)
+        for name, (system, w) in self._rational_cases():
+            for wit in (w, reduce_witness_mod_p(w, 7)):
+                calls.clear()
+                verify_witness(system, wit, CAPS)
+                assert calls.count((wit.ideal_i(), wit.ideal_m())) == 1, name
+
 
 class TestSearchPoints:
     def test_roots_of_t2_plus_1_mod_5(self):
