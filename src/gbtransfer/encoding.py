@@ -171,8 +171,8 @@ def field_to_json(field: Field):
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
-    if isinstance(obj, dict) and set(obj) == {"Fp"}:
-        return PrimeField(int(obj["Fp"]))
+    if isinstance(obj, dict) and set(obj) == {"Fp"} and type(obj["Fp"]) is int:
+        return PrimeField(obj["Fp"])
     raise ValueError(f"unknown field descriptor {obj!r}")
 
 
@@ -208,13 +208,17 @@ def code_from_json(text: str) -> IdealCode:
     }:
         raise ValueError("malformed code object")
     fld = field_from_json(obj["field"])
-    rows = tuple(
-        tuple(fld.parse(entry) for entry in row) for row in obj["rows"]
-    )
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(c, str) for c in row) for row in rows
+    ):
+        raise ValueError("code rows must be lists of coefficient strings")
+    if any(type(obj[k]) is not int for k in ("nvars", "complexity")):
+        raise ValueError("nvars and complexity must be JSON integers")
     return IdealCode(
-        int(obj["nvars"]),
-        int(obj["complexity"]),
+        obj["nvars"],
+        obj["complexity"],
         order_from_json(obj["order"]),
         fld,
-        rows,
+        tuple(tuple(fld.parse(entry) for entry in row) for row in rows),
     )

@@ -26,14 +26,15 @@ from .polyarith import (
     mono_mul,
 )
 
-DEGREE_CAP = 64
-PAIR_CAP = 100_000
-STEP_CAP = 100_000
-COEFF_BIT_CAP = 8192
+# Kernel caps: every division and basis computation reads them as it runs.
+DEGREE_CAP = 64  # intermediate and basis-element total degree
+PAIR_CAP = 100_000  # S-pairs one basis computation examines
+STEP_CAP = 100_000  # reduction steps one division takes
+COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
 
 
 class DegreeCapExceeded(RuntimeError):
-    """A basis computation blew past its safety cap instead of hanging."""
+    """A computation blew past a kernel cap instead of hanging."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class IdealPresentation:
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        """Reduced Groebner basis under the default caps, computed once."""
+        """Reduced Groebner basis, computed once; buchberger(self).basis."""
         return buchberger(self).basis
 
 
@@ -97,13 +98,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def normal_form(
-    f: Polynomial,
-    divisors: Sequence[Polynomial],
-    degree_cap: int | None = None,
-    step_cap: int | None = None,
-    coeff_bit_cap: int | None = None,
-) -> Polynomial:
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under multivariate division by the listed divisors.
 
     Deterministic: each step reduces the current leading term against the
@@ -117,12 +112,13 @@ def normal_form(
     term a step adds is smaller than the term it removes, so the remainder
     comes out in descending order and needs no final sort.
 
-    Division always terminates, but under orders that are not
-    degree-compatible (lex) the intermediate total degree and the rational
-    coefficient size can explode; the optional caps (intermediate total
-    degree, reduction step count, coefficient bit size) turn such grinds
-    into DegreeCapExceeded.  All three are exact counts, so capped runs
-    stay machine-independent.
+    Division always terminates, but the number of steps grows with the
+    degree of f, and under orders that are not degree-compatible (lex) the
+    intermediate total degree and the rational coefficient size can
+    explode.  So every division runs under DEGREE_CAP (intermediate total
+    degree), STEP_CAP (reduction steps) and COEFF_BIT_CAP (coefficient bit
+    size), and passing one raises DegreeCapExceeded.  All three are exact
+    counts, so capped runs stay machine-independent.
     """
     ring = f.ring
     fld = ring.field
@@ -148,27 +144,26 @@ def normal_form(
         for gm, gc, gterms in table:
             if mono_divides(gm, m):
                 steps += 1
-                if step_cap is not None and steps > step_cap:
+                if steps > STEP_CAP:
                     raise DegreeCapExceeded(
-                        f"division passed {step_cap} reduction steps"
+                        f"division passed {STEP_CAP} reduction steps"
                     )
                 factor = fld.div(c, gc)
                 if (
-                    coeff_bit_cap is not None
-                    and isinstance(factor, Fraction)
+                    isinstance(factor, Fraction)
                     and factor.numerator.bit_length()
                     + factor.denominator.bit_length()
-                    > coeff_bit_cap
+                    > COEFF_BIT_CAP
                 ):
                     raise DegreeCapExceeded(
-                        f"division coefficient passed {coeff_bit_cap} bits"
+                        f"division coefficient passed {COEFF_BIT_CAP} bits"
                     )
                 quot = mono_div(m, gm)
                 for tm, tc in gterms[1:]:
                     mm = mono_mul(tm, quot)
-                    if degree_cap is not None and mono_degree(mm) > degree_cap:
+                    if mono_degree(mm) > DEGREE_CAP:
                         raise DegreeCapExceeded(
-                            f"division intermediate degree passed {degree_cap}"
+                            f"division intermediate degree passed {DEGREE_CAP}"
                         )
                     prev = work.get(mm)
                     if prev is None:
@@ -195,13 +190,7 @@ def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:
     return False
 
 
-def _reduce_basis(
-    G: list[Polynomial],
-    ring: PolyRing,
-    degree_cap: int | None = None,
-    step_cap: int | None = None,
-    coeff_bit_cap: int | None = None,
-) -> tuple[Polynomial, ...]:
+def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> tuple[Polynomial, ...]:
     lms = [g.leading_monomial() for g in G]
     removed: set[int] = set()
     for i in range(len(G)):
@@ -215,34 +204,22 @@ def _reduce_basis(
     out = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(
-            g,
-            others,
-            degree_cap=degree_cap,
-            step_cap=step_cap,
-            coeff_bit_cap=coeff_bit_cap,
-        )
+        r = normal_form(g, others)
         if r:
             out.append(r.monic())
     out.sort(key=lambda h: ring.order.rank(h.leading_monomial()))
     return tuple(out)
 
 
-def buchberger(
-    pres: IdealPresentation,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    pair_cap: int = PAIR_CAP,
-    step_cap: int = STEP_CAP,
-    coeff_bit_cap: int = COEFF_BIT_CAP,
-) -> GroebnerBasis:
+def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the presented ideal.
 
     Pair selection is normal strategy: smallest (lcm degree, lcm order key)
     first, which makes runs reproducible.  The product and chain criteria
-    prune pairs.  The caps convert pathological growth into a
+    prune pairs.  The kernel caps (PAIR_CAP, DEGREE_CAP on every new
+    element, and the division caps) convert pathological growth into a
     DegreeCapExceeded error rather than an open-ended run.  Every call
-    computes; ``pres.basis`` keeps the default-caps result.
+    computes; ``pres.basis`` keeps the result.
     """
     ring = pres.ring
     key = ring.order.sort_key
@@ -268,25 +245,19 @@ def buchberger(
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         handled += 1
-        if handled > pair_cap:
-            raise DegreeCapExceeded(f"more than {pair_cap} S-pairs examined")
+        if handled > PAIR_CAP:
+            raise DegreeCapExceeded(f"more than {PAIR_CAP} S-pairs examined")
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):  # coprime leads
             continue
         if _chain_skip(i, j, lcm, lms, pending):
             continue
-        r = normal_form(
-            s_polynomial(G[i], G[j]),
-            G,
-            degree_cap=degree_cap,
-            step_cap=step_cap,
-            coeff_bit_cap=coeff_bit_cap,
-        )
+        r = normal_form(s_polynomial(G[i], G[j]), G)
         if not r:
             continue
-        if r.degree() > degree_cap:
+        if r.degree() > DEGREE_CAP:
             raise DegreeCapExceeded(
-                f"basis element degree passed the cap {degree_cap}"
+                f"basis element degree passed the cap {DEGREE_CAP}"
             )
         r = r.monic()
         G.append(r)
@@ -295,7 +266,7 @@ def buchberger(
         for i2 in range(t):
             push(i2, t)
 
-    return GroebnerBasis(_reduce_basis(G, ring, degree_cap, step_cap, coeff_bit_cap))
+    return GroebnerBasis(_reduce_basis(G, ring))
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:

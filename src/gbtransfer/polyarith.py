@@ -522,19 +522,21 @@ def _power(base: Polynomial, e: int, mul) -> Polynomial:
 
 
 class _ProductBudget:
-    """Term pairs left for the products of one parse or substitute call.
+    """Term pairs left for the products of one parse, substitute or search.
 
     The result's term count can stay small while the work grows with the
-    exponent ((x + 1)^e), so the work itself is bounded.
+    exponent ((x + 1)^e), so the work itself is bounded; passing the budget
+    raises error.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, error: type[Exception] = ValueError) -> None:
         self.left = PRODUCT_BUDGET
+        self.error = error
 
     def mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
         self.left -= len(p.terms) * len(q.terms)
         if self.left < 0:
-            raise ValueError(f"products would pass {PRODUCT_BUDGET} term pairs")
+            raise self.error(f"products would pass {PRODUCT_BUDGET} term pairs")
         return p * q
 
 
@@ -568,14 +570,13 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     return total
 
 
-def reduce_coeffs_mod_p(f: Polynomial, p: int) -> Polynomial:
-    """Map each coefficient a/b to a * b^-1 mod p.
+def reduce_coeffs_mod_p(f: Polynomial, fp: PrimeField) -> Polynomial:
+    """Map each coefficient a/b to a * b^-1 mod p, into the field fp = F_p.
 
     Raises BadPrime when p divides some reduced denominator.
     """
     if not isinstance(f.ring.field, RationalField):
         raise AmbientMismatch("only rational-coefficient polynomials reduce mod p")
-    fp = PrimeField(p)
     target = f.ring.with_field(fp)
     acc: dict = {}
     for m, c in f.terms:
@@ -696,6 +697,9 @@ class _PolyParser:
                 return p
 
     def factor(self) -> Polynomial:
+        if self.peek() == ("op", "-"):  # negate after "^": x*-y^2 is -(x*y^2)
+            self.take()
+            return -self.factor()
         p = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -719,6 +723,8 @@ class _PolyParser:
                 k2, v2 = self.take()
                 if k2 != "num":
                     raise ValueError("denominator must be an integer")
+                if not v2:
+                    raise ValueError("zero denominator in polynomial text")
                 return self.ring.constant(Fraction(val, v2))
             return self.ring.constant(val)
         if kind == "name":
@@ -731,8 +737,6 @@ class _PolyParser:
             if self.take() != ("op", ")"):
                 raise ValueError("unbalanced parenthesis")
             return p
-        if kind == "op" and val == "-":
-            return -self.atom()
         raise ValueError(f"unexpected token {val!r} in polynomial text")
 
 

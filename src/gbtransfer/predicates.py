@@ -13,11 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import IdealPresentation, ideal, ideal_contains, ideal_member
+from .groebner import (
+    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, ideal_member
+)
 from .polyarith import (
     AmbientMismatch,
     Polynomial,
     RationalField,
+    _ProductBudget,
     format_polynomial,
     monomials_up_to,
 )
@@ -163,7 +166,8 @@ def radical_equals(
 
     Criterion: I lies inside P and some power of every P-generator falls
     into I, searched incrementally up to the cap.  P's primality is the
-    caller's responsibility.
+    caller's responsibility.  The powers of one call share PRODUCT_BUDGET
+    term pairs; passing it raises DegreeCapExceeded.
     """
     if exponent_cap < 1:
         raise ValueError("exponent cap must be at least 1")
@@ -171,6 +175,7 @@ def radical_equals(
         raise AmbientMismatch("ideals from different rings")
     if not ideal_contains(I, P):
         return RadicalResult(RADICAL_NOT_CONTAINED, cap=exponent_cap)
+    budget = _ProductBudget(DegreeCapExceeded)
     found = []
     for g in P.generators:
         if not g:
@@ -178,7 +183,7 @@ def radical_equals(
         power = g
         for e in range(1, exponent_cap + 1):
             if e > 1:
-                power = power * g
+                power = budget.mul(power, g)
             if ideal_member(power, I):
                 found.append((g, e))
                 break

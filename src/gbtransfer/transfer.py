@@ -306,7 +306,7 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     def reduce_many(gens, structural: bool) -> tuple[Polynomial, ...]:
         out = []
         for g in gens:
-            rg = reduce_coeffs_mod_p(g, p)
+            rg = reduce_coeffs_mod_p(g, fp)
             if structural and g:
                 if not rg:
                     raise DegenerateGenerator(
@@ -457,9 +457,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
-def search_witness_points(
-    I: IdealPresentation, budget: int = POINT_BUDGET
-) -> list[tuple[int, ...]]:
+def search_witness_points(I: IdealPresentation) -> list[tuple[int, ...]]:
     """All F_p-rational points of V(I), by exhaustive enumeration.
 
     Points are exponent-ordered tuples of residues; every returned point
@@ -469,8 +467,8 @@ def search_witness_points(
     if not isinstance(field, PrimeField):
         raise AmbientMismatch("point search runs over a prime field")
     p, n = field.p, I.ring.nvars
-    if p ** n > budget:
-        raise BudgetExceeded(f"{p}^{n} points exceed the budget {budget}")
+    if p ** n > POINT_BUDGET:
+        raise BudgetExceeded(f"{p}^{n} points exceed the budget {POINT_BUDGET}")
     gens = [g for g in I.generators if g]
     out = []
     for point in _cartesian(range(p), repeat=n):

@@ -1,6 +1,9 @@
 """End-to-end CLI coverage: exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from gbtransfer.cli import main, parse_case, CaseFormatError
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+SRC = CASES.parent / "src"
 
 
 def run(capsys, *argv):
@@ -72,6 +76,14 @@ class TestVerifyCommand:
         path.write_text(json.dumps(case), encoding="utf-8")
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("p", [7.9, True, "7"])
+    def test_non_integer_field_modulus_rejected(self, tmp_path, capsys, p):
+        case = json.loads((CASES / "fp_nilpotent.json").read_text())
+        case["ring"]["field"] = {"Fp": p}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        assert run(capsys, "verify", str(path)) == (2, "")
 
     def test_float_coefficients_rejected(self, tmp_path, capsys):
         case = json.loads((CASES / "square_root.json").read_text())
@@ -367,6 +379,52 @@ class TestInputBounds:
         )
         assert code == 0
         assert json.loads(out)["complexity"] == 20
+
+    def _refused_in_child(self, *argv):
+        # a child process with a timeout: a run that never stops fails
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbtransfer.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert time.monotonic() - t0 < 2
+
+    def test_high_degree_member_over_fp_refused(self):
+        self._refused_in_child(
+            "member", "--vars", "x", "--field", "F32003",
+            "--f", "x^100000000", "--ideal", "x - 2",
+        )
+
+    def test_high_degree_member_over_q_refused(self):
+        self._refused_in_child(
+            "member", "--vars", "x", "--f", "x^1000000", "--ideal", "x - 2"
+        )
+
+    def test_division_past_the_degree_cap_refused(self, capsys):
+        # x^100 against x^2 - 1 writes x^98 on its first step
+        self._refused(
+            capsys, "member", "--vars", "x", "--f", "x^100", "--ideal", "x^2 - 1"
+        )
+
+    def test_radical_power_search_budget(self):
+        # the square of the 455-term generator alone passes PRODUCT_BUDGET
+        self._refused_in_child(
+            "radical-eq", "--vars", "a,b,c,d",
+            "--ideal", "a*(a+b+c+d)^12", "--radical", "(a+b+c+d)^12",
+        )
+
+    def test_zero_denominator_refused(self, capsys):
+        self._refused(capsys, "gb", "--vars", "x", "--ideal", "1/0")
+
+    @pytest.mark.parametrize("rows", [5, [[1, 5], [0, 0]]])
+    def test_malformed_code_rows_refused(self, capsys, rows):
+        code = {
+            "complexity": 1, "field": {"Fp": 7}, "nvars": 1,
+            "order": "grevlex", "rows": rows,
+        }
+        self._refused(capsys, "decode", "--code", json.dumps(code))
 
     def test_probe_degree_bound_refused(self, capsys):
         self._refused(

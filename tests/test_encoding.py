@@ -13,6 +13,7 @@ from gbtransfer.encoding import (
     code_to_json,
     decode_ideal,
     encode_ideal,
+    field_from_json,
     monomial_basis,
     normalize_generators,
 )
@@ -141,6 +142,39 @@ class TestCodeJson:
         obj = json.loads(text)
         assert obj["field"] == {"Fp": 5}
         assert code_to_json(code_from_json(text)) == text
+
+    CODE_F7 = {
+        "complexity": 1,
+        "field": {"Fp": 7},
+        "nvars": 1,
+        "order": "grevlex",
+        "rows": [["1", "5"], ["0", "0"]],
+    }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rows": 5},
+            {"rows": [[1, 5], [0, 0]]},
+            {"rows": [["1", "5"], "00"]},
+            {"field": {"Fp": 7.9}},
+            {"field": {"Fp": True}},
+            {"field": {"Fp": "7"}},
+            {"nvars": 1.9},
+            {"nvars": True},
+            {"complexity": "1"},
+        ],
+    )
+    def test_only_exact_json_types_accepted(self, change):
+        assert code_from_json(json.dumps(self.CODE_F7)).field == PrimeField(7)
+        with pytest.raises(ValueError):
+            code_from_json(json.dumps({**self.CODE_F7, **change}))
+
+    @pytest.mark.parametrize("p", [7.9, 7.0, True, "7", None])
+    def test_field_modulus_must_be_an_int(self, p):
+        assert field_from_json({"Fp": 7}) == PrimeField(7)
+        with pytest.raises(ValueError):
+            field_from_json({"Fp": p})
 
 
 class TestRandomRoundTrips:

@@ -1,7 +1,11 @@
 """Normal forms, Buchberger, and the ideal comparison procedures."""
 
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 
+from gbtransfer import groebner
 from gbtransfer.groebner import (
     DegreeCapExceeded,
     IdealPresentation,
@@ -91,14 +95,16 @@ class TestBuchberger:
 
     def test_pair_cap_raises(self):
         pres = mk(R3, "x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
-        with pytest.raises(DegreeCapExceeded):
-            buchberger(pres, pair_cap=1)
+        with mock.patch.object(groebner, "PAIR_CAP", 1):
+            with pytest.raises(DegreeCapExceeded):
+                buchberger(pres)
 
     def test_degree_cap_raises(self):
         # (x^3 - y, x*y - 1) produces x - y^3 along the way
         pres = mk(R2, "x^3 - y", "x*y - 1")
-        with pytest.raises(DegreeCapExceeded):
-            buchberger(pres, degree_cap=2)
+        with mock.patch.object(groebner, "DEGREE_CAP", 2):
+            with pytest.raises(DegreeCapExceeded):
+                buchberger(pres)
 
     def test_coefficient_swell_fails_loudly(self):
         # under lex this basis marches up in degree while coefficients
@@ -125,12 +131,6 @@ class TestBuchberger:
             buchberger(pres)
         assert time.monotonic() - t0 < 30
 
-    def test_cache_hit_honours_caps(self):
-        pres = mk(R3, "x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
-        buchberger(pres)
-        with pytest.raises(DegreeCapExceeded):
-            buchberger(pres, pair_cap=1)
-
     def test_memoized_recomputation_identical(self):
         pres = mk(R2, "x^2 - y", "x")
         assert pres.basis is pres.basis
@@ -152,6 +152,33 @@ class TestMembership:
         zero = IdealPresentation(R2, (R2.zero(),))
         assert ideal_member(R2.zero(), zero)
         assert not ideal_member(P("x"), zero)
+
+
+class TestEveryDivisionCapped:
+    """Membership and containment divide under the caps buchberger uses."""
+
+    def test_member_and_contains_honour_step_cap(self):
+        # x^10 reduces against x - 2 in ten steps, down to 1024
+        I = mk(R2, "x - 2")
+        assert not ideal_member(P("x^10"), I)
+        with mock.patch.object(groebner, "STEP_CAP", 5):
+            with pytest.raises(DegreeCapExceeded, match="passed 5 reduction"):
+                ideal_member(P("x^10"), I)
+            with pytest.raises(DegreeCapExceeded, match="passed 5 reduction"):
+                ideal_contains(mk(R2, "x^10"), I)
+
+    def test_intermediate_degree_capped(self):
+        # the first step against x^2 - 1 already writes x^98
+        with pytest.raises(DegreeCapExceeded, match="degree passed 64"):
+            normal_form(P("x^100"), [P("x^2 - 1")])
+        assert normal_form(P("x^60"), [P("x^2 - 1")]) == R2.one()
+
+    def test_coefficient_bits_capped(self):
+        f, g = P("x^3"), P("3*x - 2")
+        assert normal_form(f, [g]) == R2.constant(Fraction(8, 27))
+        with mock.patch.object(groebner, "COEFF_BIT_CAP", 4):
+            with pytest.raises(DegreeCapExceeded, match="passed 4 bits"):
+                normal_form(f, [g])
 
 
 class TestContainsEqual:

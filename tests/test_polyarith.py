@@ -172,30 +172,30 @@ class TestSubstitute:
 class TestReduceModP:
     def test_inverse_of_six_mod_five(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
-        assert reduce_coeffs_mod_p(f, 5) == parse_polynomial(
+        assert reduce_coeffs_mod_p(f, PrimeField(5)) == parse_polynomial(
             "T^2", PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
         )
 
     def test_inverse_of_six_mod_seven(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
-        assert reduce_coeffs_mod_p(f, 7) == parse_polynomial(
+        assert reduce_coeffs_mod_p(f, PrimeField(7)) == parse_polynomial(
             "6*T^2", PolyRing(PrimeField(7), 1, GREVLEX, ("T",))
         )
 
     def test_bad_prime(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
         with pytest.raises(BadPrime):
-            reduce_coeffs_mod_p(f, 3)
+            reduce_coeffs_mod_p(f, PrimeField(3))
 
     def test_coefficient_vanishes(self):
         f = P("5*T + 1", RT)
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
-        assert reduce_coeffs_mod_p(f, 5) == r5.one()
+        assert reduce_coeffs_mod_p(f, PrimeField(5)) == r5.one()
 
     def test_only_rational_inputs(self):
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
         with pytest.raises(AmbientMismatch):
-            reduce_coeffs_mod_p(r5.variable(0), 7)
+            reduce_coeffs_mod_p(r5.variable(0), PrimeField(7))
 
 
 class TestParseFormat:
@@ -217,6 +217,17 @@ class TestParseFormat:
 
     def test_parenthesised_products(self):
         assert P("(x + 1)*(x - 1)") == P("x^2 - 1")
+
+    def test_unary_minus_applies_after_the_power(self):
+        assert P("x*-y^2") == -P("x*y^2")
+        assert P("2*-x^2") == P("-2*x^2")
+        assert P("(-y)^2") == P("y^2")
+        assert P("--y") == P("y")
+        assert not P("x*-y^2 + x*y^2")
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            P("1/0*x")
 
     def test_prime_field_literals(self):
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))

@@ -4,8 +4,11 @@ against the max-based reference."""
 
 from fractions import Fraction
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from gbtransfer import groebner
 from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_member, normal_form
 from gbtransfer.polyarith import (
     GREVLEX,
@@ -92,7 +95,7 @@ class TestReductionHomomorphism:
     @given(int_polys2, int_polys2)
     @settings(max_examples=60)
     def test_additive_and_multiplicative(self, f, g):
-        p = 5
+        p = PrimeField(5)
         assert reduce_coeffs_mod_p(f + g, p) == reduce_coeffs_mod_p(
             f, p
         ) + reduce_coeffs_mod_p(g, p)
@@ -114,7 +117,7 @@ class TestReductionHomomorphism:
     )
     @settings(max_examples=40)
     def test_with_denominators_avoiding_p(self, f, g):
-        p = 7
+        p = PrimeField(7)
         assert reduce_coeffs_mod_p(f * g, p) == reduce_coeffs_mod_p(
             f, p
         ) * reduce_coeffs_mod_p(g, p)
@@ -148,11 +151,21 @@ def division_problems(draw):
     return draw(polys), draw(st.lists(polys, max_size=4))
 
 
-def _division_outcome(divide, f, divisors, **caps):
+def _division_outcome(divide, f, divisors, *caps):
     try:
-        return divide(f, divisors, **caps).terms
+        return divide(f, divisors, *caps).terms
     except DegreeCapExceeded as exc:
         return str(exc)
+
+
+def _same_as_reference(f, divisors, step_cap, coeff_bit_cap):
+    # normal_form reads the kernel caps; the reference takes them as arguments
+    caps = (groebner.DEGREE_CAP, step_cap, coeff_bit_cap)
+    with mock.patch.object(groebner, "STEP_CAP", step_cap), mock.patch.object(
+        groebner, "COEFF_BIT_CAP", coeff_bit_cap
+    ):
+        ours = _division_outcome(normal_form, f, divisors)
+    return ours == _division_outcome(reference_normal_form, f, divisors, *caps)
 
 
 class TestHeapDivisionMatchesReference:
@@ -160,18 +173,15 @@ class TestHeapDivisionMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_same_remainder(self, problem):
         f, divisors = problem
-        caps = {"step_cap": 5000, "coeff_bit_cap": 512}
-        assert _division_outcome(normal_form, f, divisors, **caps) == (
-            _division_outcome(reference_normal_form, f, divisors, **caps)
-        )
+        assert _same_as_reference(f, divisors, step_cap=5000, coeff_bit_cap=512)
 
     @given(division_problems())
     @settings(max_examples=100, deadline=None)
     def test_step_cap_raises_exactly_when_the_reference_does(self, problem):
         f, divisors = problem
         for k in range(6):
-            assert _division_outcome(normal_form, f, divisors, step_cap=k) == (
-                _division_outcome(reference_normal_form, f, divisors, step_cap=k)
+            assert _same_as_reference(
+                f, divisors, step_cap=k, coeff_bit_cap=groebner.COEFF_BIT_CAP
             )
 
 

@@ -2,9 +2,11 @@
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from gbtransfer import polyarith, transfer
 from gbtransfer.groebner import IdealPresentation, ideal
 from gbtransfer.polyarith import (
     BadPrime,
@@ -224,6 +226,16 @@ class TestReduceWitness:
         with pytest.raises(BadPrime):
             reduce_witness_mod_p(sixth_scaled_witness(), 2)
 
+    def test_field_constructed_once(self):
+        # every component is reduced into one F_p, so p is tested for
+        # primality once, not once per witness polynomial
+        w = sixth_scaled_witness()
+        with mock.patch.object(
+            polyarith, "is_prime", wraps=polyarith.is_prime
+        ) as spy:
+            reduce_witness_mod_p(w, 7)
+        assert spy.call_count == 1
+
     def test_degenerate_generator(self):
         w = Witness(
             ring=RT,
@@ -289,7 +301,9 @@ class TestSweep:
         for p in (5, 7, 13):
             wp = reduce_witness_mod_p(w, p)
             images_p = list(wp.x_images) + list(wp.y_images)
-            assert substitute(SIXTH_SYS.equations[0], images_p) == reduce_coeffs_mod_p(value, p)
+            assert substitute(SIXTH_SYS.equations[0], images_p) == (
+                reduce_coeffs_mod_p(value, PrimeField(p))
+            )
 
 
 class TestCorpusCoherence:
@@ -320,7 +334,7 @@ class TestCorpusCoherence:
                 images_p = list(wp.x_images) + list(wp.y_images)
                 for F, value in zip(system.equations, values):
                     assert substitute(F, images_p) == reduce_coeffs_mod_p(
-                        value, p
+                        value, PrimeField(p)
                     ), f"{name} at p={p}"
 
     def test_condition2_survives_reduction(self):
@@ -412,8 +426,9 @@ class TestSearchPoints:
     def test_budget(self):
         r5 = PolyRing(PrimeField(5), 2, GREVLEX, ("T1", "T2"))
         pres = IdealPresentation(r5, (r5.zero(),))
-        with pytest.raises(BudgetExceeded):
-            search_witness_points(pres, budget=3)
+        with mock.patch.object(transfer, "POINT_BUDGET", 3):
+            with pytest.raises(BudgetExceeded):
+                search_witness_points(pres)
 
 
 class TestSystemValidation:
