@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .encoding import (
-    ComplexityExceeded,
     code_from_json,
     code_to_json,
     decode_ideal,
@@ -25,7 +24,6 @@ from .encoding import (
 from .groebner import DegreeCapExceeded, IdealPresentation, normal_form
 from .polyarith import (
     AmbientMismatch,
-    BadPrime,
     PolyRing,
     PrimeField,
     QQ,
@@ -34,8 +32,6 @@ from .polyarith import (
     parse_polynomial,
 )
 from .predicates import (
-    NotContained,
-    UnitIdeal,
     complexity,
     dimension,
     height_poly,
@@ -44,10 +40,8 @@ from .predicates import (
     rational_maximal,
 )
 from .transfer import (
-    BudgetExceeded,
     Caps,
     CharZeroFailure,
-    DegenerateGenerator,
     DiophantineSystem,
     Witness,
     primes_in_range,
@@ -105,11 +99,11 @@ def _poly_from_json(obj, ring: PolyRing, where: str):
         coeff = _coeff_string(term["coeff"], f"{where}[{k}]")
         try:
             pairs.append((ring.field.parse(coeff), tuple(exps)))
-        except (ValueError, BadPrime) as exc:
+        except ValueError as exc:
             raise CaseFormatError(f"{where}[{k}]: {exc}") from exc
     try:
         return ring.from_terms(pairs)
-    except (AmbientMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise CaseFormatError(f"{where}: {exc}") from exc
 
 
@@ -148,7 +142,7 @@ def parse_case(obj) -> tuple[DiophantineSystem, Witness]:
     )
     try:
         system = DiophantineSystem(n, r, equations)
-    except (AmbientMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise CaseFormatError(f"system: {exc}") from exc
 
     w_obj = obj["witness"]
@@ -180,7 +174,7 @@ def parse_case(obj) -> tuple[DiophantineSystem, Witness]:
                 ring.field.parse(_coeff_string(c, f"witness.b[{k}]"))
                 for k, c in enumerate(b_obj)
             )
-        except (ValueError, BadPrime) as exc:
+        except ValueError as exc:
             raise CaseFormatError(f"witness.b: {exc}") from exc
 
     claimed_n = w_obj["claimed_n"]
@@ -282,7 +276,7 @@ def _parse_point_arg(text: str, ring: PolyRing) -> tuple:
     coords = [c.strip() for c in text.split(",")]
     try:
         return tuple(ring.field.parse(c) for c in coords)
-    except (ValueError, BadPrime) as exc:
+    except ValueError as exc:
         raise CaseFormatError(f"bad point: {exc}") from exc
 
 
@@ -501,19 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STRUCTURAL_ERRORS = (
-    CaseFormatError,
-    AmbientMismatch,
-    BadPrime,
-    NotContained,
-    UnitIdeal,
-    ComplexityExceeded,
-    DegreeCapExceeded,
-    DegenerateGenerator,
-    BudgetExceeded,
-    ValueError,
-    OSError,
-)
+# Every input and structural error the program raises is a ValueError; the
+# kernel caps raise DegreeCapExceeded.
+_STRUCTURAL_ERRORS = (ValueError, DegreeCapExceeded, OSError)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from .polyarith import (
 )
 
 
-CODE_CELL_CAP = 10 ** 6  # largest D x D grid encode_ideal builds
+CODE_CELL_CAP = 10 ** 6  # most cells of a D x D code, encoded or decoded
 
 
 class ComplexityExceeded(ValueError):
@@ -43,28 +43,37 @@ class ComplexityExceeded(ValueError):
 
 
 def code_size(n: int, d: int) -> int:
-    """Number of monomials of degree <= d in n variables: C(n+d, n)."""
+    """Number of monomials of degree <= d in n variables: C(n+d, n).
+
+    Raises ComplexityExceeded when the D x D code would pass CODE_CELL_CAP
+    cells; since D >= n + d once d >= n >= 1, a large n + d is refused
+    before C(n+d, n) is computed.
+    """
     if n < 1:
         raise ValueError("need at least one variable")
     if d < n:
         raise ValueError(f"complexity bound {d} below the variable count {n}")
-    size = math.comb(n + d, n)
-    assert size <= math.comb(2 * d, d)  # holds whenever d >= n
+    size = n + d
+    if size <= math.isqrt(CODE_CELL_CAP):
+        size = math.comb(n + d, n)
+    if size * size > CODE_CELL_CAP:
+        raise ComplexityExceeded(
+            d, f"a code of at least {size} x {size} passes {CODE_CELL_CAP} cells"
+        )
     return size
 
 
 def monomial_basis(nvars: int, d: int, order: MonomialOrder) -> list[Mono]:
     """Monomials of total degree <= d, descending under the order."""
-    monos = list(monomials_up_to(nvars, d))
-    monos.sort(key=order.sort_key, reverse=True)
-    return monos
+    return sorted(monomials_up_to(nvars, d), key=order.rank)
 
 
 def _poly_sort_key(g, order: MonomialOrder):
+    # simpler generators first: the negated rank sorts ascending
     return (
-        order.sort_key(g.leading_monomial()),
+        tuple(-e for e in order.rank(g.leading_monomial())),
         len(g.terms),
-        tuple((order.sort_key(m), c) for m, c in g.terms),
+        tuple((tuple(-e for e in order.rank(m)), c) for m, c in g.terms),
     )
 
 
@@ -95,11 +104,7 @@ def normalize_generators(I: IdealPresentation) -> IdealPresentation:
             diff = f - kept
             if diff:
                 queue.append(diff.monic())
-    gens = sorted(
-        by_lm.values(),
-        key=lambda g: order.sort_key(g.leading_monomial()),
-        reverse=True,
-    )
+    gens = sorted(by_lm.values(), key=lambda g: order.rank(g.leading_monomial()))
     return IdealPresentation(ring, tuple(gens))
 
 
@@ -121,8 +126,6 @@ def encode_ideal(I: IdealPresentation, d: int) -> IdealCode:
     if d < n:
         raise ComplexityExceeded(d, f"{n} variables force complexity >= {n}")
     size = code_size(n, d)
-    if size * size > CODE_CELL_CAP:
-        raise ComplexityExceeded(d, f"a {size} x {size} code is too large")
     norm = normalize_generators(I)
     degs = [int(g.degree()) for g in norm.generators if g]
     if degs and max(degs) > d:

@@ -214,15 +214,16 @@ def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> tuple[Polynomial, ...]
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the presented ideal.
 
-    Pair selection is normal strategy: smallest (lcm degree, lcm order key)
-    first, which makes runs reproducible.  The product and chain criteria
-    prune pairs.  The kernel caps (PAIR_CAP, DEGREE_CAP on every new
-    element, and the division caps) convert pathological growth into a
-    DegreeCapExceeded error rather than an open-ended run.  Every call
-    computes; ``pres.basis`` keeps the result.
+    Pair selection is normal strategy: smallest lcm degree first, then the
+    smallest lcm under the order (the largest rank), which makes runs
+    reproducible.  The product and chain criteria prune pairs.  The kernel
+    caps (PAIR_CAP, DEGREE_CAP on every new element, and the division caps)
+    convert pathological growth into a DegreeCapExceeded error rather than
+    an open-ended run.  Every call computes; ``pres.basis`` keeps the
+    result.
     """
     ring = pres.ring
-    key = ring.order.sort_key
+    rank = ring.order.rank
     G = [g.monic() for g in pres.generators if g]
     if not G:
         return GroebnerBasis(())
@@ -233,7 +234,8 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
 
     def push(i: int, j: int) -> None:
         lcm = mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j))
+        key = (mono_degree(lcm), tuple(-e for e in rank(lcm)), i, j)
+        heapq.heappush(heap, key)
         pending.add((i, j))
 
     for j in range(len(G)):

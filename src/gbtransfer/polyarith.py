@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 NEG_INF = float("-inf")  # degree of the zero polynomial
 TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
 PRODUCT_BUDGET = 10 * TERM_CAP  # term pairs one parse or substitute may multiply
+NEST_CAP = 100  # parentheses and unary minus signs one parse may nest
 
 
 class AmbientMismatch(ValueError):
@@ -257,33 +258,27 @@ def _lex_rank(m: Mono):
 
 
 def _grevlex_rank(m: Mono):
-    return (-sum(m), m[::-1])
+    return (-sum(m),) + m[::-1]
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A fixed multiplicative well-order on monomials (lex or grevlex)."""
+    """A fixed multiplicative well-order on monomials (lex or grevlex).
+
+    rank(m), set once per order object, is the order's only key: a flat
+    tuple of ints, smaller for the larger monomial, so sorting by rank puts
+    the leading monomial first.  Lex ranks m as its negated exponents,
+    grevlex as (-deg m, last exponent, ..., first exponent).  The negated
+    tuple, tuple(-e for e in rank(m)), sorts ascending.
+    """
 
     kind: str = "grevlex"
 
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        # rank(m): a cheaper key than sort_key, leading monomial first
         rank = _lex_rank if self.kind == "lex" else _grevlex_rank
         object.__setattr__(self, "rank", rank)
-
-    def sort_key(self, m: Mono):
-        if self.kind == "lex":
-            return m
-        return (sum(m), tuple(-x for x in reversed(m)))
-
-    def compare(self, a: Mono, b: Mono) -> int:
-        """-1, 0 or 1 for a < b, a = b, a > b; lengths must agree."""
-        if len(a) != len(b):
-            raise AmbientMismatch("monomial lengths differ")
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        return (ka > kb) - (ka < kb)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -650,6 +645,12 @@ class _PolyParser:
         self.ring = ring
         self.index = {name: k for k, name in enumerate(ring.names)}
         self.budget = _ProductBudget()
+        self.depth = 0  # open "(" and unary "-" around the current token
+
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > NEST_CAP:
+            raise ValueError(f"polynomial text nests deeper than {NEST_CAP}")
 
     def peek(self):
         return self.toks[self.i]
@@ -699,7 +700,10 @@ class _PolyParser:
     def factor(self) -> Polynomial:
         if self.peek() == ("op", "-"):  # negate after "^": x*-y^2 is -(x*y^2)
             self.take()
-            return -self.factor()
+            self.nest()
+            p = -self.factor()
+            self.depth -= 1
+            return p
         p = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -733,9 +737,11 @@ class _PolyParser:
                 raise ValueError(f"unknown variable {val!r}; ring has {known}")
             return self.ring.variable(self.index[val])
         if kind == "op" and val == "(":
+            self.nest()
             p = self.expr()
             if self.take() != ("op", ")"):
                 raise ValueError("unbalanced parenthesis")
+            self.depth -= 1
             return p
         raise ValueError(f"unexpected token {val!r} in polynomial text")
 

@@ -112,15 +112,6 @@ def height_poly(I: IdealPresentation) -> HeightResult:
     return HeightResult(d, I.ring.nvars - d)
 
 
-def height_in_quotient(m: IdealPresentation, I: IdealPresentation) -> int:
-    """Height of m inside ring/I, as ht(m) - ht(I) in the ambient ring."""
-    if m.ring != I.ring:
-        raise AmbientMismatch("ideals from different rings")
-    if not ideal_contains(I, m):
-        raise NotContained("the quotient-defining ideal is not inside m")
-    return height_poly(m).height - height_poly(I).height
-
-
 RADICAL_EQUAL = "equal"
 RADICAL_NOT_CONTAINED = "not_contained_in_p"
 RADICAL_POWER_NOT_FOUND = "generator_power_not_found"

@@ -5,11 +5,13 @@ linear algebra over the span of bounded-degree multiples of the
 generators, dimension by exhaustive variable-subset search on monomial
 generators.  Division has a slow reference too: the plain loop that picks
 each leading term with ``max``, against which the heap-ordered
-``normal_form`` is checked.
+``normal_form`` is checked.  The monomial orders have their textbook
+definitions here, against which ``MonomialOrder.rank`` is checked.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from gbtransfer.groebner import DegreeCapExceeded
@@ -28,6 +30,24 @@ def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def textbook_compare(kind, a, b) -> int:
+    """-1, 0 or 1 as a < b, a = b, a > b under the named order.
+
+    lex: the first nonzero entry of a - b is positive.  grevlex: a has the
+    larger total degree, or the same degree and the last nonzero entry of
+    a - b is negative.
+    """
+    diff = [x - y for x, y in zip(a, b)]
+    if kind == "grevlex" and sum(diff):
+        return 1 if sum(diff) > 0 else -1
+    nonzero = [e for e in diff if e]
+    if not nonzero:
+        return 0
+    if kind == "lex":
+        return 1 if nonzero[0] > 0 else -1
+    return 1 if nonzero[-1] < 0 else -1
+
+
 def reference_normal_form(
     f, divisors, degree_cap=None, step_cap=None, coeff_bit_cap=None
 ):
@@ -39,7 +59,9 @@ def reference_normal_form(
     ring = f.ring
     fld = ring.field
     zero = fld.zero
-    key = ring.order.sort_key
+    key = functools.cmp_to_key(
+        functools.partial(textbook_compare, ring.order.kind)
+    )
     table = []
     for g in divisors:
         if g.ring != ring:

@@ -10,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from gbtransfer.cli import main, parse_case, CaseFormatError
+from gbtransfer.encoding import CODE_CELL_CAP, ComplexityExceeded
+from gbtransfer.polyarith import AmbientMismatch, BadPrime
+from gbtransfer.predicates import NotContained, UnitIdeal
+from gbtransfer.transfer import DegenerateGenerator
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 SRC = CASES.parent / "src"
@@ -435,6 +439,36 @@ class TestInputBounds:
     @pytest.mark.parametrize("d", ["8", "16"])
     def test_oversize_code_refused(self, capsys, d):
         self._refused(capsys, "encode", "--vars", self.SIX, "--ideal", "(a)", "--d", d)
+
+    @pytest.mark.parametrize(
+        "operand",
+        ["(" * 300 + "x" + ")" * 300, "-" * 1000 + "x"],
+        ids=["parentheses", "minus_signs"],
+    )
+    def test_deep_nesting_refused(self, capsys, operand):
+        self._refused(capsys, "gb", "--vars", "x", "--ideal=" + operand)
+
+    def test_huge_code_header_refused(self, capsys):
+        header = {
+            "complexity": 300000, "field": "Q", "nvars": 300000,
+            "order": "grevlex", "rows": [],
+        }
+        t0 = time.monotonic()
+        code = main(["decode", "--code", json.dumps(header)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"passes {CODE_CELL_CAP} cells" in captured.err
+        assert time.monotonic() - t0 < 1
+
+
+class TestErrorTypes:
+    def test_structural_errors_are_value_errors(self):
+        # the CLI maps every ValueError to exit 2
+        for exc in (
+            CaseFormatError, AmbientMismatch, BadPrime, NotContained,
+            UnitIdeal, ComplexityExceeded, DegenerateGenerator,
+        ):
+            assert issubclass(exc, ValueError), exc
 
 
 class TestParseCase:

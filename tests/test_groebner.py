@@ -20,15 +20,58 @@ from gbtransfer.groebner import (
 from gbtransfer.polyarith import (
     AmbientMismatch,
     GREVLEX,
+    LEX,
     PolyRing,
     QQ,
     mono_divides,
     parse_polynomial,
 )
 
-from corpus import R1, R2, R3, P, mk
+from corpus import NAMED_IDEALS, R1, R2, R3, P, mk
 
 RT2 = PolyRing(QQ, 2, GREVLEX, ("T1", "T2"))
+
+# Leading monomials of the pairs that reach s_polynomial, in the order the
+# normal-strategy queue pops them (lcm degree, then the smaller lcm).
+S_PAIRS = {
+    ("cyclic4", "grevlex"): [
+        ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (1, 1, 1, 0)),
+        ((1, 0, 0, 0), (1, 1, 1, 1)), ((0, 2, 0, 0), (0, 1, 2, 0)),
+        ((0, 1, 2, 0), (0, 1, 1, 2)), ((0, 2, 0, 0), (0, 1, 1, 2)),
+        ((0, 1, 1, 2), (0, 1, 0, 4)), ((0, 2, 0, 0), (0, 1, 0, 4)),
+        ((0, 1, 2, 0), (0, 0, 3, 2)), ((0, 0, 3, 2), (0, 0, 2, 4)),
+        ((0, 1, 2, 0), (0, 0, 2, 4)),
+    ],
+    ("cyclic4", "lex"): [
+        ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (1, 1, 1, 0)),
+        ((0, 2, 0, 0), (0, 1, 2, 0)), ((1, 0, 0, 0), (1, 1, 1, 1)),
+        ((0, 1, 2, 0), (0, 1, 1, 2)), ((0, 2, 0, 0), (0, 1, 1, 2)),
+        ((0, 1, 1, 2), (0, 1, 0, 4)), ((0, 1, 2, 0), (0, 1, 1, 0)),
+        ((0, 2, 0, 0), (0, 1, 1, 0)), ((0, 1, 1, 2), (0, 1, 1, 0)),
+        ((0, 1, 2, 0), (0, 0, 3, 2)), ((0, 2, 0, 0), (0, 1, 0, 4)),
+        ((0, 0, 3, 2), (0, 0, 2, 6)), ((0, 1, 2, 0), (0, 0, 2, 6)),
+    ],
+    ("katsura3", "grevlex"): [
+        ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (2, 0, 0, 0)),
+        ((0, 1, 1, 0), (0, 0, 2, 0)), ((0, 2, 0, 0), (0, 1, 1, 0)),
+        ((0, 0, 2, 0), (0, 0, 1, 2)), ((0, 1, 1, 0), (0, 1, 0, 2)),
+        ((0, 1, 1, 0), (0, 0, 1, 2)), ((0, 2, 0, 0), (0, 1, 0, 2)),
+        ((0, 0, 1, 2), (0, 0, 0, 4)), ((0, 1, 0, 2), (0, 0, 0, 4)),
+    ],
+    ("katsura3", "lex"): [
+        ((1, 0, 0, 0), (1, 0, 1, 0)), ((1, 0, 0, 0), (1, 1, 0, 0)),
+        ((1, 0, 0, 0), (2, 0, 0, 0)), ((0, 1, 1, 0), (0, 1, 0, 1)),
+        ((0, 2, 0, 0), (0, 1, 0, 1)), ((0, 1, 0, 1), (0, 1, 0, 0)),
+        ((0, 1, 1, 0), (0, 1, 0, 0)), ((0, 2, 0, 0), (0, 1, 0, 0)),
+        ((0, 0, 2, 1), (0, 0, 2, 0)), ((0, 0, 3, 0), (0, 0, 2, 0)),
+        ((0, 1, 1, 0), (0, 0, 2, 0)), ((0, 0, 1, 3), (0, 0, 1, 2)),
+        ((0, 0, 1, 2), (0, 0, 1, 1)), ((0, 0, 1, 1), (0, 0, 1, 0)),
+        ((0, 0, 2, 0), (0, 0, 1, 0)), ((0, 1, 1, 0), (0, 0, 1, 0)),
+        ((0, 0, 2, 1), (0, 0, 1, 1)), ((0, 0, 2, 2), (0, 0, 2, 1)),
+        ((0, 0, 2, 2), (0, 0, 1, 2)), ((0, 0, 1, 4), (0, 0, 1, 3)),
+        ((0, 0, 1, 4), (0, 0, 0, 8)), ((0, 1, 0, 1), (0, 0, 0, 8)),
+    ],
+}
 
 
 class TestNormalForm:
@@ -135,6 +178,26 @@ class TestBuchberger:
         pres = mk(R2, "x^2 - y", "x")
         assert pres.basis is pres.basis
         assert pres.basis == buchberger(pres).basis
+
+
+class TestPairOrder:
+    @pytest.mark.parametrize("name, kind", list(S_PAIRS))
+    def test_s_pair_sequence_pinned(self, name, kind):
+        gens = dict(NAMED_IDEALS)[name].generators
+        order = {"grevlex": GREVLEX, "lex": LEX}[kind]
+        ring = PolyRing(QQ, gens[0].ring.nvars, order, gens[0].ring.names)
+        pres = IdealPresentation(
+            ring, tuple(ring.from_dict(dict(g.terms)) for g in gens)
+        )
+        seen = []
+
+        def spy(f, g):
+            seen.append((f.leading_monomial(), g.leading_monomial()))
+            return s_polynomial(f, g)
+
+        with mock.patch.object(groebner, "s_polynomial", spy):
+            buchberger(pres)
+        assert seen == S_PAIRS[name, kind]
 
 
 class TestMembership:

@@ -12,6 +12,7 @@ from gbtransfer.polyarith import (
     LEX,
     MonomialOrder,
     NEG_INF,
+    NEST_CAP,
     PolyRing,
     PrimeField,
     QQ,
@@ -69,20 +70,21 @@ class TestFields:
 
 
 class TestMonomialOrder:
+    # a smaller rank is a larger monomial
     def test_lex_first_exponent_wins(self):
-        assert LEX.compare((2, 0), (1, 3)) == 1
+        assert LEX.rank((2, 0)) < LEX.rank((1, 3))
 
     def test_grevlex_degree_tie_reversed_rule(self):
-        # x^2 beats x*y under grevlex, so (x*y, x^2) compares Less
-        assert GREVLEX.compare((1, 1), (2, 0)) == -1
+        # x^2 beats x*y under grevlex
+        assert GREVLEX.rank((2, 0)) < GREVLEX.rank((1, 1))
 
     def test_reflexive_equal(self):
-        assert GREVLEX.compare((3, 1), (3, 1)) == 0
-        assert LEX.compare((0, 0), (0, 0)) == 0
+        assert GREVLEX.rank((3, 1)) == GREVLEX.rank((3, 1))
+        assert LEX.rank((0, 0)) == LEX.rank((0, 0))
 
-    def test_length_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            GREVLEX.compare((1,), (1, 2))
+    def test_rank_is_a_flat_int_tuple(self):
+        assert LEX.rank((2, 0, 1)) == (-2, 0, -1)
+        assert GREVLEX.rank((2, 0, 1)) == (-3, 1, 0, 2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +230,15 @@ class TestParseFormat:
     def test_zero_denominator_refused(self):
         with pytest.raises(ValueError, match="zero denominator"):
             P("1/0*x")
+
+    def test_nesting_capped(self):
+        k = NEST_CAP
+        assert P("(" * k + "x" + ")" * k) == P("x")
+        assert P("x*" + "-" * k + "y") == P("x*y")
+        with pytest.raises(ValueError, match=f"nests deeper than {k}"):
+            P("(" * (k + 1) + "x" + ")" * (k + 1))
+        with pytest.raises(ValueError, match=f"nests deeper than {k}"):
+            P("x*" + "-" * (k + 1) + "y")
 
     def test_prime_field_literals(self):
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))

@@ -7,14 +7,12 @@ import pytest
 from gbtransfer.groebner import IdealPresentation, ideal_member
 from gbtransfer.polyarith import GREVLEX, PolyRing, PrimeField, QQ, parse_polynomial
 from gbtransfer.predicates import (
-    NotContained,
     RADICAL_EQUAL,
     RADICAL_NOT_CONTAINED,
     RADICAL_POWER_NOT_FOUND,
     UnitIdeal,
     complexity,
     dimension,
-    height_in_quotient,
     height_poly,
     prime_probe,
     radical_equals,
@@ -95,22 +93,20 @@ class TestHeight:
 
 
 class TestHeightInQuotient:
+    # verify_witness reads the height of m in ring/I as ht(m) - ht(I)
     def test_polynomial_line(self):
         m = mk(RT, "T")
         zero = IdealPresentation(RT, (RT.zero(),))
-        assert height_in_quotient(m, zero) == 1
+        assert height_poly(m).height - height_poly(zero).height == 1
 
     def test_hyperbola_point(self):
         m = mk(RT2, "T1 - 1", "T2 - 1")
         I = mk(RT2, "T1*T2 - 1")
-        assert height_in_quotient(m, I) == 1
+        assert height_poly(m).height - height_poly(I).height == 1
 
     def test_plane_in_quotient(self):
-        assert height_in_quotient(mk(R2, "x", "y"), mk(R2, "x")) == 1
-
-    def test_not_contained(self):
-        with pytest.raises(NotContained):
-            height_in_quotient(mk(R2, "y"), mk(R2, "x"))
+        m, I = mk(R2, "x", "y"), mk(R2, "x")
+        assert height_poly(m).height - height_poly(I).height == 1
 
 
 class TestRadicalEquals:

@@ -3,7 +3,7 @@ canonical-form and normal-form idempotence, and heap-ordered division
 against the max-based reference."""
 
 from fractions import Fraction
-
+from functools import cmp_to_key, partial
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from gbtransfer.polyarith import (
     reduce_coeffs_mod_p,
 )
 
-from oracles import reference_normal_form
+from oracles import reference_normal_form, textbook_compare
 
 RXY = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
 R3 = PolyRing(QQ, 3, GREVLEX, ("x", "y", "z"))
@@ -44,27 +44,37 @@ polys2 = poly_strategy(RXY, monomials2)
 int_polys2 = poly_strategy(RXY, monomials2, coeffs=st.integers(-9, 9))
 
 
+def _cmp(order, a, b):
+    """-1, 0 or 1 for a < b, a = b, a > b, read from the ranks."""
+    ra, rb = order.rank(a), order.rank(b)
+    return (ra < rb) - (ra > rb)
+
+
 class TestOrderLaws:
     @given(orders, monomials2, monomials2, monomials2)
     def test_trichotomy_and_transitivity(self, order, a, b, c):
-        assert order.compare(a, b) == -order.compare(b, a)
-        if order.compare(a, b) <= 0 and order.compare(b, c) <= 0:
-            assert order.compare(a, c) <= 0
+        assert _cmp(order, a, b) == -_cmp(order, b, a)
+        assert (_cmp(order, a, b) == 0) == (a == b)
+        if _cmp(order, a, b) <= 0 and _cmp(order, b, c) <= 0:
+            assert _cmp(order, a, c) <= 0
 
     @given(orders, monomials2)
     def test_one_is_minimal(self, order, m):
-        assert order.compare((0, 0), m) <= 0
+        assert _cmp(order, (0, 0), m) <= 0
 
     @given(orders, monomials2, monomials2, monomials2)
     def test_multiplicative(self, order, a, b, t):
-        c = order.compare(a, b)
-        assert order.compare(mono_mul(a, t), mono_mul(b, t)) == c
+        c = _cmp(order, a, b)
+        assert _cmp(order, mono_mul(a, t), mono_mul(b, t)) == c
 
     @given(orders, st.lists(monomials3, unique=True))
     def test_rank_sorts_leading_first(self, order, ms):
-        assert sorted(ms, key=order.rank) == sorted(
-            ms, key=order.sort_key, reverse=True
+        ascending = sorted(
+            ms, key=cmp_to_key(partial(textbook_compare, order.kind))
         )
+        assert sorted(ms, key=order.rank) == ascending[::-1]
+        negated = sorted(ms, key=lambda m: tuple(-e for e in order.rank(m)))
+        assert negated == ascending
 
 
 class TestRingAxioms:
@@ -85,8 +95,8 @@ class TestRingAxioms:
     def test_canonical_idempotence(self, f):
         assert RXY.from_dict(dict(f.terms)) == f
         # canonical invariants: sorted strictly descending, no zeros
-        keys = [RXY.order.sort_key(m) for m, _ in f.terms]
-        assert keys == sorted(keys, reverse=True)
+        keys = [RXY.order.rank(m) for m, _ in f.terms]
+        assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         assert all(c for _, c in f.terms)
 
