@@ -456,7 +456,8 @@ def _add_caps_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The parser, and every option string of every command."""
     parser = argparse.ArgumentParser(
         prog="gbtransfer",
         description="Exact Groebner predicates and mod-p witness sweeps.",
@@ -492,7 +493,31 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=_cmd_ideal, run=run)
 
-    return parser
+    options = frozenset(
+        s for sub in subs.choices.values() for s in sub._option_string_actions
+    )
+    return parser, options
+
+
+# Flags whose value is a polynomial, an ideal, a point or a code, which may
+# start with "-": "--f -x", "--point -1,-2".
+_OPERAND_FLAGS = frozenset({"--f", "--ideal", "--radical", "--point", "--code"})
+
+
+def _attach_operands(argv: list[str], options: frozenset[str]) -> list[str]:
+    """Join each operand flag to the token after it: "--f", "-x" -> "--f=-x".
+
+    argparse reads a token that starts with "-" as a flag of its own and
+    then finds the operand flag without a value.  A token that is an option
+    string stays a flag, so "--ideal --field F7" still fails.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _OPERAND_FLAGS and token not in options:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 # Every input and structural error the program raises is a ValueError; the
@@ -501,8 +526,10 @@ _STRUCTURAL_ERRORS = (ValueError, DegreeCapExceeded, OSError)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, options = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_operands(argv, options))
     try:
         return args.func(args)
     except _STRUCTURAL_ERRORS as exc:

@@ -8,21 +8,27 @@ and rational-point maximality certification.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groebner import (
-    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, ideal_member
+    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, ideal_member,
+    normal_form,
 )
 from .polyarith import (
     AmbientMismatch,
+    BadPrime,
     Polynomial,
+    PrimeField,
+    QQ,
     RationalField,
     _ProductBudget,
     format_polynomial,
     monomials_up_to,
+    reduce_coeffs_mod_p,
 )
 
 
@@ -187,14 +193,36 @@ def radical_equals(
 
 PROBE_NOT_PRIME = "not_prime"
 PROBE_PROBABLY_PRIME = "probably_prime"
+# A record takes about 0.6 KB per trial on the bundled rings, so a probe of
+# more trials than this keeps none, and replay_probe never answers for it.
+PROBE_RECORD_CAP = 10_000
+
+
+class ProbeTrial(NamedTuple):
+    """The two draws of a trial and the contents (_content) of NF(f), NF(g)
+    and NF(f*g); None where the trial skipped that normal form."""
+
+    f: Polynomial
+    g: Polynomial
+    f_content: int
+    g_content: int | None
+    fg_content: int | None
 
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """Probe verdict; basis and record keep what replay_probe reads.
+
+    basis is the basis the probe divided by and record holds every trial
+    drawn, in order; neither takes part in ==, repr or as_dict.
+    """
+
     status: str
     trials: int
     witness_f: Polynomial | None = None
     witness_g: Polynomial | None = None
+    basis: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
+    record: tuple[ProbeTrial, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def probably_prime(self) -> bool:
@@ -209,12 +237,12 @@ class ProbeResult:
         }
 
 
-def _sample_coefficients(field) -> tuple:
-    if isinstance(field, RationalField):
+def _sample_coefficients(fld) -> tuple:
+    if isinstance(fld, RationalField):
         return (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
     out = []
     for v in (1, -1, 2, -2):
-        r = v % field.p
+        r = v % fld.p
         if r and r not in out:
             out.append(r)
     return tuple(out)
@@ -234,6 +262,11 @@ def random_bounded_poly(
     return ring.from_dict(acc)
 
 
+def _content(f: Polynomial) -> int:
+    # gcd of the coefficient numerators, 0 for the zero polynomial
+    return math.gcd(*(c.numerator for _, c in f.terms))
+
+
 def prime_probe(
     P: IdealPresentation, degree_bound: int, trials: int, seed: int
 ) -> ProbeResult:
@@ -250,14 +283,74 @@ def prime_probe(
     monos = monomials_up_to(P.ring.nvars, degree_bound)
     coeffs = _sample_coefficients(P.ring.field)
     rng = random.Random(seed)
+    keep = trials <= PROBE_RECORD_CAP
+    record = []
     for _ in range(trials):
         f = random_bounded_poly(P.ring, rng, monos, coeffs)
         g = random_bounded_poly(P.ring, rng, monos, coeffs)
-        if ideal_member(f, P) or ideal_member(g, P):
+        cf = _content(normal_form(f, P.basis))
+        cg = _content(normal_form(g, P.basis)) if cf else None
+        cfg = _content(normal_form(f * g, P.basis)) if cf and cg else None
+        if keep:
+            record.append(ProbeTrial(f, g, cf, cg, cfg))
+        if cfg == 0:
+            return ProbeResult(
+                PROBE_NOT_PRIME, trials, f, g, P.basis, tuple(record)
+            )
+    return ProbeResult(
+        PROBE_PROBABLY_PRIME, trials, basis=P.basis, record=tuple(record)
+    )
+
+
+def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
+    """prime_probe of P over F_p, answered from q, the probe over Q.
+
+    q must be the prime_probe result, with the same degree bound, trial
+    count and seed, of the ideal over Q whose reduction mod p is P.
+    Returns None, and the caller runs prime_probe, unless both hold:
+
+    - the sample coefficients of F_p are the images of those of Q, in the
+      same order (true for p >= 5), so the seeded draws at p are the
+      images of the draws over Q;
+    - P.basis is the coefficient image mod p of q.basis (a lucky prime;
+      Traverso's trace, Pauer's lucky ideals).
+
+    Then the answer is exact.  The image basis is monic and, being
+    P.basis, a Groebner basis of P, so a normal form modulo it is unique:
+    dividing by a monic p-integral basis keeps every coefficient
+    p-integral, so NF_p(image of f) is the image of NF_Q(f), and it is
+    zero exactly when p divides the content of NF_Q(f).  The division at p
+    uses the same lead table in the same order, so its steps and pushed
+    monomials are a subset of those over Q, and no cap that the Q probe
+    passed can fire at p.  An unlucky prime fails the basis comparison and
+    falls back, so no verdict depends on guessing the exceptional primes.
+    """
+    fp = P.ring.field
+    if not q.record or not isinstance(fp, PrimeField):
+        return None
+    qring = q.record[0].f.ring
+    if qring.field != QQ or qring.with_field(fp) != P.ring:
+        return None
+    images = tuple(fp.from_rational(c) for c in _sample_coefficients(QQ))
+    if images != _sample_coefficients(fp):
+        return None
+    try:
+        if P.basis != tuple(reduce_coeffs_mod_p(g, fp) for g in q.basis):
+            return None
+    except BadPrime:
+        return None
+    p = fp.p
+    for t in q.record:
+        if t.f_content % p == 0 or t.g_content % p == 0:
             continue
-        if ideal_member(f * g, P):
-            return ProbeResult(PROBE_NOT_PRIME, trials, f, g)
-    return ProbeResult(PROBE_PROBABLY_PRIME, trials)
+        if t.fg_content % p == 0:
+            return ProbeResult(
+                PROBE_NOT_PRIME,
+                q.trials,
+                reduce_coeffs_mod_p(t.f, fp),
+                reduce_coeffs_mod_p(t.g, fp),
+            )
+    return ProbeResult(PROBE_PROBABLY_PRIME, q.trials)
 
 
 def rational_maximal(m: IdealPresentation, point) -> bool:

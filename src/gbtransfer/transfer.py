@@ -50,9 +50,11 @@ from .predicates import (
     prime_probe,
     radical_equals,
     rational_maximal,
+    replay_probe,
 )
 
 POINT_BUDGET = 10 ** 6
+PRIME_RANGE_CAP = 10 ** 6  # widest LO..HI span primes_in_range will test
 
 
 class DegenerateGenerator(ValueError):
@@ -191,14 +193,21 @@ class VerificationResult:
 
 
 def verify_witness(
-    sys_: DiophantineSystem, w: Witness, caps: Caps = Caps()
+    sys_: DiophantineSystem,
+    w: Witness,
+    caps: Caps = Caps(),
+    *,
+    replay: ProbeResult | None = None,
 ) -> VerificationResult:
     """Run all witness checks in w's own coefficient field.
 
     Requires I inside m up front.  Overall pass needs the radical equality,
     vanishing of every equation, the height match, and, when a point is
     supplied, the rational-maximality certification.  The primality probe
-    on I is attached as evidence when the witness claims a domain.
+    on I is attached as evidence when the witness claims a domain.  When w
+    is a reduction mod p, replay may carry the probe of the rational
+    witness under the same caps; at a lucky prime the probe is then read
+    off it (replay_probe) instead of run.
     """
     if len(w.x_images) != sys_.n or len(w.y_images) != sys_.r:
         raise AmbientMismatch("witness tuple shape does not match the system")
@@ -228,11 +237,14 @@ def verify_witness(
             ok3 = all(not g.evaluate(w.point_b) for g in w.i_gens)
         cond3 = CERT_PASSED if ok3 else CERT_FAILED
 
-    probe = (
-        prime_probe(I, caps.probe_degree, caps.probe_trials, caps.seed)
-        if w.domain_claim
-        else None
-    )
+    probe = None
+    if w.domain_claim:
+        if replay is not None:
+            probe = replay_probe(replay, I)
+        if probe is None:
+            probe = prime_probe(
+                I, caps.probe_degree, caps.probe_trials, caps.seed
+            )
 
     passed = (
         cond1.equal
@@ -388,11 +400,12 @@ class SweepReport:
 
 
 def _run_prime(
-    sys_: DiophantineSystem, w: Witness, p: int, caps: Caps
+    sys_: DiophantineSystem, w: Witness, p: int, caps: Caps,
+    replay: ProbeResult | None = None,
 ) -> PrimeOutcome:
     try:
         wp = reduce_witness_mod_p(w, p)
-        res = verify_witness(sys_, wp, caps)
+        res = verify_witness(sys_, wp, caps, replay=replay)
     except (
         BadPrime,
         DegenerateGenerator,
@@ -427,7 +440,10 @@ def sweep(
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
     recorded in the report, never raised.  Primes run one after another in
-    ascending order, so the report is the same on every run.
+    ascending order, so the report is the same on every run.  Each prime
+    replays the characteristic-zero probe where that is exact (see
+    replay_probe) and runs the probe in full elsewhere, so the report is
+    the one a full run at every prime gives.
     """
     candidates = sorted({int(p) for p in primes})
     for p in candidates:
@@ -437,7 +453,11 @@ def sweep(
     if not char0.passed:
         raise CharZeroFailure(char0)
     bad = bad_primes(sys_, w, candidates)
-    outcomes = [_run_prime(sys_, w, p, caps) for p in candidates if p not in bad]
+    outcomes = [
+        _run_prime(sys_, w, p, caps, char0.prime_probe)
+        for p in candidates
+        if p not in bad
+    ]
 
     ds = [o.d for o in outcomes if o.d is not None]
     uniform_d = max(ds) if ds else None
@@ -454,6 +474,11 @@ def sweep(
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
+    """The primes in lo..hi; a span wider than PRIME_RANGE_CAP is refused."""
+    if hi - lo > PRIME_RANGE_CAP:
+        raise ValueError(
+            f"prime range {lo}..{hi} is wider than {PRIME_RANGE_CAP}"
+        )
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 

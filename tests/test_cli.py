@@ -341,6 +341,41 @@ class TestOperandForms:
         assert json.loads(out)["basis"] == basis
 
 
+class TestDashOperands:
+    """An operand that starts with "-" needs no "--flag=value" form."""
+
+    @pytest.mark.parametrize(
+        "argv, equals_form",
+        [
+            (
+                ("member", "--vars", "x", "--f", "-x", "--ideal", "x"),
+                ("member", "--vars", "x", "--f=-x", "--ideal", "x"),
+            ),
+            (
+                ("gb", "--vars", "x", "--ideal", "-x"),
+                ("gb", "--vars", "x", "--ideal=-x"),
+            ),
+            (
+                ("maximal", "--vars", "x,y", "--ideal", "(x + 1, y + 2)",
+                 "--point", "-1,-2"),
+                ("maximal", "--vars", "x,y", "--ideal", "(x + 1, y + 2)",
+                 "--point=-1,-2"),
+            ),
+        ],
+        ids=["member", "gb", "maximal"],
+    )
+    def test_operand_starting_with_minus(self, capsys, argv, equals_form):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *equals_form) == (0, out)
+
+    def test_option_string_is_not_an_operand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gb", "--vars", "x", "--ideal", "--field", "F7"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestInputBounds:
     """Oversize inputs exit 2 promptly instead of expanding."""
 
@@ -447,6 +482,12 @@ class TestInputBounds:
     )
     def test_deep_nesting_refused(self, capsys, operand):
         self._refused(capsys, "gb", "--vars", "x", "--ideal=" + operand)
+
+    def test_huge_prime_range_refused(self, capsys):
+        self._refused(
+            capsys, "sweep", str(CASES / "hyperbola.json"),
+            "--primes", "2..1000000000000",
+        )
 
     def test_huge_code_header_refused(self, capsys):
         header = {

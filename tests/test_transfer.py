@@ -289,6 +289,10 @@ class TestSweep:
             sweep(SQUARE_SYS, square_root_witness(x1=T ** 3), [5, 7], CAPS)
         assert not exc.value.result.passed
 
+    def test_prime_range_cap(self):
+        with pytest.raises(ValueError, match="wider than"):
+            primes_in_range(2, 3 + transfer.PRIME_RANGE_CAP)
+
     def test_rejects_composite_candidates(self):
         with pytest.raises(ValueError):
             sweep(SQUARE_SYS, square_root_witness(), [4], CAPS)
