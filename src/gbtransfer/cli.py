@@ -456,8 +456,7 @@ def _add_caps_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
-    """The parser, and every option string of every command."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbtransfer",
         description="Exact Groebner predicates and mod-p witness sweeps.",
@@ -492,11 +491,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=_cmd_ideal, run=run)
-
-    options = frozenset(
-        s for sub in subs.choices.values() for s in sub._option_string_actions
-    )
-    return parser, options
+    return parser
 
 
 # Flags whose value is a polynomial, an ideal, a point or a code, which may
@@ -504,16 +499,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
 _OPERAND_FLAGS = frozenset({"--f", "--ideal", "--radical", "--point", "--code"})
 
 
-def _attach_operands(argv: list[str], options: frozenset[str]) -> list[str]:
+def _attach_operands(argv: list[str]) -> list[str]:
     """Join each operand flag to the token after it: "--f", "-x" -> "--f=-x".
 
     argparse reads a token that starts with "-" as a flag of its own and
-    then finds the operand flag without a value.  A token that is an option
-    string stays a flag, so "--ideal --field F7" still fails.
+    then finds the operand flag without a value.  Every option of the CLI
+    but -h is a long "--name", so such a token stays a flag and
+    "--ideal --field F7" still fails.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _OPERAND_FLAGS and token not in options:
+        is_option = token.startswith("--") or token == "-h"
+        if out and out[-1] in _OPERAND_FLAGS and not is_option:
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -526,10 +523,10 @@ _STRUCTURAL_ERRORS = (ValueError, DegreeCapExceeded, OSError)
 
 
 def main(argv=None) -> int:
-    parser, options = _build_parser()
+    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_attach_operands(argv, options))
+    args = parser.parse_args(_attach_operands(argv))
     try:
         return args.func(args)
     except _STRUCTURAL_ERRORS as exc:

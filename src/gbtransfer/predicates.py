@@ -213,8 +213,9 @@ class ProbeTrial(NamedTuple):
 class ProbeResult:
     """Probe verdict; basis and record keep what replay_probe reads.
 
-    basis is the basis the probe divided by and record holds every trial
-    drawn, in order; neither takes part in ==, repr or as_dict.
+    basis is the basis the probe divided by.  Over Q, record holds every
+    trial drawn, in order; over F_p it stays empty.  Neither takes part in
+    ==, repr or as_dict.
     """
 
     status: str
@@ -283,7 +284,9 @@ def prime_probe(
     monos = monomials_up_to(P.ring.nvars, degree_bound)
     coeffs = _sample_coefficients(P.ring.field)
     rng = random.Random(seed)
-    keep = trials <= PROBE_RECORD_CAP
+    # Only a record over Q is ever replayed.
+    keep = isinstance(P.ring.field, RationalField)
+    keep = keep and trials <= PROBE_RECORD_CAP
     record = []
     for _ in range(trials):
         f = random_bounded_poly(P.ring, rng, monos, coeffs)
@@ -324,6 +327,8 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
     monomials are a subset of those over Q, and no cap that the Q probe
     passed can fire at p.  An unlucky prime fails the basis comparison and
     falls back, so no verdict depends on guessing the exceptional primes.
+    A not_prime q whose witness pair p skips also falls back: its record
+    ends there, and the probe at p would draw further trials.
     """
     fp = P.ring.field
     if not q.record or not isinstance(fp, PrimeField):
@@ -350,6 +355,9 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
                 reduce_coeffs_mod_p(t.f, fp),
                 reduce_coeffs_mod_p(t.g, fp),
             )
+    if len(q.record) < q.trials:
+        # q stopped on a pair that p skips; the probe at p draws on.
+        return None
     return ProbeResult(PROBE_PROBABLY_PRIME, q.trials)
 
 

@@ -147,3 +147,19 @@ def test_probe_past_the_record_cap_is_not_replayed(
     assert report.per_prime == tuple(
         _run_prime(system, w, p, caps) for p in (2, 3, 5, 7)
     )
+
+
+def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
+    # With seed 98 the probe of (X1*Y1) over Q ends on NF(f) = 5*X1, which
+    # is zero mod 5: the record ends there, so the probe at 5 runs in full.
+    system, w = NOT_PRIME
+    caps = Caps(seed=98)
+    probe = verify_witness(system, w, caps).prime_probe
+    assert probe.status == "not_prime"
+    assert format_polynomial(probe.witness_f) == "5*X1"
+    primes = [2, 3, 5, 7, 11]
+    report = sweep(system, w, primes, caps)
+    assert full_probe_primes == [2, 3, 5]
+    assert report.per_prime == tuple(
+        _run_prime(system, w, p, caps) for p in primes
+    )
