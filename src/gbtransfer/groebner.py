@@ -120,6 +120,18 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     size), and passing one raises DegreeCapExceeded.  All three are exact
     counts, so capped runs stay machine-independent.
     """
+    return _divide(f, divisors)[0]
+
+
+def _divide(
+    f: Polynomial, divisors: Sequence[Polynomial]
+) -> tuple[Polynomial, int, int]:
+    """normal_form's division, under the same caps, with its costs.
+
+    Returns the remainder, the number of reduction steps taken and the
+    largest numerator-plus-denominator bit size of a step's factor (0 when
+    no factor is a Fraction, as over F_p).
+    """
     ring = f.ring
     fld = ring.field
     zero = fld.zero
@@ -135,7 +147,7 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     heap = [(rank(m), m) for m in work]
     heapq.heapify(heap)
     rem = []
-    steps = 0
+    steps = top_bits = 0
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m)
@@ -149,15 +161,17 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
                         f"division passed {STEP_CAP} reduction steps"
                     )
                 factor = fld.div(c, gc)
-                if (
-                    isinstance(factor, Fraction)
-                    and factor.numerator.bit_length()
-                    + factor.denominator.bit_length()
-                    > COEFF_BIT_CAP
-                ):
-                    raise DegreeCapExceeded(
-                        f"division coefficient passed {COEFF_BIT_CAP} bits"
+                if isinstance(factor, Fraction):
+                    bits = (
+                        factor.numerator.bit_length()
+                        + factor.denominator.bit_length()
                     )
+                    if bits > COEFF_BIT_CAP:
+                        raise DegreeCapExceeded(
+                            f"division coefficient passed {COEFF_BIT_CAP} bits"
+                        )
+                    if bits > top_bits:
+                        top_bits = bits
                 quot = mono_div(m, gm)
                 for tm, tc in gterms[1:]:
                     mm = mono_mul(tm, quot)
@@ -173,7 +187,7 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
                 break
         else:
             rem.append((m, c))
-    return Polynomial(ring, tuple(rem))
+    return Polynomial(ring, tuple(rem)), steps, top_bits
 
 
 def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:

@@ -11,12 +11,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import groebner
 from .groebner import (
-    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, ideal_member,
-    normal_form,
+    DegreeCapExceeded, IdealPresentation, _divide, ideal, ideal_contains,
+    ideal_member, normal_form,
 )
 from .polyarith import (
     AmbientMismatch,
@@ -27,6 +27,7 @@ from .polyarith import (
     RationalField,
     _ProductBudget,
     format_polynomial,
+    mono_mul,
     monomials_up_to,
     reduce_coeffs_mod_p,
 )
@@ -193,17 +194,16 @@ def radical_equals(
 
 PROBE_NOT_PRIME = "not_prime"
 PROBE_PROBABLY_PRIME = "probably_prime"
-# A record takes about 0.6 KB per trial on the bundled rings, so a probe of
-# more trials than this keeps none, and replay_probe never answers for it.
-PROBE_RECORD_CAP = 10_000
+PROBE_TRIAL_CAP = 10_000  # most trials one probe draws
 
 
 class ProbeTrial(NamedTuple):
-    """The two draws of a trial and the contents (_content) of NF(f), NF(g)
-    and NF(f*g); None where the trial skipped that normal form."""
+    """The two draws of a trial, as (monomial, coefficient) tuples, and the
+    contents (_content) of NF(f), NF(g) and NF(f*g); None where the trial
+    skipped that normal form."""
 
-    f: Polynomial
-    g: Polynomial
+    f: tuple
+    g: tuple
     f_content: int
     g_content: int | None
     fg_content: int | None
@@ -211,18 +211,20 @@ class ProbeTrial(NamedTuple):
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Probe verdict; basis and record keep what replay_probe reads.
+    """Probe verdict; ideal and record keep what replay_probe reads.
 
-    basis is the basis the probe divided by.  Over Q, record holds every
-    trial drawn, in order; over F_p it stays empty.  Neither takes part in
-    ==, repr or as_dict.
+    ideal is the probed presentation.  Over Q, record holds every trial
+    drawn, in order; over F_p it stays empty.  Neither takes part in ==,
+    repr or as_dict.
     """
 
     status: str
     trials: int
     witness_f: Polynomial | None = None
     witness_g: Polynomial | None = None
-    basis: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
+    ideal: IdealPresentation | None = field(
+        default=None, compare=False, repr=False
+    )
     record: tuple[ProbeTrial, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -238,34 +240,150 @@ class ProbeResult:
         }
 
 
+_SAMPLE = (1, -1, 2, -2)
+
+
 def _sample_coefficients(fld) -> tuple:
+    # The draws' coefficients: these integers over Q, their distinct
+    # nonzero residues over F_p.
     if isinstance(fld, RationalField):
-        return (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
+        return _SAMPLE
     out = []
-    for v in (1, -1, 2, -2):
+    for v in _SAMPLE:
         r = v % fld.p
         if r and r not in out:
             out.append(r)
     return tuple(out)
 
 
-def random_bounded_poly(
-    ring, rng: random.Random, monos: Sequence, coeffs: Sequence
-) -> Polynomial:
-    """Sparse random polynomial on the given monomials and coefficients."""
-    fld = ring.field
+def _draw(choice, monos: Sequence, coeffs: Sequence) -> tuple:
+    """Sparse random (monomial, coefficient) terms on the given choices.
+
+    Coefficients are plain integer sums: over F_p a term may be 0 mod p,
+    which adds nothing to a normal form and which _polynomial drops.
+    """
     acc: dict = {}
-    for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
-        m = rng.choice(monos)
-        c = rng.choice(coeffs)
-        prev = acc.get(m)
-        acc[m] = c if prev is None else fld.add(prev, c)
-    return ring.from_dict(acc)
+    for _ in range(choice((1, 1, 1, 2, 2, 3))):
+        m = choice(monos)
+        acc[m] = acc.get(m, 0) + choice(coeffs)
+    terms = tuple(acc.items())
+    if 0 in acc.values():  # two picks of one monomial cancelled
+        terms = tuple(t for t in terms if t[1])
+    return terms
+
+
+def _product(f: tuple, g: tuple) -> tuple:
+    # zero coefficients may stay; they add nothing to a normal form
+    acc: dict = {}
+    for m1, c1 in f:
+        for m2, c2 in g:
+            m = mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return tuple(acc.items())
+
+
+def _polynomial(ring, terms) -> Polynomial:
+    # terms: (monomial, integer or residue) pairs of a draw
+    return ring.from_dict({m: ring.field.coerce(c) for m, c in terms})
 
 
 def _content(f: Polynomial) -> int:
     # gcd of the coefficient numerators, 0 for the zero polynomial
     return math.gcd(*(c.numerator for _, c in f.terms))
+
+
+class _Rows:
+    """Normal forms of draws modulo a basis, read off memoized rows.
+
+    A row is the normal form of one monomial.  It is divided on first use
+    by normal_form's own loop (groebner._divide) and kept with that
+    division's step count and largest factor bit size, or as None when the
+    division passed a cap.  A row holds integers over den, one denominator
+    shared by every row, raised to the lcm (and the rows rescaled) when a
+    new row needs it; over F_p the integers are residues and den is 1.
+
+    The division of f = sum c_m * m by a fixed divisor table is linear.
+    Monomials are popped in descending order, every term a step adds is
+    smaller than the one it removes, and the divisor that reduces a
+    monomial t depends on t alone.  So the coefficient of t when popped is
+    sum c_m * (its coefficient when popped in the division of m), and
+    NF(f) = sum c_m * NF(m).  Hence f's division steps at t only where some
+    row's division steps at t, with the same divisor and quotient, and its
+    factor there is sum c_m * a_m / b_m, with a_m / b_m the factor of row
+    m at t (0 where row m takes no step).  When every row of f was divided
+    without a cap:
+    - f takes at most sum(steps_m) steps;
+    - every monomial it pushes was pushed by a row, so DEGREE_CAP holds;
+    - let B_m be row m's largest factor bit size, T = sum(B_m) and
+      C = sum |c_m|.  The bit lengths of |a_m| and b_m add up to at most
+      B_m, so over the rows that step at t the numerator
+      |sum c_m * a_m * prod_{k != m} b_k| is below C * 2^T and the
+      denominator prod b_m below 2^T.  Reducing the fraction only shrinks
+      both, so f's factor at t has at most 2*T + C.bit_length() bits.
+    content() answers only when these bounds are within STEP_CAP and
+    COEFF_BIT_CAP, so the division it stands in for stays within every cap.
+    """
+
+    def __init__(self, ring, basis: Sequence[Polynomial]) -> None:
+        self.ring = ring
+        self.basis = basis
+        fld = ring.field
+        self.p = fld.p if isinstance(fld, PrimeField) else None
+        self.den = 1
+        self.rows: dict = {}
+
+    def _add(self, m):
+        rows = self.rows
+        one = Polynomial(self.ring, ((m, self.ring.field.one),))
+        try:
+            nf, steps, bits = _divide(one, self.basis)
+        except DegreeCapExceeded:
+            rows[m] = None
+            return None
+        # residues over F_p are ints, with denominator 1
+        d = math.lcm(*(c.denominator for _, c in nf.terms))
+        if self.den % d:
+            scale = d // math.gcd(self.den, d)
+            self.den *= scale
+            for k, r in rows.items():
+                if r is not None:
+                    vec = tuple((t, v * scale) for t, v in r[0])
+                    rows[k] = (vec, r[1], r[2])
+        den = self.den
+        vec = tuple((t, c.numerator * den // c.denominator) for t, c in nf.terms)
+        rows[m] = (vec, steps, bits)
+        return rows[m]
+
+    def content(self, terms: tuple) -> int | None:
+        """_content of NF(terms), or None unless the rows prove that the
+        direct division of terms stays within every kernel cap."""
+        rows = self.rows
+        den = self.den
+        steps = bits = size = 0
+        acc: dict = {}
+        for m, c in terms:
+            row = rows[m] if m in rows else self._add(m)
+            if row is None:
+                return None
+            vec, s, b = row
+            steps += s
+            bits += b
+            size += abs(c)
+            for t, v in vec:
+                acc[t] = acc.get(t, 0) + c * v
+        if self.den != den:  # a new row raised the shared denominator
+            return self.content(terms)
+        if steps > groebner.STEP_CAP or (
+            bits and 2 * bits + size.bit_length() > groebner.COEFF_BIT_CAP
+        ):
+            return None
+        if self.p is not None:
+            return math.gcd(*(v % self.p for v in acc.values()))
+        # NF = acc / den.  A prime's exponent in the reduced numerator of
+        # a / den is max(0, v(a) - v(den)), so the gcd of the reduced
+        # numerators is g // gcd(g, den), with g the gcd of acc.
+        g = math.gcd(*acc.values())
+        return g // math.gcd(g, self.den)
 
 
 def prime_probe(
@@ -276,32 +394,53 @@ def prime_probe(
     Samples pairs outside P and reports the first whose product lands in
     P.  A probably_prime verdict is evidence, not proof; a not_prime
     verdict ships a re-checkable certificate.  Deterministic per seed.
+
+    A trial's normal forms are read off memoized monomial rows (_Rows)
+    where the rows prove that dividing the trial stays within every kernel
+    cap; elsewhere normal_form divides it.  So the verdicts, and any
+    DegreeCapExceeded with its message, are those of dividing every trial.
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
+    if trials > PROBE_TRIAL_CAP:
+        raise ValueError(f"over {PROBE_TRIAL_CAP} probe trials")
     if any(g.degree() == 0 for g in P.basis):
         raise UnitIdeal("the probed ideal is the whole ring")
-    monos = monomials_up_to(P.ring.nvars, degree_bound)
-    coeffs = _sample_coefficients(P.ring.field)
-    rng = random.Random(seed)
+    ring = P.ring
+    fld = ring.field
+    monos = monomials_up_to(ring.nvars, degree_bound)
+    coeffs = _sample_coefficients(fld)
+    choice = random.Random(seed).choice
+    rows = _Rows(ring, P.basis)
+
+    def content(terms: tuple) -> int:
+        c = rows.content(terms)
+        if c is None:
+            c = _content(normal_form(_polynomial(ring, terms), P.basis))
+        return c
+
     # Only a record over Q is ever replayed.
-    keep = isinstance(P.ring.field, RationalField)
-    keep = keep and trials <= PROBE_RECORD_CAP
+    keep = isinstance(fld, RationalField)
     record = []
     for _ in range(trials):
-        f = random_bounded_poly(P.ring, rng, monos, coeffs)
-        g = random_bounded_poly(P.ring, rng, monos, coeffs)
-        cf = _content(normal_form(f, P.basis))
-        cg = _content(normal_form(g, P.basis)) if cf else None
-        cfg = _content(normal_form(f * g, P.basis)) if cf and cg else None
+        f = _draw(choice, monos, coeffs)
+        g = _draw(choice, monos, coeffs)
+        cf = content(f)
+        cg = content(g) if cf else None
+        cfg = content(_product(f, g)) if cf and cg else None
         if keep:
             record.append(ProbeTrial(f, g, cf, cg, cfg))
         if cfg == 0:
             return ProbeResult(
-                PROBE_NOT_PRIME, trials, f, g, P.basis, tuple(record)
+                PROBE_NOT_PRIME,
+                trials,
+                _polynomial(ring, f),
+                _polynomial(ring, g),
+                P,
+                tuple(record),
             )
     return ProbeResult(
-        PROBE_PROBABLY_PRIME, trials, basis=P.basis, record=tuple(record)
+        PROBE_PROBABLY_PRIME, trials, ideal=P, record=tuple(record)
     )
 
 
@@ -315,7 +454,7 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
     - the sample coefficients of F_p are the images of those of Q, in the
       same order (true for p >= 5), so the seeded draws at p are the
       images of the draws over Q;
-    - P.basis is the coefficient image mod p of q.basis (a lucky prime;
+    - P.basis is the coefficient image mod p of q's basis (a lucky prime;
       Traverso's trace, Pauer's lucky ideals).
 
     Then the answer is exact.  The image basis is monic and, being
@@ -327,20 +466,24 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
     monomials are a subset of those over Q, and no cap that the Q probe
     passed can fire at p.  An unlucky prime fails the basis comparison and
     falls back, so no verdict depends on guessing the exceptional primes.
-    A not_prime q whose witness pair p skips also falls back: its record
-    ends there, and the probe at p would draw further trials.
+    The Q probe reads its contents off monomial rows; any prime that
+    divides a row denominator also divides a basis denominator (a row is
+    built from basis coefficients by ring operations alone, the basis
+    being monic), so at such a prime the basis comparison raises BadPrime
+    and that prime is never replayed.  A not_prime q whose witness pair p
+    skips also falls back: its record ends there, and the probe at p would
+    draw further trials.
     """
     fp = P.ring.field
-    if not q.record or not isinstance(fp, PrimeField):
+    if q.ideal is None or not isinstance(fp, PrimeField):
         return None
-    qring = q.record[0].f.ring
+    qring = q.ideal.ring
     if qring.field != QQ or qring.with_field(fp) != P.ring:
         return None
-    images = tuple(fp.from_rational(c) for c in _sample_coefficients(QQ))
-    if images != _sample_coefficients(fp):
+    if tuple(fp.from_int(c) for c in _SAMPLE) != _sample_coefficients(fp):
         return None
     try:
-        if P.basis != tuple(reduce_coeffs_mod_p(g, fp) for g in q.basis):
+        if P.basis != tuple(reduce_coeffs_mod_p(g, fp) for g in q.ideal.basis):
             return None
     except BadPrime:
         return None
@@ -352,8 +495,8 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
             return ProbeResult(
                 PROBE_NOT_PRIME,
                 q.trials,
-                reduce_coeffs_mod_p(t.f, fp),
-                reduce_coeffs_mod_p(t.g, fp),
+                _polynomial(P.ring, t.f),
+                _polynomial(P.ring, t.g),
             )
     if len(q.record) < q.trials:
         # q stopped on a pair that p skips; the probe at p draws on.

@@ -6,16 +6,32 @@ generators, dimension by exhaustive variable-subset search on monomial
 generators.  Division has a slow reference too: the plain loop that picks
 each leading term with ``max``, against which the heap-ordered
 ``normal_form`` is checked.  The monomial orders have their textbook
-definitions here, against which ``MonomialOrder.rank`` is checked.
+definitions here, against which ``MonomialOrder.rank`` is checked.  The
+primality probe has its plain per-trial loop, which builds and divides
+every draw, against which the row-table ``prime_probe`` is checked.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import random
 from fractions import Fraction
 
-from gbtransfer.groebner import DegreeCapExceeded
-from gbtransfer.polyarith import AmbientMismatch, Polynomial, monomials_up_to
+from gbtransfer.groebner import DegreeCapExceeded, normal_form
+from gbtransfer.polyarith import (
+    AmbientMismatch,
+    Polynomial,
+    RationalField,
+    monomials_up_to,
+)
+from gbtransfer.predicates import (
+    PROBE_NOT_PRIME,
+    PROBE_PROBABLY_PRIME,
+    ProbeResult,
+    ProbeTrial,
+    UnitIdeal,
+)
 
 
 def _mono_mul(a, b):
@@ -183,3 +199,63 @@ class MembershipOracle:
         if q.degree() > self.space_degree:
             return False
         return not any(self._reduce(self._vector(q)))
+
+
+def _sample_coefficients(fld) -> tuple:
+    if isinstance(fld, RationalField):
+        return (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
+    out = []
+    for v in (1, -1, 2, -2):
+        r = v % fld.p
+        if r and r not in out:
+            out.append(r)
+    return tuple(out)
+
+
+def _random_bounded_poly(ring, rng, monos, coeffs) -> Polynomial:
+    fld = ring.field
+    acc: dict = {}
+    for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
+        m = rng.choice(monos)
+        c = rng.choice(coeffs)
+        prev = acc.get(m)
+        acc[m] = c if prev is None else fld.add(prev, c)
+    return ring.from_dict(acc)
+
+
+def _content(f) -> int:
+    return math.gcd(*(c.numerator for _, c in f.terms))
+
+
+def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
+    """``prime_probe`` as a plain loop: build f, g and f*g as polynomials
+    and divide each with ``normal_form``.
+
+    Same seeded draws, verdict and caps; over Q its record holds, for
+    every trial, the draws as polynomials and the contents of NF(f), NF(g)
+    and NF(f*g).
+    """
+    if degree_bound < 1 or trials < 1:
+        raise ValueError("degree bound and trial count must be positive")
+    if any(g.degree() == 0 for g in P.basis):
+        raise UnitIdeal("the probed ideal is the whole ring")
+    monos = monomials_up_to(P.ring.nvars, degree_bound)
+    coeffs = _sample_coefficients(P.ring.field)
+    rng = random.Random(seed)
+    keep = isinstance(P.ring.field, RationalField)
+    record = []
+    for _ in range(trials):
+        f = _random_bounded_poly(P.ring, rng, monos, coeffs)
+        g = _random_bounded_poly(P.ring, rng, monos, coeffs)
+        cf = _content(normal_form(f, P.basis))
+        cg = _content(normal_form(g, P.basis)) if cf else None
+        cfg = _content(normal_form(f * g, P.basis)) if cf and cg else None
+        if keep:
+            record.append(ProbeTrial(f, g, cf, cg, cfg))
+        if cfg == 0:
+            return ProbeResult(
+                PROBE_NOT_PRIME, trials, f, g, P, tuple(record)
+            )
+    return ProbeResult(
+        PROBE_PROBABLY_PRIME, trials, ideal=P, record=tuple(record)
+    )

@@ -1,11 +1,24 @@
 """Complexity, dimension/height, radical equality, probe, maximality."""
 
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gbtransfer.groebner import IdealPresentation, ideal_member
-from gbtransfer.polyarith import GREVLEX, PolyRing, PrimeField, QQ, parse_polynomial
+from gbtransfer import groebner, predicates
+from gbtransfer.cli import load_case
+from gbtransfer.groebner import DegreeCapExceeded, IdealPresentation, ideal_member
+from gbtransfer.polyarith import (
+    GREVLEX,
+    LEX,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    QQ,
+    parse_polynomial,
+)
 from gbtransfer.predicates import (
     RADICAL_EQUAL,
     RADICAL_NOT_CONTAINED,
@@ -20,7 +33,9 @@ from gbtransfer.predicates import (
 )
 
 from corpus import R1, R2, R3, P, mk
-from oracles import dimension_oracle
+from oracles import dimension_oracle, reference_prime_probe
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 RT = PolyRing(QQ, 1, GREVLEX, ("T",))
 RT2 = PolyRing(QQ, 2, GREVLEX, ("T1", "T2"))
@@ -175,6 +190,116 @@ class TestPrimeProbe:
     def test_unit_ideal_rejected(self):
         with pytest.raises(UnitIdeal):
             prime_probe(mk(R2, "x", "x - 1"), 2, 10, seed=0)
+
+
+    def test_probe_reads_rows_and_divides_no_trial(self, monkeypatch):
+        # I = (T1*T2 - 1): every draw has degree <= 2, every product <= 4,
+        # so at most C(2 + 4, 2) = 15 monomials ever need a row.
+        _, w = load_case(str(CASES / "hyperbola.json"))
+        I = w.ideal_i()
+        I.basis
+        rows, trials = [], []
+
+        def row(f, divisors):
+            rows.append(f)
+            return groebner._divide(f, divisors)
+
+        def whole(f, divisors):
+            trials.append(f)
+            return groebner.normal_form(f, divisors)
+
+        monkeypatch.setattr(predicates, "_divide", row)
+        monkeypatch.setattr(predicates, "normal_form", whole)
+        res = prime_probe(I, 2, 200, seed=0)
+        assert res.probably_prime and len(res.record) == 200
+        assert all(len(f.terms) == 1 for f in rows)
+        assert len(rows) == len(set(rows)) <= 15
+        assert trials == []
+
+
+FIELDS = (QQ, PrimeField(7), PrimeField(32003))
+
+
+@st.composite
+def probe_problems(draw):
+    """A small ideal, probe arguments and kernel caps to run them under."""
+    fld = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(fld, n, order)
+    term = st.tuples(
+        st.integers(-3, 3).filter(bool), st.tuples(*[st.integers(0, 2)] * n)
+    )
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=3), max_size=3))
+    pres = IdealPresentation(ring, tuple(ring.from_terms(g) for g in gens))
+    args = (
+        draw(st.integers(1, 3)),  # degree bound
+        draw(st.integers(1, 60)),  # trials
+        draw(st.integers(0, 5)),  # seed
+    )
+    caps = {
+        "STEP_CAP": draw(st.sampled_from((groebner.STEP_CAP, 1, 2, 3, 5, 8))),
+        "COEFF_BIT_CAP": draw(
+            st.sampled_from((groebner.COEFF_BIT_CAP, 3, 4, 5, 6, 8))
+        ),
+        "DEGREE_CAP": draw(st.sampled_from((groebner.DEGREE_CAP, 2, 3, 4))),
+    }
+    return pres, args, caps
+
+
+def _probe_outcome(probe, pres, args):
+    """A probe's result, as_dict and record, or the error it raised."""
+    try:
+        res = probe(pres, *args)
+    except (DegreeCapExceeded, UnitIdeal) as exc:
+        return type(exc), str(exc)
+
+    def poly(draw):  # a reference draw is a Polynomial, a probe draw terms
+        if isinstance(draw, Polynomial):
+            return draw
+        return predicates._polynomial(pres.ring, draw)
+
+    record = [(poly(t.f), poly(t.g), *t[2:]) for t in res.record]
+    return res, res.as_dict(), res.ideal is pres, record
+
+
+def _problem(text_gens, args=(2, 60, 0), **caps):
+    """A probe of an ideal of Q[x, y], under the given caps and the
+    default ones for the rest."""
+    ring = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
+    gens = tuple(parse_polynomial(g, ring) for g in text_gens)
+    defaults = {
+        name: getattr(groebner, name)
+        for name in ("STEP_CAP", "COEFF_BIT_CAP", "DEGREE_CAP")
+    }
+    return IdealPresentation(ring, gens), args, {**defaults, **caps}
+
+
+class TestProbeMatchesReference:
+    """prime_probe against the loop that divides every trial in full."""
+
+    @given(probe_problems())
+    @settings(max_examples=200, deadline=None)
+    # NF(x) = y/2 and NF(x^2) = y^2/4: a content needs the shared
+    # denominator divided out, and a product can raise it from 2 to 4.
+    @example(_problem(["2*x - y"], args=(1, 60, 0)))
+    # Two rows of 2 steps each; a two-term draw takes up to 4 steps.
+    @example(_problem(["x^2 - y", "y^2 - x"], STEP_CAP=3))
+    # No row factor has more than 3 bits, but dividing the draw
+    # 3*x*y + 6*y meets the factor 15/2 (6 bits).
+    @example(_problem(["2*x - 1", "3*y - 1"], args=(1, 60, 0), COEFF_BIT_CAP=4))
+    # Dividing y^4 pushes x*y^2, past DEGREE_CAP 2: a product with a y^4
+    # term is divided in full and raises.
+    @example(_problem(["x - y^2"], DEGREE_CAP=2))
+    def test_same_verdict_record_and_errors(self, problem):
+        pres, args, caps = problem
+        try:
+            pres.basis  # computed under the default caps
+        except DegreeCapExceeded:
+            return
+        with mock.patch.multiple(groebner, **caps):
+            ours = _probe_outcome(prime_probe, pres, args)
+            assert ours == _probe_outcome(reference_prime_probe, pres, args)
 
 
 class TestRationalMaximal:

@@ -1,15 +1,16 @@
 """The sweep's probe replay against the full probe at every prime."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gbtransfer import predicates, transfer
-from gbtransfer.cli import load_case
+from gbtransfer import transfer
+from gbtransfer.cli import load_case, main
 from gbtransfer.polyarith import PrimeField, format_polynomial, parse_polynomial
-from gbtransfer.predicates import replay_probe
+from gbtransfer.predicates import PROBE_TRIAL_CAP, replay_probe
 from gbtransfer.transfer import (
     Caps,
     DiophantineSystem,
@@ -64,16 +65,20 @@ NOT_PRIME = _witness(("X1*Y1",), "X1 + Y1", "X1*Y1 - Y1^2", 1)
 # 7 is lucky here, but divides normal-form contents over Q: NF(X1) = 7*Y1,
 # so X1 lies in the ideal mod 7 and the trials drawing it are skipped there.
 CONTENT_SEVEN = _witness(("X1 - 7*Y1",), "X1", "X1 - 7*Y1", 1)
+# The basis over Q is X1^2 - 1/3*Y1, so the probe's rows have denominators
+# 3 (NF(X1^2) = Y1/3) and 9 (NF(X1^4) = Y1^2/9).
+THIRDS = _witness(("3*X1^2 - Y1",), "X1", "3*X1^2 - Y1", 1)
 WITNESSES = {
     **_bundled(),
     "unlucky": UNLUCKY,
     "not_prime": NOT_PRIME,
     "content_seven": CONTENT_SEVEN,
+    "thirds": THIRDS,
 }
 
 
 def test_witnesses_cover_all_cases():
-    assert len(WITNESSES) == 10
+    assert len(WITNESSES) == 11
     for name, (system, w) in WITNESSES.items():
         assert verify_witness(system, w, CAPS).passed, name
 
@@ -135,18 +140,16 @@ def test_full_probe_runs_only_where_replay_is_not_exact(
     assert full_probe_primes == full_at
 
 
-@pytest.mark.parametrize("trials, full_at", [(10, [2, 3]), (11, [2, 3, 5, 7])])
-def test_probe_past_the_record_cap_is_not_replayed(
-    monkeypatch, full_probe_primes, trials, full_at
-):
-    monkeypatch.setattr(predicates, "PROBE_RECORD_CAP", 10)
-    system, w = WITNESSES["hyperbola.json"]
-    caps = Caps(probe_trials=trials)
-    report = sweep(system, w, [2, 3, 5, 7], caps)
-    assert full_probe_primes == full_at
-    assert report.per_prime == tuple(
-        _run_prime(system, w, p, caps) for p in (2, 3, 5, 7)
-    )
+def test_probe_past_the_trial_cap_exits_2(capsys):
+    # Every Q probe keeps its record; the trial cap bounds its size.
+    argv = ["prime-probe", "--vars", "x,y", "--ideal", "x*y - 1", "--trials"]
+    t0 = time.monotonic()
+    assert main([*argv, str(PROBE_TRIAL_CAP)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["trials"]) == ("probably_prime", PROBE_TRIAL_CAP)
+    assert main([*argv, str(PROBE_TRIAL_CAP + 1)]) == 2
+    assert capsys.readouterr().out == ""
+    assert time.monotonic() - t0 < 2
 
 
 def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
