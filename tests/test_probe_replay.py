@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gbtransfer import transfer
+from gbtransfer import predicates, transfer
 from gbtransfer.cli import load_case, main
 from gbtransfer.polyarith import PrimeField, format_polynomial, parse_polynomial
 from gbtransfer.predicates import PROBE_TRIAL_CAP, replay_probe
@@ -138,6 +138,28 @@ def test_full_probe_runs_only_where_replay_is_not_exact(
 ):
     sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
     assert full_probe_primes == full_at
+
+
+@pytest.mark.parametrize("trials, full_at", [(10, [2, 3]), (11, [])])
+def test_probe_past_the_record_cap_is_not_replayed(
+    monkeypatch, full_probe_primes, trials, full_at
+):
+    # The trial cap bounds the record: a probe within it keeps its record
+    # and is replayed wherever replay is exact; a probe past it is refused
+    # over Q, so no prime is probed or replayed.
+    monkeypatch.setattr(predicates, "PROBE_TRIAL_CAP", 10)
+    system, w = WITNESSES["hyperbola.json"]
+    caps = Caps(probe_trials=trials)
+    if trials > 10:
+        with pytest.raises(ValueError, match="over 10 probe trials"):
+            sweep(system, w, [2, 3, 5, 7], caps)
+        assert full_probe_primes == full_at
+        return
+    report = sweep(system, w, [2, 3, 5, 7], caps)
+    assert full_probe_primes == full_at
+    assert report.per_prime == tuple(
+        _run_prime(system, w, p, caps) for p in (2, 3, 5, 7)
+    )
 
 
 def test_probe_past_the_trial_cap_exits_2(capsys):
