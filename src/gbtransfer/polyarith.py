@@ -572,13 +572,12 @@ def reduce_coeffs_mod_p(f: Polynomial, fp: PrimeField) -> Polynomial:
     """
     if not isinstance(f.ring.field, RationalField):
         raise AmbientMismatch("only rational-coefficient polynomials reduce mod p")
-    target = f.ring.with_field(fp)
-    acc: dict = {}
-    for m, c in f.terms:
-        v = fp.from_rational(c)
-        if v:
-            acc[m] = v
-    return target.from_dict(acc)
+    # The order does not depend on the field, so dropping the terms that
+    # vanish mod p keeps a canonical term list canonical: no re-sort.
+    return Polynomial(
+        f.ring.with_field(fp),
+        tuple((m, v) for m, c in f.terms if (v := fp.from_rational(c))),
+    )
 
 
 def _term_body(field: Field, names: tuple[str, ...], coeff, mono: Mono) -> str:

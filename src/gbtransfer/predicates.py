@@ -16,20 +16,17 @@ from typing import NamedTuple, Sequence
 from . import groebner
 from .groebner import (
     DegreeCapExceeded, IdealPresentation, _divide, ideal, ideal_contains,
-    ideal_member, normal_form,
+    normal_form,
 )
 from .polyarith import (
     AmbientMismatch,
-    BadPrime,
     Polynomial,
     PrimeField,
-    QQ,
     RationalField,
     _ProductBudget,
     format_polynomial,
     mono_mul,
     monomials_up_to,
-    reduce_coeffs_mod_p,
 )
 
 
@@ -129,13 +126,18 @@ class RadicalResult:
     """Outcome of the bounded radical-equality check, with certificates.
 
     generator_power_not_found means "not proven within the cap", never a
-    disproof.
+    disproof.  contents holds, for each generator in exponents, the
+    _content of NF(g^e) for every e below its exponent; verify_witness
+    replays it at lucky primes.  It takes no part in ==, repr or as_dict.
     """
 
     status: str
     exponents: tuple[tuple[Polynomial, int], ...] = ()
     failed_generator: Polynomial | None = None
     cap: int | None = None
+    contents: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def equal(self) -> bool:
@@ -174,22 +176,28 @@ def radical_equals(
     if not ideal_contains(I, P):
         return RadicalResult(RADICAL_NOT_CONTAINED, cap=exponent_cap)
     budget = _ProductBudget(DegreeCapExceeded)
-    found = []
+    found, contents = [], []
     for g in P.generators:
         if not g:
             continue
         power = g
+        seen = []
         for e in range(1, exponent_cap + 1):
             if e > 1:
                 power = budget.mul(power, g)
-            if ideal_member(power, I):
+            nf = normal_form(power, I.basis)
+            if not nf:
                 found.append((g, e))
+                contents.append(tuple(seen))
                 break
+            seen.append(_content(nf))
         else:
             return RadicalResult(
                 RADICAL_POWER_NOT_FOUND, tuple(found), g, exponent_cap
             )
-    return RadicalResult(RADICAL_EQUAL, tuple(found), None, exponent_cap)
+    return RadicalResult(
+        RADICAL_EQUAL, tuple(found), None, exponent_cap, tuple(contents)
+    )
 
 
 PROBE_NOT_PRIME = "not_prime"
@@ -211,20 +219,16 @@ class ProbeTrial(NamedTuple):
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Probe verdict; ideal and record keep what replay_probe reads.
+    """Probe verdict; record keeps what replay_probe reads.
 
-    ideal is the probed presentation.  Over Q, record holds every trial
-    drawn, in order; over F_p it stays empty.  Neither takes part in ==,
-    repr or as_dict.
+    Over Q, record holds every trial drawn, in order; over F_p it stays
+    empty.  It takes no part in ==, repr or as_dict.
     """
 
     status: str
     trials: int
     witness_f: Polynomial | None = None
     witness_g: Polynomial | None = None
-    ideal: IdealPresentation | None = field(
-        default=None, compare=False, repr=False
-    )
     record: tuple[ProbeTrial, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -436,56 +440,34 @@ def prime_probe(
                 trials,
                 _polynomial(ring, f),
                 _polynomial(ring, g),
-                P,
                 tuple(record),
             )
-    return ProbeResult(
-        PROBE_PROBABLY_PRIME, trials, ideal=P, record=tuple(record)
-    )
+    return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
 
 
 def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
     """prime_probe of P over F_p, answered from q, the probe over Q.
 
     q must be the prime_probe result, with the same degree bound, trial
-    count and seed, of the ideal over Q whose reduction mod p is P.
-    Returns None, and the caller runs prime_probe, unless both hold:
+    count and seed, of the ideal over Q whose reduction mod p is P, and p
+    must be lucky: P.basis is the coefficient image mod p of q's basis
+    (verify_witness checks it).  Returns None, and the caller runs
+    prime_probe, unless the sample coefficients of F_p are the images of
+    those of Q, in the same order (true for p >= 5), so that the seeded
+    draws at p are the images of the draws over Q.
 
-    - the sample coefficients of F_p are the images of those of Q, in the
-      same order (true for p >= 5), so the seeded draws at p are the
-      images of the draws over Q;
-    - P.basis is the coefficient image mod p of q's basis (a lucky prime;
-      Traverso's trace, Pauer's lucky ideals).
-
-    Then the answer is exact.  The image basis is monic and, being
-    P.basis, a Groebner basis of P, so a normal form modulo it is unique:
-    dividing by a monic p-integral basis keeps every coefficient
-    p-integral, so NF_p(image of f) is the image of NF_Q(f), and it is
-    zero exactly when p divides the content of NF_Q(f).  The division at p
-    uses the same lead table in the same order, so its steps and pushed
-    monomials are a subset of those over Q, and no cap that the Q probe
-    passed can fire at p.  An unlucky prime fails the basis comparison and
-    falls back, so no verdict depends on guessing the exceptional primes.
+    Then the answer is exact.  NF_p(image of f) is the image of NF_Q(f),
+    zero exactly when p divides the content of NF_Q(f), and no cap that
+    the Q probe passed can fire at p (the argument in verify_witness).
     The Q probe reads its contents off monomial rows; any prime that
     divides a row denominator also divides a basis denominator (a row is
     built from basis coefficients by ring operations alone, the basis
-    being monic), so at such a prime the basis comparison raises BadPrime
-    and that prime is never replayed.  A not_prime q whose witness pair p
-    skips also falls back: its record ends there, and the probe at p would
-    draw further trials.
+    being monic), so such a prime is never lucky.  A not_prime q whose
+    witness pair p skips also falls back: its record ends there, and the
+    probe at p would draw further trials.
     """
     fp = P.ring.field
-    if q.ideal is None or not isinstance(fp, PrimeField):
-        return None
-    qring = q.ideal.ring
-    if qring.field != QQ or qring.with_field(fp) != P.ring:
-        return None
     if tuple(fp.from_int(c) for c in _SAMPLE) != _sample_coefficients(fp):
-        return None
-    try:
-        if P.basis != tuple(reduce_coeffs_mod_p(g, fp) for g in q.ideal.basis):
-            return None
-    except BadPrime:
         return None
     p = fp.p
     for t in q.record:

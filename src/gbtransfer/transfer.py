@@ -13,7 +13,7 @@ seen, which never exceeds the characteristic-zero complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
@@ -40,6 +40,8 @@ from .polyarith import (
     substitute,
 )
 from .predicates import (
+    PROBE_TRIAL_CAP,
+    RADICAL_EQUAL,
     ComplexityReport,
     NotContained,
     ProbeResult,
@@ -147,6 +149,15 @@ class Caps:
     probe_degree: int = 2
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # the messages of radical_equals and prime_probe, which check again
+        if self.exponent_cap < 1:
+            raise ValueError("exponent cap must be at least 1")
+        if self.probe_degree < 1 or self.probe_trials < 1:
+            raise ValueError("degree bound and trial count must be positive")
+        if self.probe_trials > PROBE_TRIAL_CAP:
+            raise ValueError(f"over {PROBE_TRIAL_CAP} probe trials")
+
 
 CERT_PASSED = "passed"
 CERT_FAILED = "failed"
@@ -155,6 +166,11 @@ CERT_NOT_CERTIFIED = "not_certified"
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """The checks' outcomes.  Over Q, ideals holds the presentations of m,
+    (x) + I and I, with the bases they computed, for a replay at a lucky
+    prime; elsewhere it is empty.  It takes no part in ==, repr or
+    as_dict."""
+
     condition1: RadicalResult
     condition2: tuple[bool, ...]
     condition2_residues: tuple[str, ...]
@@ -164,6 +180,7 @@ class VerificationResult:
     prime_probe: ProbeResult | None
     complexity: ComplexityReport
     passed: bool
+    ideals: tuple[IdealPresentation, ...] = field(compare=False, repr=False)
 
     @property
     def height_ok(self) -> bool:
@@ -192,55 +209,108 @@ class VerificationResult:
         }
 
 
+def _lucky(ideals, replay: VerificationResult) -> bool:
+    """Whether each basis is the coefficient image of replay's, in turn;
+    replay must be a passing result over Q, the only one with ideals."""
+    fp = ideals[0].ring.field
+    if not (isinstance(fp, PrimeField) and replay.passed and replay.ideals):
+        return False
+    try:
+        return all(
+            J.basis == tuple(reduce_coeffs_mod_p(g, fp) for g in Q.basis)
+            for J, Q in zip(ideals, replay.ideals)
+        )
+    except BadPrime:
+        return False
+
+
 def verify_witness(
     sys_: DiophantineSystem,
     w: Witness,
     caps: Caps = Caps(),
     *,
-    replay: ProbeResult | None = None,
+    replay: VerificationResult | None = None,
 ) -> VerificationResult:
     """Run all witness checks in w's own coefficient field.
 
     Requires I inside m up front.  Overall pass needs the radical equality,
     vanishing of every equation, the height match, and, when a point is
     supplied, the rational-maximality certification.  The primality probe
-    on I is attached as evidence when the witness claims a domain.  When w
-    is a reduction mod p, replay may carry the probe of the rational
-    witness under the same caps; at a lucky prime the probe is then read
-    off it (replay_probe) instead of run.
+    on I is attached as evidence when the witness claims a domain.
+
+    When w is a reduction mod p, replay may carry the passing verification
+    of the rational witness under the same caps.  At a lucky prime, where
+    the bases of m, (x) + I and I are the coefficient images of replay's
+    (Traverso's trace, Pauer's lucky ideals), the checks are read off
+    replay, and the result is the one running them gives:
+    - an image basis is monic and, being the basis at p, a Groebner basis,
+      so a normal form modulo it is unique; dividing a p-integral
+      polynomial by it keeps every coefficient p-integral, so NF_p of an
+      image is the image of NF_Q, zero exactly when p divides the content
+      of NF_Q;
+    - every NF_Q behind I in m, (x) + I in m, condition 2 and condition 3
+      is zero, hence so is its image: the containments hold, condition 2
+      is all zero and condition 3 is replay's;
+    - g^e of the radical search falls into (x) + I at the first e whose
+      recorded content p divides, else at the exponent over Q;
+    - the heights read the same leading monomials;
+    - no cap fires at p that the checks over Q passed.  A division at p
+      uses the same lead table in the same order, so its steps and pushed
+      monomials are a subset of those over Q, and a factor in F_p has no
+      bit size.  A power at p has at most as many terms as over Q, and
+      the search stops no later, so the product budget holds.
+    The probe is then replay's where replay_probe answers.  Any other
+    prime, one where building an image raises BadPrime included, runs
+    every check.  The bases are compared in the order the checks compute
+    them, each only when the checks would compute it too, so an error
+    while computing one is the error the checks raise.
     """
     if len(w.x_images) != sys_.n or len(w.y_images) != sys_.r:
         raise AmbientMismatch("witness tuple shape does not match the system")
     ring = w.ring
     I = w.ideal_i()
     m = w.ideal_m()
-    if not ideal_contains(I, m):
-        raise NotContained("I is not contained in m")
-
     radical_src = IdealPresentation(ring, w.x_images + w.i_gens)
-    cond1 = radical_equals(radical_src, m, caps.exponent_cap)
+    ideals = (m, radical_src, I)
+    lucky = replay is not None and _lucky(ideals, replay)
+    if lucky:
+        p = ring.field.p
+        q1 = replay.condition1
+        exponents = tuple(
+            (g, next((e for e, c in enumerate(cs, 1) if c % p == 0), qe))
+            for g, (_, qe), cs in zip(m.generators, q1.exponents, q1.contents)
+        )
+        cond1 = RadicalResult(RADICAL_EQUAL, exponents, None, caps.exponent_cap)
+        flags = [True] * len(sys_.equations)
+        residues = ["0"] * len(sys_.equations)
+        height_n = replay.height_computed
+        cond3 = replay.condition3
+    else:
+        if not ideal_contains(I, m):
+            raise NotContained("I is not contained in m")
+        cond1 = radical_equals(radical_src, m, caps.exponent_cap)
 
-    images = list(w.x_images) + list(w.y_images)
-    flags, residues = [], []
-    for F in sys_.equations:
-        residue = normal_form(substitute(F, images), I.basis)
-        flags.append(not residue)
-        residues.append(format_polynomial(residue))
+        images = list(w.x_images) + list(w.y_images)
+        flags, residues = [], []
+        for F in sys_.equations:
+            residue = normal_form(substitute(F, images), I.basis)
+            flags.append(not residue)
+            residues.append(format_polynomial(residue))
 
-    # I inside m was checked above, so the height is a plain difference
-    height_n = height_poly(m).height - height_poly(I).height
+        # I inside m was checked above, so the height is a plain difference
+        height_n = height_poly(m).height - height_poly(I).height
 
-    cond3 = CERT_NOT_CERTIFIED
-    if w.point_b is not None:
-        ok3 = rational_maximal(m, w.point_b)
-        if ok3:
-            ok3 = all(not g.evaluate(w.point_b) for g in w.i_gens)
-        cond3 = CERT_PASSED if ok3 else CERT_FAILED
+        cond3 = CERT_NOT_CERTIFIED
+        if w.point_b is not None:
+            ok3 = rational_maximal(m, w.point_b)
+            if ok3:
+                ok3 = all(not g.evaluate(w.point_b) for g in w.i_gens)
+            cond3 = CERT_PASSED if ok3 else CERT_FAILED
 
     probe = None
     if w.domain_claim:
-        if replay is not None:
-            probe = replay_probe(replay, I)
+        if lucky:
+            probe = replay_probe(replay.prime_probe, I)
         if probe is None:
             probe = prime_probe(
                 I, caps.probe_degree, caps.probe_trials, caps.seed
@@ -265,6 +335,8 @@ def verify_witness(
             [g for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images) if g],
         ),
         passed=passed,
+        # only a result over Q is replayed; a sweep keeps one per prime
+        ideals=ideals if isinstance(ring.field, RationalField) else (),
     )
 
 
@@ -401,7 +473,7 @@ class SweepReport:
 
 def _run_prime(
     sys_: DiophantineSystem, w: Witness, p: int, caps: Caps,
-    replay: ProbeResult | None = None,
+    replay: VerificationResult | None = None,
 ) -> PrimeOutcome:
     try:
         wp = reduce_witness_mod_p(w, p)
@@ -440,10 +512,10 @@ def sweep(
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
     recorded in the report, never raised.  Primes run one after another in
-    ascending order, so the report is the same on every run.  Each prime
-    replays the characteristic-zero probe where that is exact (see
-    replay_probe) and runs the probe in full elsewhere, so the report is
-    the one a full run at every prime gives.
+    ascending order, so the report is the same on every run.  Each lucky
+    prime is answered from the characteristic-zero verification (see
+    verify_witness) and every other prime runs every check, so the report
+    is the one a full run at every prime gives.
     """
     candidates = sorted({int(p) for p in primes})
     for p in candidates:
@@ -454,7 +526,7 @@ def sweep(
         raise CharZeroFailure(char0)
     bad = bad_primes(sys_, w, candidates)
     outcomes = [
-        _run_prime(sys_, w, p, caps, char0.prime_probe)
+        _run_prime(sys_, w, p, caps, char0)
         for p in candidates
         if p not in bad
     ]

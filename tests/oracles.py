@@ -253,9 +253,5 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
         if keep:
             record.append(ProbeTrial(f, g, cf, cg, cfg))
         if cfg == 0:
-            return ProbeResult(
-                PROBE_NOT_PRIME, trials, f, g, P, tuple(record)
-            )
-    return ProbeResult(
-        PROBE_PROBABLY_PRIME, trials, ideal=P, record=tuple(record)
-    )
+            return ProbeResult(PROBE_NOT_PRIME, trials, f, g, tuple(record))
+    return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))

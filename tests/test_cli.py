@@ -471,6 +471,22 @@ class TestInputBounds:
             "--degree-bound", "30",
         )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--probe-trials", "10001"),
+            ("--probe-trials", "0"),
+            ("--probe-trials", "-5"),
+            ("--probe-degree", "0"),
+            ("--exponent-cap", "0"),
+        ],
+    )
+    def test_caps_refused_without_a_domain_claim(self, capsys, flag, value):
+        # fp_nilpotent claims no domain, so no probe would check the caps
+        case = str(CASES / "fp_nilpotent.json")
+        assert run(capsys, "verify", case)[0] == 0
+        self._refused(capsys, "verify", case, flag + "=" + value)
+
     @pytest.mark.parametrize("d", ["8", "16"])
     def test_oversize_code_refused(self, capsys, d):
         self._refused(capsys, "encode", "--vars", self.SIX, "--ideal", "(a)", "--d", d)

@@ -260,7 +260,7 @@ def _probe_outcome(probe, pres, args):
         return predicates._polynomial(pres.ring, draw)
 
     record = [(poly(t.f), poly(t.g), *t[2:]) for t in res.record]
-    return res, res.as_dict(), res.ideal is pres, record
+    return res, res.as_dict(), record
 
 
 def _problem(text_gens, args=(2, 60, 0), **caps):

@@ -1,5 +1,6 @@
-"""The sweep's probe replay against the full probe at every prime."""
+"""The sweep's lucky-prime replay against the full checks at every prime."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from gbtransfer import predicates, transfer
 from gbtransfer.cli import load_case, main
-from gbtransfer.polyarith import PrimeField, format_polynomial, parse_polynomial
-from gbtransfer.predicates import PROBE_TRIAL_CAP, replay_probe
+from gbtransfer.polyarith import (
+    QQ, PrimeField, format_polynomial, parse_polynomial,
+)
+from gbtransfer.predicates import PROBE_TRIAL_CAP
 from gbtransfer.transfer import (
     Caps,
     DiophantineSystem,
@@ -18,7 +21,6 @@ from gbtransfer.transfer import (
     _run_prime,
     bad_primes,
     primes_in_range,
-    reduce_witness_mod_p,
     sweep,
     system_ring,
     verify_witness,
@@ -29,7 +31,7 @@ PRIMES = primes_in_range(2, 2000)
 CAPS = Caps()
 
 
-def _witness(i_gens, x, equation, claimed_n):
+def _witness(i_gens, x, equation, claimed_n, m_gens=("X1", "Y1")):
     ring = system_ring(1, 1)
 
     def P(text):
@@ -38,7 +40,7 @@ def _witness(i_gens, x, equation, claimed_n):
     w = Witness(
         ring,
         tuple(P(g) for g in i_gens),
-        (P("X1"), P("Y1")),
+        tuple(P(g) for g in m_gens),
         ("0", "0"),
         (P(x),),
         (P("Y1"),),
@@ -57,6 +59,14 @@ def _bundled():
     }
 
 
+def _without_domain_claim(cases):
+    # the sweep-lift traffic: the probe is bypassed, the other checks stay
+    return {
+        name + ":no_domain": (system, dataclasses.replace(w, domain_claim=False))
+        for name, (system, w) in cases.items()
+    }
+
+
 # I = (X1, Y1) over Q, but mod 5 it is (X1): 5 is no bad prime, yet the
 # basis there is not the image of the basis over Q.
 UNLUCKY = _witness(("X1 + 5*Y1", "X1"), "X1", "X1 - Y1", 0)
@@ -68,17 +78,31 @@ CONTENT_SEVEN = _witness(("X1 - 7*Y1",), "X1", "X1 - 7*Y1", 1)
 # The basis over Q is X1^2 - 1/3*Y1, so the probe's rows have denominators
 # 3 (NF(X1^2) = Y1/3) and 9 (NF(X1^4) = Y1^2/9).
 THIRDS = _witness(("3*X1^2 - Y1",), "X1", "3*X1^2 - Y1", 1)
+# 5 is lucky, but NF(X1 + 5*Y1) = 5*Y1 modulo (X1, Y1^2) has content 5, so
+# the radical exponent of X1 + 5*Y1 is 1 at 5 and 2 over Q and elsewhere.
+LOWERED = _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1 + 5*Y1", "Y1"))
+# m = (X1, Y1) over Q, but mod 5 it is (X1), which does not contain I:
+# unlucky for m alone.
+UNLUCKY_M = _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1", "X1 + 5*Y1"))
+# I = (X1, Y1) over Q and (X1) mod 5, while (x) + I = (Y1, X1) and m stay
+# lucky at 5: unlucky for I alone, so the height at 5 is 1, not 0.
+UNLUCKY_I = _witness(("X1 + 5*Y1", "X1"), "Y1", "X1 - Y1", 0)
+BUNDLED = _bundled()
 WITNESSES = {
-    **_bundled(),
+    **BUNDLED,
+    **_without_domain_claim(BUNDLED),
     "unlucky": UNLUCKY,
     "not_prime": NOT_PRIME,
     "content_seven": CONTENT_SEVEN,
     "thirds": THIRDS,
+    "lowered": LOWERED,
+    "unlucky_m": UNLUCKY_M,
+    "unlucky_i": UNLUCKY_I,
 }
 
 
 def test_witnesses_cover_all_cases():
-    assert len(WITNESSES) == 11
+    assert len(WITNESSES) == 21
     for name, (system, w) in WITNESSES.items():
         assert verify_witness(system, w, CAPS).passed, name
 
@@ -90,13 +114,52 @@ def test_not_prime_witness_probe():
     assert format_polynomial(probe.witness_g) == "Y1"
 
 
-def test_unlucky_prime_is_not_replayed():
+@pytest.fixture
+def radical_fields(monkeypatch):
+    """The fields over which transfer runs radical_equals, in order."""
+    fields = []
+    real = transfer.radical_equals
+
+    def counting(I, P, *args):
+        fields.append(I.ring.field)
+        return real(I, P, *args)
+
+    monkeypatch.setattr(transfer, "radical_equals", counting)
+    return fields
+
+
+def test_unlucky_prime_is_not_replayed(radical_fields):
+    # the basis of I at 5 is not the image of the one over Q, so 5 runs
+    # every check; 7 is answered from the run over Q
     system, w = UNLUCKY
     assert 5 not in bad_primes(system, w, [5])
-    probe = verify_witness(system, w, CAPS).prime_probe
-    for p, replayed in ((5, False), (7, True)):
-        wp = reduce_witness_mod_p(w, p)
-        assert (replay_probe(probe, wp.ideal_i()) is not None) == replayed
+    sweep(system, w, [5, 7], CAPS)
+    assert radical_fields == [QQ, PrimeField(5)]
+
+
+def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
+    system, w = LOWERED
+    assert 5 not in bad_primes(system, w, [5])
+    char0 = verify_witness(system, w, CAPS)
+    assert [e for _, e in char0.condition1.exponents] == [2, 2]
+    assert char0.condition1.contents == ((5,), (1,))
+    report = sweep(system, w, [3, 5, 7], CAPS)
+    assert radical_fields == [QQ, QQ]  # every prime is replayed
+    exponents = {
+        o.p: [e for _, e in o.result.condition1.exponents]
+        for o in report.per_prime
+    }
+    assert exponents == {3: [2, 2], 5: [1, 2], 7: [2, 2]}
+    assert report.per_prime == tuple(
+        _run_prime(system, w, p, CAPS) for p in (3, 5, 7)
+    )
+
+
+def test_prime_unlucky_for_m_alone_is_not_contained():
+    system, w = UNLUCKY_M
+    assert 5 not in bad_primes(system, w, [5])
+    five = sweep(system, w, [5], CAPS).per_prime[0]
+    assert five.error == "NotContained: I is not contained in m"
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
@@ -128,6 +191,12 @@ def full_probe_primes(monkeypatch):
 
     monkeypatch.setattr(transfer, "prime_probe", counting)
     return primes
+
+
+@pytest.mark.parametrize("name", ["hyperbola.json", "hyperbola.json:no_domain"])
+def test_lucky_primes_run_no_radical_search(radical_fields, name):
+    sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
+    assert radical_fields == [QQ]
 
 
 @pytest.mark.parametrize(
