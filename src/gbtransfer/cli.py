@@ -8,6 +8,7 @@ messages go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -208,6 +209,8 @@ def load_case(path: str) -> tuple[DiophantineSystem, Witness]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"case file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CaseFormatError("case file nests too deeply") from exc
     return parse_case(obj)
 
 
@@ -281,12 +284,7 @@ def _parse_point_arg(text: str, ring: PolyRing) -> tuple:
 
 
 def _caps_from_args(args) -> Caps:
-    return Caps(
-        exponent_cap=args.exponent_cap,
-        probe_trials=args.probe_trials,
-        probe_degree=args.probe_degree,
-        seed=args.seed,
-    )
+    return Caps(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Caps)})
 
 
 def _cmd_verify(args) -> int:
@@ -372,7 +370,7 @@ def _run_maximal(pres, args):
     verdict = rational_maximal(pres, point)
     payload = {
         "rational_maximal": verdict,
-        "point": [ring.field.format(c) for c in point],
+        "point": [str(c) for c in point],
     }
     return payload, 0 if verdict else 1
 
@@ -398,7 +396,7 @@ _IDEAL_COMMANDS = (
         "bounded radical equality check",
         {
             "--radical": {"required": True, "help": "the candidate prime P"},
-            "--cap": {"type": int, "default": 16},
+            "--cap": {"type": int, "default": Caps.exponent_cap},
         },
         _run_radical_eq,
     ),
@@ -406,9 +404,9 @@ _IDEAL_COMMANDS = (
         "prime-probe",
         "randomized non-primality search",
         {
-            "--degree-bound": {"type": int, "default": 2},
-            "--trials": {"type": int, "default": 200},
-            "--seed": {"type": int, "default": 0},
+            "--degree-bound": {"type": int, "default": Caps.probe_degree},
+            "--trials": {"type": int, "default": Caps.probe_trials},
+            "--seed": {"type": int, "default": Caps.seed},
         },
         _run_prime_probe,
     ),
@@ -450,10 +448,9 @@ def _cmd_decode(args) -> int:
 
 
 def _add_caps_flags(sub) -> None:
-    sub.add_argument("--exponent-cap", type=int, default=16)
-    sub.add_argument("--probe-trials", type=int, default=200)
-    sub.add_argument("--probe-degree", type=int, default=2)
-    sub.add_argument("--seed", type=int, default=0)
+    # one flag per Caps field, --exponent-cap for exponent_cap
+    for f in dataclasses.fields(Caps):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -189,19 +189,21 @@ def order_from_json(text) -> MonomialOrder:
 
 def code_to_json(code: IdealCode) -> str:
     """Serialize with exact coefficient strings; byte-stable output."""
-    fld = code.field
     obj = {
         "nvars": code.nvars,
         "complexity": code.complexity,
         "order": code.order.kind,
-        "field": field_to_json(fld),
-        "rows": [[fld.format(c) for c in row] for row in code.rows],
+        "field": field_to_json(code.field),
+        "rows": [[str(c) for c in row] for row in code.rows],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def code_from_json(text: str) -> IdealCode:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("code JSON nests too deeply") from exc
     if not isinstance(obj, dict) or set(obj) != {
         "nvars",
         "complexity",

@@ -19,7 +19,6 @@ from .polyarith import (
     AmbientMismatch,
     Polynomial,
     PolyRing,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -175,7 +174,7 @@ def _divide(
                 quot = mono_div(m, gm)
                 for tm, tc in gterms[1:]:
                     mm = mono_mul(tm, quot)
-                    if mono_degree(mm) > DEGREE_CAP:
+                    if sum(mm) > DEGREE_CAP:
                         raise DegreeCapExceeded(
                             f"division intermediate degree passed {DEGREE_CAP}"
                         )
@@ -248,7 +247,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
 
     def push(i: int, j: int) -> None:
         lcm = mono_lcm(lms[i], lms[j])
-        key = (mono_degree(lcm), tuple(-e for e in rank(lcm)), i, j)
+        key = (sum(lcm), tuple(-e for e in rank(lcm)), i, j)
         heapq.heappush(heap, key)
         pending.add((i, j))
 

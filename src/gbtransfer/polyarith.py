@@ -87,9 +87,6 @@ class RationalField:
             raise ValueError(f"not an exact rational literal: {text!r}")
         return Fraction(text)
 
-    def format(self, a: Fraction) -> str:
-        return str(a)
-
     def add(self, a, b):
         return a + b
 
@@ -103,22 +100,13 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
         return Fraction(a.denominator, a.numerator)
 
     def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
         return a / b
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.inv(a) ** (-e)
         return a ** e
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -138,13 +126,8 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def coerce(self, value) -> int:
         if isinstance(value, bool):
@@ -168,9 +151,6 @@ class PrimeField:
             raise ValueError(f"not an exact coefficient literal: {text!r}")
         return self.from_rational(Fraction(text))
 
-    def format(self, a: int) -> str:
-        return str(a)
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -192,12 +172,7 @@ class PrimeField:
         return a * self.inv(b) % self.p
 
     def pow(self, a, e: int):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -220,19 +195,12 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    """The quotient a/b; exactness is required."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
-        raise ValueError("monomial division is not exact")
-    return q
+    """The quotient a/b, for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(m: Mono) -> int:
-    return sum(m)
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
@@ -309,6 +277,8 @@ class PolyRing:
             object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) != self.nvars:
             raise ValueError("variable name count does not match nvars")
+        if len(set(self.names)) != self.nvars:
+            raise ValueError(f"variable names must be distinct: {self.names}")
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -381,7 +351,7 @@ class Polynomial:
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(mono_degree(m) for m, _ in self.terms)
+        return max(sum(m) for m, _ in self.terms)
 
     def leading_term(self) -> tuple:
         if not self.terms:
@@ -428,15 +398,11 @@ class Polynomial:
             tuple((mono_mul(m, mono), fld.mul(c, tc)) for m, tc in self.terms),
         )
 
-    def _coerce_operand(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise AmbientMismatch("polynomials from different rings")
-            return other
-        return self.ring.constant(other)
-
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce_operand(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if other.ring != self.ring:
+            raise AmbientMismatch("polynomials from different rings")
         fld = self.ring.field
         acc = dict(self.terms)
         for m, c in other.terms:
@@ -448,8 +414,6 @@ class Polynomial:
                 del acc[m]
         return self.ring.from_dict(acc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         fld = self.ring.field
         return Polynomial(
@@ -457,15 +421,13 @@ class Polynomial:
         )
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce_operand(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return self._coerce_operand(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         if other.ring != self.ring:
             raise AmbientMismatch("polynomials from different rings")
         fld = self.ring.field
@@ -477,8 +439,6 @@ class Polynomial:
                 prev = acc.get(m)
                 acc[m] = v if prev is None else fld.add(prev, v)
         return self.ring.from_dict(acc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
@@ -551,13 +511,12 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     for g in images[1:]:
         if g.ring != target:
             raise AmbientMismatch("images live in different rings")
-    tf = target.field
     budget = _ProductBudget()
     total = target.zero()
     for mono, c in f.terms:
         if not isinstance(c, Fraction) or c.denominator != 1:
             raise ValueError("substitution source must have integer coefficients")
-        term = target.constant(tf.from_int(c.numerator))
+        term = target.constant(c.numerator)
         for i, e in enumerate(mono):
             if e:
                 term = budget.mul(term, _power(images[i], e, budget.mul))
@@ -565,17 +524,20 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     return total
 
 
-def reduce_coeffs_mod_p(f: Polynomial, fp: PrimeField) -> Polynomial:
-    """Map each coefficient a/b to a * b^-1 mod p, into the field fp = F_p.
+def reduce_coeffs_mod_p(f: Polynomial, target: PolyRing) -> Polynomial:
+    """Map each coefficient a/b to a * b^-1 mod p, into target: f's ring over F_p.
 
     Raises BadPrime when p divides some reduced denominator.
     """
     if not isinstance(f.ring.field, RationalField):
         raise AmbientMismatch("only rational-coefficient polynomials reduce mod p")
+    if (target.nvars, target.order) != (f.ring.nvars, f.ring.order):
+        raise AmbientMismatch("the target ring has another shape")
+    fp = target.field
     # The order does not depend on the field, so dropping the terms that
     # vanish mod p keeps a canonical term list canonical: no re-sort.
     return Polynomial(
-        f.ring.with_field(fp),
+        target,
         tuple((m, v) for m, c in f.terms if (v := fp.from_rational(c))),
     )
 
@@ -587,10 +549,10 @@ def _term_body(field: Field, names: tuple[str, ...], coeff, mono: Mono) -> str:
         if e
     )
     if not vars_part:
-        return field.format(coeff)
+        return str(coeff)
     if coeff == field.one:
         return vars_part
-    return f"{field.format(coeff)}*{vars_part}"
+    return f"{coeff}*{vars_part}"
 
 
 def format_polynomial(f: Polynomial) -> str:

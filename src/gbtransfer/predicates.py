@@ -83,19 +83,30 @@ def _lead_supports(I: IdealPresentation) -> list[frozenset[int]]:
     ]
 
 
+SUBSET_BUDGET = 1 << 20  # variable subsets one dimension search tests
+
+
 def dimension(I: IdealPresentation) -> int:
     """Krull dimension of ring/I.
 
     Combinatorial reading of the leading-term ideal: the largest variable
     subset U such that no basis leading monomial is supported inside U.
+    Subsets are tested from the largest size down; testing more than
+    SUBSET_BUDGET of them raises DegreeCapExceeded.
     """
     supports = _lead_supports(I)
     n = I.ring.nvars
-    for size in range(n, -1, -1):
-        for subset in itertools.combinations(range(n), size):
-            u = frozenset(subset)
-            if not any(s <= u for s in supports):
-                return size
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n, -1, -1)
+    )
+    for k, subset in enumerate(subsets):
+        if k == SUBSET_BUDGET:
+            raise DegreeCapExceeded(
+                f"dimension search passed {SUBSET_BUDGET} variable subsets"
+            )
+        u = frozenset(subset)
+        if not any(s <= u for s in supports):
+            return len(u)
     raise AssertionError("unreachable: the empty subset is always independent")
 
 
@@ -160,7 +171,7 @@ class RadicalResult:
 
 
 def radical_equals(
-    I: IdealPresentation, P: IdealPresentation, exponent_cap: int = 16
+    I: IdealPresentation, P: IdealPresentation, exponent_cap: int
 ) -> RadicalResult:
     """Decide Rad(I) = P for a prime candidate P.
 
@@ -467,7 +478,7 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
     probe at p would draw further trials.
     """
     fp = P.ring.field
-    if tuple(fp.from_int(c) for c in _SAMPLE) != _sample_coefficients(fp):
+    if tuple(fp.coerce(c) for c in _SAMPLE) != _sample_coefficients(fp):
         return None
     p = fp.p
     for t in q.record:
@@ -489,19 +500,19 @@ def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
 def rational_maximal(m: IdealPresentation, point) -> bool:
     """Certify maximality in the rational shape (T_1 - b_1, ..., T_n - b_n).
 
-    True means m equals the vanishing ideal of the point, so the residue
+    True means m equals the vanishing ideal P of the point, so the residue
     field is the ground field itself.  False only means "not certified by
-    this point", never "not maximal".  The point ideal is exactly the
-    polynomials vanishing at the point, so equality is: every generator of
-    m vanishes there, and every T_i - b_i lies in m.
+    this point", never "not maximal".  P is maximal, so m = P exactly when
+    every T_i - b_i lies in m and m is not the unit ideal.  Both are read
+    off m's basis; nothing is evaluated at the point, whose powers could
+    be unbounded in size.
     """
     ring = m.ring
     if len(point) != ring.nvars:
         raise AmbientMismatch("point length does not match the ring")
-    point = tuple(ring.field.coerce(b) for b in point)
-    if any(g.evaluate(point) for g in m.generators):
-        return False
     gens = tuple(
         ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
     )
+    if any(g.degree() == 0 for g in m.basis):
+        return False
     return ideal_contains(ideal(*gens, ring=ring), m)

@@ -217,7 +217,7 @@ def _lucky(ideals, replay: VerificationResult) -> bool:
         return False
     try:
         return all(
-            J.basis == tuple(reduce_coeffs_mod_p(g, fp) for g in Q.basis)
+            J.basis == tuple(reduce_coeffs_mod_p(g, J.ring) for g in Q.basis)
             for J, Q in zip(ideals, replay.ideals)
         )
     except BadPrime:
@@ -302,9 +302,8 @@ def verify_witness(
 
         cond3 = CERT_NOT_CERTIFIED
         if w.point_b is not None:
+            # I lies in m, so m = (T - b) also puts b on V(I)
             ok3 = rational_maximal(m, w.point_b)
-            if ok3:
-                ok3 = all(not g.evaluate(w.point_b) for g in w.i_gens)
             cond3 = CERT_PASSED if ok3 else CERT_FAILED
 
     probe = None
@@ -390,7 +389,7 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     def reduce_many(gens, structural: bool) -> tuple[Polynomial, ...]:
         out = []
         for g in gens:
-            rg = reduce_coeffs_mod_p(g, fp)
+            rg = reduce_coeffs_mod_p(g, target)
             if structural and g:
                 if not rg:
                     raise DegenerateGenerator(

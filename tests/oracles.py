@@ -9,6 +9,8 @@ each leading term with ``max``, against which the heap-ordered
 definitions here, against which ``MonomialOrder.rank`` is checked.  The
 primality probe has its plain per-trial loop, which builds and divides
 every draw, against which the row-table ``prime_probe`` is checked.
+Rational maximality has its definition by evaluation at the point,
+against which the basis-only ``rational_maximal`` is checked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from gbtransfer.groebner import DegreeCapExceeded, normal_form
+from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_contains, normal_form
 from gbtransfer.polyarith import (
     AmbientMismatch,
     Polynomial,
@@ -255,3 +257,18 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
         if cfg == 0:
             return ProbeResult(PROBE_NOT_PRIME, trials, f, g, tuple(record))
     return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
+
+
+def reference_rational_maximal(m, point) -> bool:
+    """``rational_maximal`` by evaluation: every generator of m vanishes at
+    the point, so m lies in the point ideal, and every T_i - b_i lies in m."""
+    ring = m.ring
+    if len(point) != ring.nvars:
+        raise AmbientMismatch("point length does not match the ring")
+    point = tuple(ring.field.coerce(b) for b in point)
+    if any(g.evaluate(point) for g in m.generators):
+        return False
+    gens = tuple(
+        ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
+    )
+    return ideal_contains(ideal(*gens, ring=ring), m)

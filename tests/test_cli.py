@@ -6,14 +6,18 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from gbtransfer.cli import main, parse_case, CaseFormatError
+from gbtransfer import predicates
+from gbtransfer.cli import (
+    CaseFormatError, _build_parser, _caps_from_args, main, parse_case,
+)
 from gbtransfer.encoding import CODE_CELL_CAP, ComplexityExceeded
 from gbtransfer.polyarith import AmbientMismatch, BadPrime
 from gbtransfer.predicates import NotContained, UnitIdeal
-from gbtransfer.transfer import DegenerateGenerator
+from gbtransfer.transfer import Caps, DegenerateGenerator
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 SRC = CASES.parent / "src"
@@ -516,6 +520,76 @@ class TestInputBounds:
         assert (code, captured.out) == (2, "")
         assert f"passes {CODE_CELL_CAP} cells" in captured.err
         assert time.monotonic() - t0 < 1
+
+    def test_many_variable_dimension_refused(self, capsys):
+        names = ",".join(f"x{i}" for i in range(1, 27))
+        with mock.patch.object(predicates, "SUBSET_BUDGET", 1000):
+            self._refused(capsys, "dim", "--vars", names, "--ideal", names)
+            self._refused(capsys, "height", "--vars", names, "--ideal", names)
+
+    @pytest.mark.parametrize("command", ["dim", "gb"])
+    def test_duplicate_variable_names_refused(self, capsys, command):
+        self._refused(capsys, command, "--vars", "x,y,x", "--ideal", "x*y - 1")
+
+    DEEP = "[" * 100000 + "]" * 100000
+
+    def test_deeply_nested_code_refused(self, capsys, tmp_path):
+        self._refused(capsys, "decode", "--code", self.DEEP)
+        path = tmp_path / "deep_code.json"
+        path.write_text(self.DEEP, encoding="utf-8")
+        self._refused(capsys, "decode", "--code", "@" + str(path))
+
+    def test_deeply_nested_case_refused(self, capsys, tmp_path):
+        path = tmp_path / "deep_case.json"
+        path.write_text(self.DEEP, encoding="utf-8")
+        self._refused(capsys, "verify", str(path))
+
+    def test_huge_point_power_answers(self):
+        # maximality is read off the basis: 3^100000000 is never formed
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "gbtransfer.cli", "maximal", "--vars", "x",
+                "--ideal", "x^100000000 - 1", "--point", "3",
+            ],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["rational_maximal"] is False
+
+    def test_maximal_past_a_kernel_cap_refused(self, capsys):
+        # x^70 - y does not vanish at (5, 5), but the basis passes
+        # DEGREE_CAP: maximal exits 2 like gb on the same ideal
+        for argv in (("gb",), ("maximal", "--point", "5,5")):
+            self._refused(
+                capsys, *argv, "--vars", "x,y", "--ideal", "x^70 - y, x^2 - 1"
+            )
+
+
+class TestCapsDefaults:
+    @pytest.mark.parametrize(
+        "command", [["verify", "c.json"], ["sweep", "c.json", "--primes", "2..3"]]
+    )
+    def test_parsed_defaults_equal_caps(self, command):
+        args = _build_parser().parse_args(command)
+        assert _caps_from_args(args) == Caps()
+
+    def test_flags_reach_every_caps_field(self):
+        args = _build_parser().parse_args(
+            ["verify", "c.json", "--exponent-cap", "3", "--probe-trials", "7",
+             "--probe-degree", "4", "--seed", "9"]
+        )
+        assert _caps_from_args(args) == Caps(3, 7, 4, 9)
+
+    def test_ideal_command_defaults_equal_caps(self):
+        parse = _build_parser().parse_args
+        caps = Caps()
+        args = parse(["radical-eq", "--vars", "x", "--ideal", "x", "--radical", "x"])
+        assert args.cap == caps.exponent_cap
+        args = parse(["prime-probe", "--vars", "x", "--ideal", "x"])
+        assert (args.trials, args.degree_bound, args.seed) == (
+            caps.probe_trials, caps.probe_degree, caps.seed
+        )
 
 
 class TestErrorTypes:

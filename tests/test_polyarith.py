@@ -113,6 +113,28 @@ class TestArithmetic:
         with pytest.raises(AmbientMismatch):
             P("x") * r5.variable(0)
 
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda f: f + 1,
+            lambda f: 1 + f,
+            lambda f: f - 1,
+            lambda f: 1 - f,
+            lambda f: f * 2,
+            lambda f: 2 * f,
+            lambda f: f * Fraction(1, 2),
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "mul_fraction"],
+    )
+    def test_scalar_operands_rejected(self, combine):
+        # + - * take two polynomials; scale is the one scalar product
+        with pytest.raises(TypeError):
+            combine(P("x"))
+
+    def test_distinct_variable_names_required(self):
+        with pytest.raises(ValueError, match="distinct"):
+            PolyRing(QQ, 3, GREVLEX, ("x", "y", "x"))
+
     def test_degree_of_zero_is_marker(self):
         assert RXY.zero().degree() == NEG_INF
         assert RXY.zero().degree() < 0
@@ -166,7 +188,7 @@ class TestSubstitute:
         F = parse_polynomial("X1^2 + 3*X1*Y1 - Y1", sring)
         G = parse_polynomial("X1 - 2*Y1^2", sring)
         T = RT.variable(0)
-        images = [T + 1, T * T]
+        images = [T + RT.one(), T * T]
         assert substitute(F * G, images) == substitute(F, images) * substitute(G, images)
         assert substitute(F + G, images) == substitute(F, images) + substitute(G, images)
 
@@ -174,30 +196,42 @@ class TestSubstitute:
 class TestReduceModP:
     def test_inverse_of_six_mod_five(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
-        assert reduce_coeffs_mod_p(f, PrimeField(5)) == parse_polynomial(
+        assert reduce_coeffs_mod_p(f, RT.with_field(PrimeField(5))) == parse_polynomial(
             "T^2", PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
         )
 
     def test_inverse_of_six_mod_seven(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
-        assert reduce_coeffs_mod_p(f, PrimeField(7)) == parse_polynomial(
+        assert reduce_coeffs_mod_p(f, RT.with_field(PrimeField(7))) == parse_polynomial(
             "6*T^2", PolyRing(PrimeField(7), 1, GREVLEX, ("T",))
         )
 
     def test_bad_prime(self):
         f = P("T^2", RT).scale(Fraction(1, 6))
         with pytest.raises(BadPrime):
-            reduce_coeffs_mod_p(f, PrimeField(3))
+            reduce_coeffs_mod_p(f, RT.with_field(PrimeField(3)))
 
     def test_coefficient_vanishes(self):
         f = P("5*T + 1", RT)
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
-        assert reduce_coeffs_mod_p(f, PrimeField(5)) == r5.one()
+        assert reduce_coeffs_mod_p(f, r5) == r5.one()
+
+    def test_target_ring_shape_checked(self):
+        with pytest.raises(AmbientMismatch):
+            reduce_coeffs_mod_p(P("x"), RT.with_field(PrimeField(5)))
+        with pytest.raises(AmbientMismatch):
+            reduce_coeffs_mod_p(P("x"), PolyRing(PrimeField(5), 2, LEX))
+
+    def test_reductions_share_the_target_ring(self):
+        r5 = RXY.with_field(PrimeField(5))
+        images = [reduce_coeffs_mod_p(P(t), r5) for t in ("x + 6*y", "y^2")]
+        assert all(f.ring is r5 for f in images)
+        assert images[0] == parse_polynomial("x + y", r5)
 
     def test_only_rational_inputs(self):
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
         with pytest.raises(AmbientMismatch):
-            reduce_coeffs_mod_p(r5.variable(0), PrimeField(7))
+            reduce_coeffs_mod_p(r5.variable(0), RT.with_field(PrimeField(7)))
 
 
 class TestParseFormat:

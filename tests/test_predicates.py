@@ -32,8 +32,12 @@ from gbtransfer.predicates import (
     rational_maximal,
 )
 
-from corpus import R1, R2, R3, P, mk
-from oracles import dimension_oracle, reference_prime_probe
+from corpus import MONOMIAL_IDEALS, NAMED_IDEALS, R1, R2, R3, P, mk
+from oracles import (
+    dimension_oracle,
+    reference_prime_probe,
+    reference_rational_maximal,
+)
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -88,6 +92,24 @@ class TestDimension:
     def test_matches_subset_oracle(self):
         for pres in (mk(R2, "x*y"), mk(R3, "x*y", "x*z"), mk(R3, "x*y*z")):
             assert dimension(pres) == dimension_oracle(pres)
+
+    def test_subset_budget(self):
+        # dimension 0: the search tests all 8 subsets of {x, y, z}
+        pres = mk(R3, "x", "y", "z")
+        with mock.patch.object(predicates, "SUBSET_BUDGET", 8):
+            assert dimension(pres) == 0
+        with mock.patch.object(predicates, "SUBSET_BUDGET", 7):
+            with pytest.raises(DegreeCapExceeded, match="7 variable subsets"):
+                dimension(pres)
+            # an answer found early stays within a small budget
+            assert dimension(mk(R3, "x*y*z")) == 2
+
+    def test_many_variables_answer_early(self):
+        ring = PolyRing(QQ, 40, GREVLEX)
+        f = ring.one()
+        for i in range(40):
+            f = f * ring.variable(i)
+        assert dimension(IdealPresentation(ring, (f,))) == 39
 
 
 class TestHeight:
@@ -323,3 +345,43 @@ class TestRationalMaximal:
         for g in m.generators:
             assert not g.evaluate((1, 2))
         assert height_poly(m).height == 2
+
+
+@st.composite
+def maximal_problems(draw):
+    """A corpus ideal, possibly plus the ideal of a point, and a small
+    rational point, so that m = (T - b), the unit ideal and neither occur."""
+    _, I = draw(st.sampled_from(NAMED_IDEALS + MONOMIAL_IDEALS))
+    ring = I.ring
+    coords = st.lists(
+        st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2))),
+        min_size=ring.nvars,
+        max_size=ring.nvars,
+    ).map(tuple)
+    point = draw(coords)
+    gens = I.generators
+    shift = draw(st.sampled_from((None, point, draw(coords))))
+    if shift is not None:
+        gens += tuple(
+            ring.variable(i) - ring.constant(c) for i, c in enumerate(shift)
+        )
+    return IdealPresentation(ring, gens), point
+
+
+class TestRationalMaximalMatchesReference:
+    @given(maximal_problems())
+    @settings(max_examples=150, deadline=None)
+    @example((mk(R2, "x - 1", "y - 2"), (1, 2)))
+    @example((mk(R2, "x", "x - 1"), (0, 0)))
+    @example((mk(R2, "x^2", "y"), (0, 0)))
+    def test_same_verdict(self, problem):
+        m, point = problem
+        assert rational_maximal(m, point) == reference_rational_maximal(m, point)
+
+    def test_answers_without_evaluating(self):
+        # 3^100000000 is never formed: the answer comes from m's basis
+        with mock.patch.object(
+            Polynomial, "evaluate", side_effect=AssertionError("evaluated")
+        ):
+            assert not rational_maximal(mk(R1, "x^100000000 - 1"), (3,))
+            assert rational_maximal(mk(R1, "x^2 - 9", "x - 3"), (3,))

@@ -105,7 +105,7 @@ class TestReductionHomomorphism:
     @given(int_polys2, int_polys2)
     @settings(max_examples=60)
     def test_additive_and_multiplicative(self, f, g):
-        p = PrimeField(5)
+        p = RXY.with_field(PrimeField(5))
         assert reduce_coeffs_mod_p(f + g, p) == reduce_coeffs_mod_p(
             f, p
         ) + reduce_coeffs_mod_p(g, p)
@@ -127,7 +127,7 @@ class TestReductionHomomorphism:
     )
     @settings(max_examples=40)
     def test_with_denominators_avoiding_p(self, f, g):
-        p = PrimeField(7)
+        p = RXY.with_field(PrimeField(7))
         assert reduce_coeffs_mod_p(f * g, p) == reduce_coeffs_mod_p(
             f, p
         ) * reduce_coeffs_mod_p(g, p)

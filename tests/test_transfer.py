@@ -306,7 +306,7 @@ class TestSweep:
             wp = reduce_witness_mod_p(w, p)
             images_p = list(wp.x_images) + list(wp.y_images)
             assert substitute(SIXTH_SYS.equations[0], images_p) == (
-                reduce_coeffs_mod_p(value, PrimeField(p))
+                reduce_coeffs_mod_p(value, wp.ring)
             )
 
 
@@ -338,7 +338,7 @@ class TestCorpusCoherence:
                 images_p = list(wp.x_images) + list(wp.y_images)
                 for F, value in zip(system.equations, values):
                     assert substitute(F, images_p) == reduce_coeffs_mod_p(
-                        value, PrimeField(p)
+                        value, wp.ring
                     ), f"{name} at p={p}"
 
     def test_condition2_survives_reduction(self):
