@@ -64,9 +64,14 @@ class IdealPresentation:
         return len(self.generators) == 1 and not self.generators[0]
 
     @cached_property
+    def groebner(self) -> "GroebnerBasis":
+        """buchberger(self), computed once."""
+        return buchberger(self)
+
+    @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        """Reduced Groebner basis, computed once; buchberger(self).basis."""
-        return buchberger(self).basis
+        """Reduced Groebner basis: groebner.basis."""
+        return self.groebner.basis
 
 
 def ideal(*gens: Polynomial, ring: PolyRing | None = None) -> IdealPresentation:
@@ -80,9 +85,15 @@ def ideal(*gens: Polynomial, ring: PolyRing | None = None) -> IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced basis: monic, pairwise lead-irreducible, canonically sorted."""
+    """A reduced basis: monic, pairwise lead-irreducible, canonically sorted.
+
+    pivots are the leading coefficients buchberger divided out, in order:
+    one per input generator, one per new remainder and one per remainder
+    of the final reduction.
+    """
 
     basis: tuple[Polynomial, ...]
+    pivots: tuple = ()
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -203,7 +214,9 @@ def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:
     return False
 
 
-def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> tuple[Polynomial, ...]:
+def _reduce_basis(
+    G: list[Polynomial], ring: PolyRing, pivots: list
+) -> tuple[Polynomial, ...]:
     lms = [g.leading_monomial() for g in G]
     removed: set[int] = set()
     for i in range(len(G)):
@@ -219,6 +232,7 @@ def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> tuple[Polynomial, ...]
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others)
         if r:
+            pivots.append(r.leading_coeff())
             out.append(r.monic())
     out.sort(key=lambda h: ring.order.rank(h.leading_monomial()))
     return tuple(out)
@@ -240,6 +254,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     G = [g.monic() for g in pres.generators if g]
     if not G:
         return GroebnerBasis(())
+    pivots = [g.leading_coeff() for g in pres.generators]
 
     lms = [g.leading_monomial() for g in G]
     heap: list = []
@@ -274,6 +289,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
             raise DegreeCapExceeded(
                 f"basis element degree passed the cap {DEGREE_CAP}"
             )
+        pivots.append(r.leading_coeff())
         r = r.monic()
         G.append(r)
         lms.append(r.leading_monomial())
@@ -281,7 +297,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         for i2 in range(t):
             push(i2, t)
 
-    return GroebnerBasis(_reduce_basis(G, ring))
+    return GroebnerBasis(_reduce_basis(G, ring, pivots), tuple(pivots))
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:

@@ -21,6 +21,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
 PRODUCT_BUDGET = 10 * TERM_CAP  # term pairs one parse or substitute may multiply
 NEST_CAP = 100  # parentheses and unary minus signs one parse may nest
+NVARS_CAP = 1024  # most variables one ring may have
 
 
 class AmbientMismatch(ValueError):
@@ -269,6 +270,8 @@ class PolyRing:
     def __post_init__(self) -> None:
         if self.nvars < 1:
             raise ValueError("a polynomial ring needs at least one variable")
+        if self.nvars > NVARS_CAP:
+            raise ValueError(f"more than {NVARS_CAP} variables")
         if not self.names:
             object.__setattr__(
                 self, "names", tuple(f"x{i + 1}" for i in range(self.nvars))

@@ -138,8 +138,9 @@ class RadicalResult:
 
     generator_power_not_found means "not proven within the cap", never a
     disproof.  contents holds, for each generator in exponents, the
-    _content of NF(g^e) for every e below its exponent; verify_witness
-    replays it at lucky primes.  It takes no part in ==, repr or as_dict.
+    _content of NF(g^e) for every e below its exponent; a sweep reads it
+    over Q to build its exceptional set.  It takes no part in ==, repr or
+    as_dict.
     """
 
     status: str
@@ -230,10 +231,11 @@ class ProbeTrial(NamedTuple):
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Probe verdict; record keeps what replay_probe reads.
+    """Probe verdict, with the trials it drew.
 
-    Over Q, record holds every trial drawn, in order; over F_p it stays
-    empty.  It takes no part in ==, repr or as_dict.
+    Over Q, record holds every trial drawn, in order, and a sweep reads
+    its contents to build its exceptional set; over F_p it stays empty.
+    It takes no part in ==, repr or as_dict.
     """
 
     status: str
@@ -434,7 +436,7 @@ def prime_probe(
             c = _content(normal_form(_polynomial(ring, terms), P.basis))
         return c
 
-    # Only a record over Q is ever replayed.
+    # Only a record over Q is ever read.
     keep = isinstance(fld, RationalField)
     record = []
     for _ in range(trials):
@@ -454,47 +456,6 @@ def prime_probe(
                 tuple(record),
             )
     return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
-
-
-def replay_probe(q: ProbeResult, P: IdealPresentation) -> ProbeResult | None:
-    """prime_probe of P over F_p, answered from q, the probe over Q.
-
-    q must be the prime_probe result, with the same degree bound, trial
-    count and seed, of the ideal over Q whose reduction mod p is P, and p
-    must be lucky: P.basis is the coefficient image mod p of q's basis
-    (verify_witness checks it).  Returns None, and the caller runs
-    prime_probe, unless the sample coefficients of F_p are the images of
-    those of Q, in the same order (true for p >= 5), so that the seeded
-    draws at p are the images of the draws over Q.
-
-    Then the answer is exact.  NF_p(image of f) is the image of NF_Q(f),
-    zero exactly when p divides the content of NF_Q(f), and no cap that
-    the Q probe passed can fire at p (the argument in verify_witness).
-    The Q probe reads its contents off monomial rows; any prime that
-    divides a row denominator also divides a basis denominator (a row is
-    built from basis coefficients by ring operations alone, the basis
-    being monic), so such a prime is never lucky.  A not_prime q whose
-    witness pair p skips also falls back: its record ends there, and the
-    probe at p would draw further trials.
-    """
-    fp = P.ring.field
-    if tuple(fp.coerce(c) for c in _SAMPLE) != _sample_coefficients(fp):
-        return None
-    p = fp.p
-    for t in q.record:
-        if t.f_content % p == 0 or t.g_content % p == 0:
-            continue
-        if t.fg_content % p == 0:
-            return ProbeResult(
-                PROBE_NOT_PRIME,
-                q.trials,
-                _polynomial(P.ring, t.f),
-                _polynomial(P.ring, t.g),
-            )
-    if len(q.record) < q.trials:
-        # q stopped on a pair that p skips; the probe at p draws on.
-        return None
-    return ProbeResult(PROBE_PROBABLY_PRIME, q.trials)
 
 
 def rational_maximal(m: IdealPresentation, point) -> bool:

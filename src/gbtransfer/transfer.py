@@ -5,15 +5,17 @@ candidate m, lifted element tuples x and y, an optional rational point,
 and a claimed height.  Verification checks, inside the witness's own
 field: Rad((x) + I) = m, vanishing of every system equation at (x, y)
 modulo I, the height bookkeeping ht(m) - ht(I), and the residue-field
-certification through the rational point.  The sweep reduces a rational
-witness at every requested prime outside a finite bad set and re-runs the
-same checks, reporting the per-prime outcomes and the maximal complexity
-seen, which never exceeds the characteristic-zero complexity.
+certification through the rational point.  The sweep answers every
+requested prime outside a finite bad set from the characteristic-zero run,
+or, in a finite exceptional set, by re-running the checks mod p.  It
+reports the per-prime outcomes and the maximal complexity seen, which
+never exceeds the characteristic-zero complexity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
@@ -28,6 +30,7 @@ from .polyarith import (
     AmbientMismatch,
     BadPrime,
     GREVLEX,
+    NVARS_CAP,
     MonomialOrder,
     Polynomial,
     PolyRing,
@@ -41,7 +44,6 @@ from .polyarith import (
 )
 from .predicates import (
     PROBE_TRIAL_CAP,
-    RADICAL_EQUAL,
     ComplexityReport,
     NotContained,
     ProbeResult,
@@ -52,7 +54,6 @@ from .predicates import (
     prime_probe,
     radical_equals,
     rational_maximal,
-    replay_probe,
 )
 
 POINT_BUDGET = 10 ** 6
@@ -77,6 +78,8 @@ class CharZeroFailure(RuntimeError):
 
 def system_ring(n: int, r: int, order: MonomialOrder = GREVLEX) -> PolyRing:
     """Ring for system equations over Z: variables X1..Xn, Y1..Yr."""
+    if n + r > NVARS_CAP:
+        raise ValueError(f"more than {NVARS_CAP} variables")
     names = tuple(f"X{i + 1}" for i in range(n)) + tuple(
         f"Y{j + 1}" for j in range(r)
     )
@@ -167,9 +170,9 @@ CERT_NOT_CERTIFIED = "not_certified"
 @dataclass(frozen=True)
 class VerificationResult:
     """The checks' outcomes.  Over Q, ideals holds the presentations of m,
-    (x) + I and I, with the bases they computed, for a replay at a lucky
-    prime; elsewhere it is empty.  It takes no part in ==, repr or
-    as_dict."""
+    (x) + I and I, with the bases they computed, which a sweep reads to
+    build its exceptional set; elsewhere it is empty.  It takes no part in
+    ==, repr or as_dict."""
 
     condition1: RadicalResult
     condition2: tuple[bool, ...]
@@ -209,27 +212,8 @@ class VerificationResult:
         }
 
 
-def _lucky(ideals, replay: VerificationResult) -> bool:
-    """Whether each basis is the coefficient image of replay's, in turn;
-    replay must be a passing result over Q, the only one with ideals."""
-    fp = ideals[0].ring.field
-    if not (isinstance(fp, PrimeField) and replay.passed and replay.ideals):
-        return False
-    try:
-        return all(
-            J.basis == tuple(reduce_coeffs_mod_p(g, J.ring) for g in Q.basis)
-            for J, Q in zip(ideals, replay.ideals)
-        )
-    except BadPrime:
-        return False
-
-
 def verify_witness(
-    sys_: DiophantineSystem,
-    w: Witness,
-    caps: Caps = Caps(),
-    *,
-    replay: VerificationResult | None = None,
+    sys_: DiophantineSystem, w: Witness, caps: Caps = Caps()
 ) -> VerificationResult:
     """Run all witness checks in w's own coefficient field.
 
@@ -237,33 +221,6 @@ def verify_witness(
     vanishing of every equation, the height match, and, when a point is
     supplied, the rational-maximality certification.  The primality probe
     on I is attached as evidence when the witness claims a domain.
-
-    When w is a reduction mod p, replay may carry the passing verification
-    of the rational witness under the same caps.  At a lucky prime, where
-    the bases of m, (x) + I and I are the coefficient images of replay's
-    (Traverso's trace, Pauer's lucky ideals), the checks are read off
-    replay, and the result is the one running them gives:
-    - an image basis is monic and, being the basis at p, a Groebner basis,
-      so a normal form modulo it is unique; dividing a p-integral
-      polynomial by it keeps every coefficient p-integral, so NF_p of an
-      image is the image of NF_Q, zero exactly when p divides the content
-      of NF_Q;
-    - every NF_Q behind I in m, (x) + I in m, condition 2 and condition 3
-      is zero, hence so is its image: the containments hold, condition 2
-      is all zero and condition 3 is replay's;
-    - g^e of the radical search falls into (x) + I at the first e whose
-      recorded content p divides, else at the exponent over Q;
-    - the heights read the same leading monomials;
-    - no cap fires at p that the checks over Q passed.  A division at p
-      uses the same lead table in the same order, so its steps and pushed
-      monomials are a subset of those over Q, and a factor in F_p has no
-      bit size.  A power at p has at most as many terms as over Q, and
-      the search stops no later, so the product budget holds.
-    The probe is then replay's where replay_probe answers.  Any other
-    prime, one where building an image raises BadPrime included, runs
-    every check.  The bases are compared in the order the checks compute
-    them, each only when the checks would compute it too, so an error
-    while computing one is the error the checks raise.
     """
     if len(w.x_images) != sys_.n or len(w.y_images) != sys_.r:
         raise AmbientMismatch("witness tuple shape does not match the system")
@@ -271,49 +228,29 @@ def verify_witness(
     I = w.ideal_i()
     m = w.ideal_m()
     radical_src = IdealPresentation(ring, w.x_images + w.i_gens)
-    ideals = (m, radical_src, I)
-    lucky = replay is not None and _lucky(ideals, replay)
-    if lucky:
-        p = ring.field.p
-        q1 = replay.condition1
-        exponents = tuple(
-            (g, next((e for e, c in enumerate(cs, 1) if c % p == 0), qe))
-            for g, (_, qe), cs in zip(m.generators, q1.exponents, q1.contents)
-        )
-        cond1 = RadicalResult(RADICAL_EQUAL, exponents, None, caps.exponent_cap)
-        flags = [True] * len(sys_.equations)
-        residues = ["0"] * len(sys_.equations)
-        height_n = replay.height_computed
-        cond3 = replay.condition3
-    else:
-        if not ideal_contains(I, m):
-            raise NotContained("I is not contained in m")
-        cond1 = radical_equals(radical_src, m, caps.exponent_cap)
+    if not ideal_contains(I, m):
+        raise NotContained("I is not contained in m")
+    cond1 = radical_equals(radical_src, m, caps.exponent_cap)
 
-        images = list(w.x_images) + list(w.y_images)
-        flags, residues = [], []
-        for F in sys_.equations:
-            residue = normal_form(substitute(F, images), I.basis)
-            flags.append(not residue)
-            residues.append(format_polynomial(residue))
+    images = list(w.x_images) + list(w.y_images)
+    flags, residues = [], []
+    for F in sys_.equations:
+        residue = normal_form(substitute(F, images), I.basis)
+        flags.append(not residue)
+        residues.append(format_polynomial(residue))
 
-        # I inside m was checked above, so the height is a plain difference
-        height_n = height_poly(m).height - height_poly(I).height
+    # I inside m was checked above, so the height is a plain difference
+    height_n = height_poly(m).height - height_poly(I).height
 
-        cond3 = CERT_NOT_CERTIFIED
-        if w.point_b is not None:
-            # I lies in m, so m = (T - b) also puts b on V(I)
-            ok3 = rational_maximal(m, w.point_b)
-            cond3 = CERT_PASSED if ok3 else CERT_FAILED
+    cond3 = CERT_NOT_CERTIFIED
+    if w.point_b is not None:
+        # I lies in m, so m = (T - b) also puts b on V(I)
+        ok3 = rational_maximal(m, w.point_b)
+        cond3 = CERT_PASSED if ok3 else CERT_FAILED
 
     probe = None
     if w.domain_claim:
-        if lucky:
-            probe = replay_probe(replay.prime_probe, I)
-        if probe is None:
-            probe = prime_probe(
-                I, caps.probe_degree, caps.probe_trials, caps.seed
-            )
+        probe = prime_probe(I, caps.probe_degree, caps.probe_trials, caps.seed)
 
     passed = (
         cond1.equal
@@ -334,8 +271,10 @@ def verify_witness(
             [g for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images) if g],
         ),
         passed=passed,
-        # only a result over Q is replayed; a sweep keeps one per prime
-        ideals=ideals if isinstance(ring.field, RationalField) else (),
+        # a sweep reads them over Q alone, and keeps one result per prime
+        ideals=(
+            (m, radical_src, I) if isinstance(ring.field, RationalField) else ()
+        ),
     )
 
 
@@ -471,12 +410,11 @@ class SweepReport:
 
 
 def _run_prime(
-    sys_: DiophantineSystem, w: Witness, p: int, caps: Caps,
-    replay: VerificationResult | None = None,
+    sys_: DiophantineSystem, w: Witness, p: int, caps: Caps
 ) -> PrimeOutcome:
     try:
         wp = reduce_witness_mod_p(w, p)
-        res = verify_witness(sys_, wp, caps, replay=replay)
+        res = verify_witness(sys_, wp, caps)
     except (
         BadPrime,
         DegenerateGenerator,
@@ -499,6 +437,84 @@ def _run_prime(
     )
 
 
+def exceptional_primes(
+    w: Witness, char0: VerificationResult, candidates: Sequence[int]
+) -> set[int]:
+    """The candidates at which a sweep runs every check.
+
+    char0 is the passing verification of the rational witness w; no
+    candidate is bad for w (bad_primes).  A candidate is exceptional when
+    it divides, in one product taken once: a numerator or denominator of a
+    pivot of the bases over Q of m, (x) + I and I (char0.ideals); a content
+    the radical search recorded; a nonzero content in the probe's record,
+    or 6 when a probe ran; one top-degree coefficient numerator of each
+    witness polynomial.
+
+    At any other prime p, every check run on w mod p gives char0, with the
+    generators of m and the probe's witness pair mapped mod p (Traverso's
+    Groebner trace, Pauer's lucky ideals):
+    - no witness polynomial vanishes or drops degree, so no generator
+      degenerates and the complexity is char0's;
+    - buchberger runs at p in lockstep with its run over Q.  Each element
+      it keeps over Q is p-integral and maps to the one kept at p: an input
+      generator or a new remainder keeps its leading monomial, p dividing
+      no pivot, and a remainder zero over Q is zero at p.  So the pairs,
+      criteria and leads agree, and each basis at p is the image of the
+      basis over Q;
+    - an image basis is monic, so NF_p of a p-integral image is the image
+      of NF_Q, zero exactly when p divides the content of NF_Q.  Every NF_Q
+      behind I in m, (x) + I in m, condition 2 and condition 3 is zero, so
+      those are char0's; the radical search stops at char0's exponents, p
+      dividing no recorded content; the heights read the same leads;
+    - p >= 5, so the seeded draws at p are the images of those over Q; the
+      trial contents vanish at p exactly where they do over Q, so the probe
+      at p ends on the same trial, with the image pair;
+    - no cap fires at p that the checks over Q passed.  A division at p
+      uses the same lead table in the same order, so its steps and pushed
+      monomials are a subset of those of the division over Q (run, or for
+      a probe trial proven within the caps by its rows), and a factor in
+      F_p has no bit size.  A product at p has at most the terms it has
+      over Q, so the product budgets hold; the basis runs examine the same
+      pairs.
+    """
+    numbers = {
+        n
+        for J in char0.ideals
+        for c in J.groebner.pivots
+        for n in (c.numerator, c.denominator)
+    }
+    numbers.update(c for cs in char0.condition1.contents for c in cs)
+    probe = char0.prime_probe
+    if probe is not None:
+        numbers.add(6)
+        numbers.update(c for t in probe.record for c in t[2:] if c)
+    numbers.update(
+        max(g.terms, key=lambda t: sum(t[0]))[1].numerator
+        for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
+        if g
+    )
+    product = math.prod(abs(n) for n in numbers)
+    return {p for p in candidates if product % p == 0}
+
+
+def _read_off(char0: VerificationResult, ring: PolyRing, p: int) -> PrimeOutcome:
+    # the outcome at a good prime outside the exceptional set
+    target = ring.with_field(PrimeField(p))
+
+    def image(g):
+        return reduce_coeffs_mod_p(g, target) if g else None
+
+    q1, probe = char0.condition1, char0.prime_probe
+    exponents = tuple((image(g), e) for g, e in q1.exponents)
+    if probe is not None:
+        probe = ProbeResult(
+            probe.status, probe.trials, image(probe.witness_f), image(probe.witness_g)
+        )
+    cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
+    res = replace(char0, condition1=cond1, prime_probe=probe, ideals=())
+    return PrimeOutcome(p, True, res.complexity.complexity, None, False, res)
+
+
 def sweep(
     sys_: DiophantineSystem,
     w: Witness,
@@ -511,10 +527,10 @@ def sweep(
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
     recorded in the report, never raised.  Primes run one after another in
-    ascending order, so the report is the same on every run.  Each lucky
-    prime is answered from the characteristic-zero verification (see
-    verify_witness) and every other prime runs every check, so the report
-    is the one a full run at every prime gives.
+    ascending order, so the report is the same on every run.  Each good
+    prime outside exceptional_primes is answered from the
+    characteristic-zero verification, which is what running every check
+    there gives, and every exceptional prime runs every check.
     """
     candidates = sorted({int(p) for p in primes})
     for p in candidates:
@@ -524,10 +540,13 @@ def sweep(
     if not char0.passed:
         raise CharZeroFailure(char0)
     bad = bad_primes(sys_, w, candidates)
+    good = [p for p in candidates if p not in bad]
+    exceptional = exceptional_primes(w, char0, good)
     outcomes = [
-        _run_prime(sys_, w, p, caps, char0)
-        for p in candidates
-        if p not in bad
+        _run_prime(sys_, w, p, caps)
+        if p in exceptional
+        else _read_off(char0, w.ring, p)
+        for p in good
     ]
 
     ds = [o.d for o in outcomes if o.d is not None]

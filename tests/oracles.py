@@ -10,7 +10,10 @@ definitions here, against which ``MonomialOrder.rank`` is checked.  The
 primality probe has its plain per-trial loop, which builds and divides
 every draw, against which the row-table ``prime_probe`` is checked.
 Rational maximality has its definition by evaluation at the point,
-against which the basis-only ``rational_maximal`` is checked.
+against which the basis-only ``rational_maximal`` is checked.  A sweep's
+exceptional set has the per-prime luck test of a Groebner trace, which
+computes every basis at p, against which the primes a sweep answers from
+the run over Q are checked.
 """
 
 from __future__ import annotations
@@ -20,12 +23,17 @@ import math
 import random
 from fractions import Fraction
 
-from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_contains, normal_form
+from gbtransfer.groebner import (
+    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, normal_form,
+)
 from gbtransfer.polyarith import (
     AmbientMismatch,
+    BadPrime,
     Polynomial,
+    PrimeField,
     RationalField,
     monomials_up_to,
+    reduce_coeffs_mod_p,
 )
 from gbtransfer.predicates import (
     PROBE_NOT_PRIME,
@@ -272,3 +280,19 @@ def reference_rational_maximal(m, point) -> bool:
         ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
     )
     return ideal_contains(ideal(*gens, ring=ring), m)
+
+
+def reference_lucky(ideals, p: int) -> bool:
+    """Whether each ideal over Q has, as its basis mod p, the image of its
+    basis over Q: the basis of the generators' images at p is computed and
+    compared.  A denominator p divides makes p unlucky."""
+    for Q in ideals:
+        target = Q.ring.with_field(PrimeField(p))
+        try:
+            image = tuple(reduce_coeffs_mod_p(g, target) for g in Q.basis)
+            gens = tuple(reduce_coeffs_mod_p(g, target) for g in Q.generators)
+        except BadPrime:
+            return False
+        if IdealPresentation(target, gens).basis != image:
+            return False
+    return True

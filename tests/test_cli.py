@@ -15,7 +15,7 @@ from gbtransfer.cli import (
     CaseFormatError, _build_parser, _caps_from_args, main, parse_case,
 )
 from gbtransfer.encoding import CODE_CELL_CAP, ComplexityExceeded
-from gbtransfer.polyarith import AmbientMismatch, BadPrime
+from gbtransfer.polyarith import NVARS_CAP, AmbientMismatch, BadPrime
 from gbtransfer.predicates import NotContained, UnitIdeal
 from gbtransfer.transfer import Caps, DegenerateGenerator
 
@@ -530,6 +530,27 @@ class TestInputBounds:
     @pytest.mark.parametrize("command", ["dim", "gb"])
     def test_duplicate_variable_names_refused(self, capsys, command):
         self._refused(capsys, command, "--vars", "x,y,x", "--ideal", "x*y - 1")
+
+    def _refused_within_a_second(self, capsys, *argv):
+        t0 = time.monotonic()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"more than {NVARS_CAP} variables" in captured.err
+        assert time.monotonic() - t0 < 1
+
+    def test_too_many_variable_names_refused(self, capsys):
+        names = ",".join(f"x{i}" for i in range(20000))
+        self._refused_within_a_second(
+            capsys, "complexity", "--vars", names, "--ideal", "x0"
+        )
+
+    def test_huge_system_variable_count_refused(self, capsys, tmp_path):
+        case = json.loads((CASES / "square_root.json").read_text())
+        case["system"]["n"] = 10 ** 9
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        self._refused_within_a_second(capsys, "verify", str(path))
 
     DEEP = "[" * 100000 + "]" * 100000
 

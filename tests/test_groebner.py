@@ -179,6 +179,16 @@ class TestBuchberger:
         assert pres.basis is pres.basis
         assert pres.basis == buchberger(pres).basis
 
+    def test_pivots_pinned(self):
+        # two input generators, the S-pair remainder 5*Y1, then one pivot
+        # per element of the final reduction
+        ring = PolyRing(QQ, 2, GREVLEX, ("X1", "Y1"))
+        pres = mk(ring, "X1 + 5*Y1", "X1")
+        gb = buchberger(pres)
+        assert gb.basis == (P("X1", ring), P("Y1", ring))
+        assert gb.pivots == tuple(map(Fraction, (1, 1, 5, 1, 1)))
+        assert pres.groebner == gb and pres.basis is pres.groebner.basis
+
 
 class TestPairOrder:
     @pytest.mark.parametrize("name, kind", list(S_PAIRS))

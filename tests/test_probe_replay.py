@@ -1,4 +1,5 @@
-"""The sweep's lucky-prime replay against the full checks at every prime."""
+"""The sweep's answers from the run over Q against the full checks at every
+prime, and its exceptional set against the per-prime luck test."""
 
 import dataclasses
 import json
@@ -20,18 +21,21 @@ from gbtransfer.transfer import (
     Witness,
     _run_prime,
     bad_primes,
+    exceptional_primes,
     primes_in_range,
     sweep,
     system_ring,
     verify_witness,
 )
 
+from oracles import reference_lucky
+
 CASES = Path(__file__).resolve().parent.parent / "cases"
 PRIMES = primes_in_range(2, 2000)
 CAPS = Caps()
 
 
-def _witness(i_gens, x, equation, claimed_n, m_gens=("X1", "Y1")):
+def _witness(i_gens, x, equation, claimed_n, m_gens=("X1", "Y1"), y="Y1"):
     ring = system_ring(1, 1)
 
     def P(text):
@@ -43,7 +47,7 @@ def _witness(i_gens, x, equation, claimed_n, m_gens=("X1", "Y1")):
         tuple(P(g) for g in m_gens),
         ("0", "0"),
         (P(x),),
-        (P("Y1"),),
+        (P(y),),
         claimed_n,
         domain_claim=True,
     )
@@ -101,6 +105,38 @@ WITNESSES = {
 }
 
 
+# Each puts the factor 7 into one kind of exceptional-set member only.
+SEVENS = {
+    # the S-pair remainder 7*Y1 of I is a pivot; I mod 7 is (X1)
+    "pivot": _witness(("X1 + 7*Y1", "X1"), "X1", "X1 - Y1", 0),
+    # NF(X1 + 7*Y1) = 7*Y1 modulo (X1, Y1^2): the exponent is 1 at 7
+    "radical": _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1 + 7*Y1", "Y1")),
+    # NF(X1) = 7*Y1 modulo I, so trials drawing X1 alone skip at 7
+    "probe": _witness(("X1 - 7*Y1",), "Y1", "X1 - Y1", 1),
+    # y drops from degree 3 to 1 mod 7, and d from 3 to 2
+    "top": _witness(("Y1",), "X1", "Y1", 1, y="7*Y1^3 + Y1"),
+}
+
+
+def _members(w, char0):
+    """The integers of each kind the exceptional set is built from."""
+    probe = char0.prime_probe
+    return {
+        "pivot": [
+            n
+            for J in char0.ideals
+            for c in J.groebner.pivots
+            for n in (c.numerator, c.denominator)
+        ],
+        "radical": [c for cs in char0.condition1.contents for c in cs],
+        "probe": [c for t in probe.record for c in t[2:] if c],
+        "top": [
+            max(g.terms, key=lambda t: sum(t[0]))[1].numerator
+            for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
+        ],
+    }
+
+
 def test_witnesses_cover_all_cases():
     assert len(WITNESSES) == 21
     for name, (system, w) in WITNESSES.items():
@@ -129,8 +165,9 @@ def radical_fields(monkeypatch):
 
 
 def test_unlucky_prime_is_not_replayed(radical_fields):
-    # the basis of I at 5 is not the image of the one over Q, so 5 runs
-    # every check; 7 is answered from the run over Q
+    # the basis of I at 5 is not the image of the one over Q (its pivot 5
+    # makes 5 exceptional), so 5 runs every check; 7 is answered from the
+    # run over Q
     system, w = UNLUCKY
     assert 5 not in bad_primes(system, w, [5])
     sweep(system, w, [5, 7], CAPS)
@@ -144,7 +181,8 @@ def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
     assert [e for _, e in char0.condition1.exponents] == [2, 2]
     assert char0.condition1.contents == ((5,), (1,))
     report = sweep(system, w, [3, 5, 7], CAPS)
-    assert radical_fields == [QQ, QQ]  # every prime is replayed
+    # 3 is exceptional through the factor 6, 5 through the content 5
+    assert radical_fields == [QQ, QQ, PrimeField(3), PrimeField(5)]
     exponents = {
         o.p: [e for _, e in o.result.condition1.exponents]
         for o in report.per_prime
@@ -193,10 +231,17 @@ def full_probe_primes(monkeypatch):
     return primes
 
 
-@pytest.mark.parametrize("name", ["hyperbola.json", "hyperbola.json:no_domain"])
+# with a probe, 2 and 3 are exceptional and run every check
+FULL_FIELDS = {
+    "hyperbola.json": [QQ, PrimeField(2), PrimeField(3)],
+    "hyperbola.json:no_domain": [QQ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_FIELDS))
 def test_lucky_primes_run_no_radical_search(radical_fields, name):
     sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
-    assert radical_fields == [QQ]
+    assert radical_fields == FULL_FIELDS[name]
 
 
 @pytest.mark.parametrize(
@@ -213,9 +258,9 @@ def test_full_probe_runs_only_where_replay_is_not_exact(
 def test_probe_past_the_record_cap_is_not_replayed(
     monkeypatch, full_probe_primes, trials, full_at
 ):
-    # The trial cap bounds the record: a probe within it keeps its record
-    # and is replayed wherever replay is exact; a probe past it is refused
-    # over Q, so no prime is probed or replayed.
+    # The trial cap bounds the record: a probe within it keeps its record,
+    # and only the exceptional primes probe again; a probe past it is
+    # refused over Q, so no prime is probed.
     monkeypatch.setattr(predicates, "PROBE_TRIAL_CAP", 10)
     system, w = WITNESSES["hyperbola.json"]
     caps = Caps(probe_trials=trials)
@@ -245,7 +290,8 @@ def test_probe_past_the_trial_cap_exits_2(capsys):
 
 def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
     # With seed 98 the probe of (X1*Y1) over Q ends on NF(f) = 5*X1, which
-    # is zero mod 5: the record ends there, so the probe at 5 runs in full.
+    # is zero mod 5: its content 5 makes 5 exceptional, so the probe at 5
+    # runs in full.
     system, w = NOT_PRIME
     caps = Caps(seed=98)
     probe = verify_witness(system, w, caps).prime_probe
@@ -257,3 +303,49 @@ def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
     assert report.per_prime == tuple(
         _run_prime(system, w, p, caps) for p in primes
     )
+
+
+@pytest.mark.parametrize("kind", sorted(SEVENS))
+def test_a_factor_seven_makes_seven_exceptional(kind):
+    system, w = SEVENS[kind]
+    char0 = verify_witness(system, w, CAPS)
+    assert char0.passed
+    members = _members(w, char0)
+    assert [k for k in members if any(n % 7 == 0 for n in members[k])] == [kind]
+    assert 7 not in bad_primes(system, w, [7])
+    assert exceptional_primes(w, char0, [7]) == {7}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(WITNESSES) + [f"seven:{k}" for k in sorted(SEVENS)]
+)
+def test_every_good_prime_matches_the_full_path(name):
+    # Outside the exceptional set every basis mod p is the image of the
+    # basis over Q, and at every good prime the sweep's outcome is the
+    # full path's.
+    system, w = WITNESSES.get(name) or SEVENS[name.removeprefix("seven:")]
+    char0 = verify_witness(system, w, CAPS)
+    bad = bad_primes(system, w, PRIMES)
+    good = [p for p in PRIMES if p not in bad]
+    exceptional = exceptional_primes(w, char0, good)
+    for p in good:
+        assert p in exceptional or reference_lucky(char0.ideals, p), p
+    report = sweep(system, w, PRIMES, CAPS)
+    assert report.per_prime == tuple(_run_prime(system, w, p, CAPS) for p in good)
+
+
+def test_a_probe_makes_three_exceptional_through_the_factor_six():
+    # With seed 1 the probe of (X1*Y1) over Q records no content that 3
+    # divides, but the draws at 3 are not the images of those over Q
+    # (the sample coefficients 1, -1, 2, -2 are not distinct mod 3), and
+    # the probe there ends on another pair.
+    system, w = NOT_PRIME
+    caps = Caps(seed=1)
+    char0 = verify_witness(system, w, caps)
+    assert all(n % 3 for ns in _members(w, char0).values() for n in ns)
+    assert exceptional_primes(w, char0, [3]) == {3}
+    three = sweep(system, w, [3], caps).per_prime[0]
+    assert three == _run_prime(system, w, 3, caps)
+    pair = (three.result.prime_probe.witness_f, three.result.prime_probe.witness_g)
+    assert [format_polynomial(g) for g in pair] == ["Y1^2", "X1"]
+    assert format_polynomial(char0.prime_probe.witness_f) != "Y1^2"
