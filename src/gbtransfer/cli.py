@@ -12,6 +12,7 @@ import dataclasses
 import json
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .encoding import (
@@ -57,8 +58,14 @@ class CaseFormatError(ValueError):
     """A case file does not match the expected schema."""
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(obj, out=None) -> None:
+    # indented JSON to out (stdout by default), batch by batch: a large
+    # report is never held as one string
+    out = out or sys.stdout
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    while batch := "".join(islice(chunks, 65536)):
+        out.write(batch)
+    out.write("\n")
 
 
 def _expect_keys(obj, required, optional=(), where="object"):
@@ -326,10 +333,11 @@ def _cmd_sweep(args) -> int:
         print("witness fails in characteristic zero", file=sys.stderr)
         _emit(exc.result.as_dict())
         return 1
-    text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
+    payload = report.as_dict()
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        with open(args.output, "w", encoding="utf-8") as out:
+            _emit(payload, out)
+    _emit(payload)
     return 0 if report.all_passed() else 1
 
 

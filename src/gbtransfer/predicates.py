@@ -233,9 +233,9 @@ class ProbeTrial(NamedTuple):
 class ProbeResult:
     """Probe verdict, with the trials it drew.
 
-    Over Q, record holds every trial drawn, in order, and a sweep reads
-    its contents to build its exceptional set; over F_p it stays empty.
-    It takes no part in ==, repr or as_dict.
+    record holds every trial drawn, in order; a sweep reads its contents
+    over Q to build its exceptional set.  It takes no part in ==, repr or
+    as_dict.
     """
 
     status: str
@@ -424,9 +424,8 @@ def prime_probe(
     if any(g.degree() == 0 for g in P.basis):
         raise UnitIdeal("the probed ideal is the whole ring")
     ring = P.ring
-    fld = ring.field
     monos = monomials_up_to(ring.nvars, degree_bound)
-    coeffs = _sample_coefficients(fld)
+    coeffs = _sample_coefficients(ring.field)
     choice = random.Random(seed).choice
     rows = _Rows(ring, P.basis)
 
@@ -436,8 +435,6 @@ def prime_probe(
             c = _content(normal_form(_polynomial(ring, terms), P.basis))
         return c
 
-    # Only a record over Q is ever read.
-    keep = isinstance(fld, RationalField)
     record = []
     for _ in range(trials):
         f = _draw(choice, monos, coeffs)
@@ -445,8 +442,7 @@ def prime_probe(
         cf = content(f)
         cg = content(g) if cf else None
         cfg = content(_product(f, g)) if cf and cg else None
-        if keep:
-            record.append(ProbeTrial(f, g, cf, cg, cfg))
+        record.append(ProbeTrial(f, g, cf, cg, cfg))
         if cfg == 0:
             return ProbeResult(
                 PROBE_NOT_PRIME,

@@ -15,7 +15,7 @@ never exceeds the characteristic-zero complexity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
@@ -169,10 +169,9 @@ CERT_NOT_CERTIFIED = "not_certified"
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """The checks' outcomes.  Over Q, ideals holds the presentations of m,
-    (x) + I and I, with the bases they computed, which a sweep reads to
-    build its exceptional set; elsewhere it is empty.  It takes no part in
-    ==, repr or as_dict."""
+    """The checks' outcomes.  ideals holds the presentations of m, (x) + I
+    and I, with the bases they computed, which a sweep reads over Q to build
+    its exceptional set.  It takes no part in ==, repr or as_dict."""
 
     condition1: RadicalResult
     condition2: tuple[bool, ...]
@@ -271,10 +270,7 @@ def verify_witness(
             [g for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images) if g],
         ),
         passed=passed,
-        # a sweep reads them over Q alone, and keeps one result per prime
-        ideals=(
-            (m, radical_src, I) if isinstance(ring.field, RationalField) else ()
-        ),
+        ideals=(m, radical_src, I),
     )
 
 
@@ -353,6 +349,12 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     return Witness(target, i2, m2, b2, x2, y2, w.claimed_n, w.domain_claim)
 
 
+def _conditions(res: VerificationResult) -> tuple:
+    # what a sweep entry prints of a verification: condition 1's status,
+    # the condition 2 flags, condition 3 and whether the height matched
+    return (res.condition1.status, res.condition2, res.condition3, res.height_ok)
+
+
 @dataclass(frozen=True)
 class PrimeOutcome:
     """One sweep entry: verification summary or the recorded error."""
@@ -362,16 +364,17 @@ class PrimeOutcome:
     d: int | None
     error: str | None
     unresolved_over_prime_field: bool
-    result: VerificationResult | None
+    conditions: tuple | None
 
     def as_dict(self) -> dict:
         conditions = None
-        if self.result is not None:
+        if self.conditions is not None:
+            cond1, cond2, cond3, height_ok = self.conditions
             conditions = {
-                "condition1": self.result.condition1.status,
-                "condition2": list(self.result.condition2),
-                "condition3": self.result.condition3,
-                "height_ok": self.result.height_ok,
+                "condition1": cond1,
+                "condition2": list(cond2),
+                "condition3": cond3,
+                "height_ok": height_ok,
             }
         return {
             "p": self.p,
@@ -433,7 +436,7 @@ def _run_prime(
         and res.height_ok
     )
     return PrimeOutcome(
-        p, res.passed, res.complexity.complexity, None, unresolved, res
+        p, res.passed, res.complexity.complexity, None, unresolved, _conditions(res)
     )
 
 
@@ -497,24 +500,6 @@ def exceptional_primes(
     return {p for p in candidates if product % p == 0}
 
 
-def _read_off(char0: VerificationResult, ring: PolyRing, p: int) -> PrimeOutcome:
-    # the outcome at a good prime outside the exceptional set
-    target = ring.with_field(PrimeField(p))
-
-    def image(g):
-        return reduce_coeffs_mod_p(g, target) if g else None
-
-    q1, probe = char0.condition1, char0.prime_probe
-    exponents = tuple((image(g), e) for g, e in q1.exponents)
-    if probe is not None:
-        probe = ProbeResult(
-            probe.status, probe.trials, image(probe.witness_f), image(probe.witness_g)
-        )
-    cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
-    res = replace(char0, condition1=cond1, prime_probe=probe, ideals=())
-    return PrimeOutcome(p, True, res.complexity.complexity, None, False, res)
-
-
 def sweep(
     sys_: DiophantineSystem,
     w: Witness,
@@ -541,11 +526,15 @@ def sweep(
         raise CharZeroFailure(char0)
     bad = bad_primes(sys_, w, candidates)
     good = [p for p in candidates if p not in bad]
+    if good:  # no F_p holds a good prime past the word bound: refuse it
+        PrimeField(good[-1])
     exceptional = exceptional_primes(w, char0, good)
+    char0_d = char0.complexity.complexity
+    outside = _conditions(char0)
     outcomes = [
         _run_prime(sys_, w, p, caps)
         if p in exceptional
-        else _read_off(char0, w.ring, p)
+        else PrimeOutcome(p, True, char0_d, None, False, outside)
         for p in good
     ]
 
@@ -558,7 +547,7 @@ def sweep(
         bad_primes=tuple(bad.items()),
         per_prime=tuple(outcomes),
         uniform_d=uniform_d,
-        char0_d=char0.complexity.complexity,
+        char0_d=char0_d,
         char0_result=char0,
     )
 

@@ -13,11 +13,13 @@ Rational maximality has its definition by evaluation at the point,
 against which the basis-only ``rational_maximal`` is checked.  A sweep's
 exceptional set has the per-prime luck test of a Groebner trace, which
 computes every basis at p, against which the primes a sweep answers from
-the run over Q are checked.
+the run over Q are checked.  Such a prime has its verification read off
+the one over Q too, against which the full checks at p are checked.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import random
@@ -40,6 +42,7 @@ from gbtransfer.predicates import (
     PROBE_PROBABLY_PRIME,
     ProbeResult,
     ProbeTrial,
+    RadicalResult,
     UnitIdeal,
 )
 
@@ -241,9 +244,9 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
     """``prime_probe`` as a plain loop: build f, g and f*g as polynomials
     and divide each with ``normal_form``.
 
-    Same seeded draws, verdict and caps; over Q its record holds, for
-    every trial, the draws as polynomials and the contents of NF(f), NF(g)
-    and NF(f*g).
+    Same seeded draws, verdict and caps; its record holds, for every
+    trial, the draws as polynomials and the contents of NF(f), NF(g) and
+    NF(f*g).
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
@@ -252,7 +255,6 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
     monos = monomials_up_to(P.ring.nvars, degree_bound)
     coeffs = _sample_coefficients(P.ring.field)
     rng = random.Random(seed)
-    keep = isinstance(P.ring.field, RationalField)
     record = []
     for _ in range(trials):
         f = _random_bounded_poly(P.ring, rng, monos, coeffs)
@@ -260,8 +262,7 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
         cf = _content(normal_form(f, P.basis))
         cg = _content(normal_form(g, P.basis)) if cf else None
         cfg = _content(normal_form(f * g, P.basis)) if cf and cg else None
-        if keep:
-            record.append(ProbeTrial(f, g, cf, cg, cfg))
+        record.append(ProbeTrial(f, g, cf, cg, cfg))
         if cfg == 0:
             return ProbeResult(PROBE_NOT_PRIME, trials, f, g, tuple(record))
     return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
@@ -280,6 +281,26 @@ def reference_rational_maximal(m, point) -> bool:
         ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
     )
     return ideal_contains(ideal(*gens, ring=ring), m)
+
+
+def reference_read_off(char0, ring, p: int):
+    """The verification at a good prime p outside a sweep's exceptional
+    set, read off the passing verification char0 over Q in ring: char0,
+    with the generators of m in the radical exponents and the probe's
+    witness pair mapped mod p."""
+    target = ring.with_field(PrimeField(p))
+
+    def image(g):
+        return reduce_coeffs_mod_p(g, target) if g else None
+
+    q1, probe = char0.condition1, char0.prime_probe
+    exponents = tuple((image(g), e) for g, e in q1.exponents)
+    if probe is not None:
+        probe = ProbeResult(
+            probe.status, probe.trials, image(probe.witness_f), image(probe.witness_g)
+        )
+    cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
+    return dataclasses.replace(char0, condition1=cond1, prime_probe=probe)
 
 
 def reference_lucky(ideals, p: int) -> bool:

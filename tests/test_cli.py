@@ -159,6 +159,15 @@ class TestSweepCommand:
         assert json.loads(target.read_text())["char0_d"] == 2
         assert target.read_text().strip() == out.strip()
 
+    def test_good_prime_past_the_word_bound_refused(self, capsys):
+        # 2^63 + 29 is prime and good for the case, but no F_p holds it
+        code = main(
+            ["sweep", str(CASES / "hyperbola.json"), "--primes", str(2**63 + 29)]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "modulus exceeds the machine-word bound" in captured.err
+
     def test_report_reparses(self, capsys):
         _, out = run(
             capsys, "sweep", str(CASES / "square_root.json"), "--primes", "2..30"

@@ -23,12 +23,13 @@ from gbtransfer.transfer import (
     bad_primes,
     exceptional_primes,
     primes_in_range,
+    reduce_witness_mod_p,
     sweep,
     system_ring,
     verify_witness,
 )
 
-from oracles import reference_lucky
+from oracles import reference_lucky, reference_read_off
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 PRIMES = primes_in_range(2, 2000)
@@ -183,10 +184,10 @@ def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
     report = sweep(system, w, [3, 5, 7], CAPS)
     # 3 is exceptional through the factor 6, 5 through the content 5
     assert radical_fields == [QQ, QQ, PrimeField(3), PrimeField(5)]
-    exponents = {
-        o.p: [e for _, e in o.result.condition1.exponents]
-        for o in report.per_prime
-    }
+    exponents = {}
+    for p in (3, 5, 7):
+        res = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
+        exponents[p] = [e for _, e in res.condition1.exponents]
     assert exponents == {3: [2, 2], 5: [1, 2], 7: [2, 2]}
     assert report.per_prime == tuple(
         _run_prime(system, w, p, CAPS) for p in (3, 5, 7)
@@ -205,8 +206,8 @@ def test_prime_unlucky_for_m_alone_is_not_contained():
 @example(primes=[2, 3, 5, 7, 11, 13])
 @given(primes=st.lists(st.sampled_from(PRIMES), min_size=1, max_size=6, unique=True))
 def test_sweep_matches_the_full_path(name, primes):
-    # PrimeOutcome equality covers result.prime_probe: status, trial count
-    # and the witness pair.
+    # PrimeOutcome equality covers what the report prints of each prime;
+    # test_every_good_prime_matches_the_full_path compares whole results.
     system, w = WITNESSES[name]
     report = sweep(system, w, primes, CAPS)
     bad = bad_primes(system, w, primes)
@@ -242,6 +243,25 @@ FULL_FIELDS = {
 def test_lucky_primes_run_no_radical_search(radical_fields, name):
     sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
     assert radical_fields == FULL_FIELDS[name]
+
+
+@pytest.mark.parametrize("name", ["hyperbola.json:no_domain", "lowered"])
+def test_a_prime_outside_the_exceptional_set_reduces_nothing(monkeypatch, name):
+    # only the exceptional primes map a polynomial mod p
+    reduced_at = set()
+    real = transfer.reduce_coeffs_mod_p
+
+    def recording(f, target):
+        reduced_at.add(target.field.p)
+        return real(f, target)
+
+    monkeypatch.setattr(transfer, "reduce_coeffs_mod_p", recording)
+    system, w = WITNESSES[name]
+    sweep(system, w, PRIMES, CAPS)
+    bad = bad_primes(system, w, PRIMES)
+    good = [p for p in PRIMES if p not in bad]
+    char0 = verify_witness(system, w, CAPS)
+    assert reduced_at == exceptional_primes(w, char0, good)
 
 
 @pytest.mark.parametrize(
@@ -321,15 +341,19 @@ def test_a_factor_seven_makes_seven_exceptional(kind):
 )
 def test_every_good_prime_matches_the_full_path(name):
     # Outside the exceptional set every basis mod p is the image of the
-    # basis over Q, and at every good prime the sweep's outcome is the
-    # full path's.
+    # basis over Q, and every check mod p gives the result over Q mapped
+    # mod p: exponent images, probe pair, residues and heights.  At every
+    # good prime the sweep's outcome is the full path's.
     system, w = WITNESSES.get(name) or SEVENS[name.removeprefix("seven:")]
     char0 = verify_witness(system, w, CAPS)
     bad = bad_primes(system, w, PRIMES)
     good = [p for p in PRIMES if p not in bad]
     exceptional = exceptional_primes(w, char0, good)
     for p in good:
-        assert p in exceptional or reference_lucky(char0.ideals, p), p
+        if p not in exceptional:
+            assert reference_lucky(char0.ideals, p), p
+            full = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
+            assert full == reference_read_off(char0, w.ring, p), p
     report = sweep(system, w, PRIMES, CAPS)
     assert report.per_prime == tuple(_run_prime(system, w, p, CAPS) for p in good)
 
@@ -344,8 +368,8 @@ def test_a_probe_makes_three_exceptional_through_the_factor_six():
     char0 = verify_witness(system, w, caps)
     assert all(n % 3 for ns in _members(w, char0).values() for n in ns)
     assert exceptional_primes(w, char0, [3]) == {3}
-    three = sweep(system, w, [3], caps).per_prime[0]
-    assert three == _run_prime(system, w, 3, caps)
-    pair = (three.result.prime_probe.witness_f, three.result.prime_probe.witness_g)
+    assert sweep(system, w, [3], caps).per_prime == (_run_prime(system, w, 3, caps),)
+    probe = verify_witness(system, reduce_witness_mod_p(w, 3), caps).prime_probe
+    pair = (probe.witness_f, probe.witness_g)
     assert [format_polynomial(g) for g in pair] == ["Y1^2", "X1"]
     assert format_polynomial(char0.prime_probe.witness_f) != "Y1^2"

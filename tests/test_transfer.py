@@ -297,6 +297,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(SQUARE_SYS, square_root_witness(), [4], CAPS)
 
+    def test_good_prime_past_the_word_bound_refused(self):
+        with pytest.raises(ValueError, match="machine-word bound"):
+            sweep(SQUARE_SYS, square_root_witness(), [5, 2**63 + 29], CAPS)
+
+    def test_bad_prime_past_the_word_bound_recorded(self):
+        # only a good prime must give a field F_p
+        p = 2**63 + 29
+        w = square_root_witness(x1=(T * T).scale(Fraction(1, p)))
+        report = sweep(_system(f"{p}*X1 - Y1^2"), w, [5, p], CAPS)
+        assert report.bad_primes == ((p, ("denominator",)),)
+        assert [o.p for o in report.per_prime] == [5]
+
     def test_substitute_then_reduce_commutes(self):
         # homomorphism coherence on the flagship data
         w = sixth_scaled_witness()
