@@ -12,18 +12,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
-from .polyarith import (
-    AmbientMismatch,
-    Polynomial,
-    PolyRing,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polyarith import AmbientMismatch, Polynomial, PolyRing
 
 # Kernel caps: every division and basis computation reads them as it runs.
 DEGREE_CAP = 64  # intermediate and basis-element total degree
@@ -96,16 +89,73 @@ class GroebnerBasis:
     pivots: tuple = ()
 
 
+@lru_cache(maxsize=64)  # a packing never changes, so one per shape serves all
+class _Packing:
+    """Monomials of one ring packed into ints, as normal_form describes."""
+
+    def __init__(self, nvars: int, lex: bool, w: int, cap: int) -> None:
+        self.w, self.shift, self.lex = w, nvars * w, lex
+        s = self.shift
+        self.offsets = range(s - w, -1, -w) if self.lex else range(0, s, w)
+        self.mults = [(1 << o) + (1 << s) for o in self.offsets]
+        self.ones = ((1 << s) - 1) // ((1 << w) - 1)  # a 1 in every field
+        self.guard, self.low = self.ones << (w - 1), (1 << s) - 1
+        self.cap = ((cap + 1) << s) - 1
+
+    def unpack(self, terms) -> tuple:
+        mask, offsets = (1 << self.w) - 1, self.offsets
+        return tuple([(tuple([m >> o & mask for o in offsets]), c) for m, c in terms])
+
+    def lcm(self, a: int, b: int) -> int:
+        # field by field the larger exponent; their sum tops low * ones
+        w, s = self.w, self.shift
+        ge = ((a | self.guard) - b) & self.guard  # fields where a >= b
+        ge -= ge >> (w - 1)
+        low = (a & ge | b & ~ge) & self.low
+        return low | (low * self.ones >> s - w & (1 << w) - 1) << s
+
+    def key(self, m: int) -> int:
+        return -(m & self.low) if self.lex else ((m & self.low) << 1) - m
+
+
+def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tuple:
+    # A packing (built once per shape) wide enough for polys, see normal_form,
+    # and polys packed under it; a term past DEGREE_CAP packs above pk.cap.
+    w = (2 * max(DEGREE_CAP, degree)).bit_length() + 1
+    pk = _Packing(ring.nvars, ring.order.kind == "lex", w, DEGREE_CAP)
+    mults = pk.mults
+    packed = [[(sum(map(mul, m, mults)), c) for m, c in g.terms] for g in polys]
+    if not degree and max([m for t in packed for m, _ in t], default=0) > pk.cap:
+        return _packed(ring, polys, max(g.degree() for g in polys))
+    return pk, packed
+
+
+def _row(terms: list, fld) -> tuple:
+    # the divisor row (lead, 1, tail) of the monic multiple of packed terms
+    inv = fld.inv(terms[0][1])
+    if inv != fld.one:
+        terms = [(m, fld.mul(inv, c)) for m, c in terms]
+    return terms[0][0], fld.one, terms[1:]
+
+
+def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
+    # two monic rows' tails shifted to the lcm of the leads, merged in a dict
+    lcm = pk.lcm(a[0], b[0])
+    qa, qb, zero = lcm - a[0], lcm - b[0], fld.zero
+    out = {m + qa: c for m, c in a[2]}
+    for m, c in b[2]:
+        m += qb
+        out[m] = fld.sub(out.get(m, zero), c)
+    return out
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring != g.ring:
         raise AmbientMismatch("s-polynomial needs one common ring")
-    fld = f.ring.field
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = mono_lcm(mf, mg)
-    a = f.mul_term(fld.inv(cf), mono_div(lcm, mf))
-    b = g.mul_term(fld.inv(cg), mono_div(lcm, mg))
-    return a - b
+    f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
+    fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
+    a, b = (_row(t, fld) for t in packed)
+    return f.ring.from_dict(dict(pk.unpack(_spoly(pk, a, b, fld).items())))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -116,126 +166,102 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     result is divisible by any divisor's leading monomial, and f minus the
     result lies in the ideal the divisors generate.
 
-    The pending terms sit in a dict keyed by monomial, and each monomial is
-    pushed once, with its rank, onto a heap; the leading term is the top of
-    the heap, skipped when its coefficient has cancelled to zero.  Every
-    term a step adds is smaller than the term it removes, so the remainder
-    comes out in descending order and needs no final sort.
+    Each monomial is one int: a w-bit field per exponent, its top bit a
+    guard, and the total degree in the field above (lex puts a_1 in the top
+    exponent field, grevlex a_n).  A product is one ``+``; b divides a
+    exactly when ``(a - b) & guard`` is 0, the lowest field where b is
+    larger borrowing into its guard; the degree cap is one compare.  With
+    d the largest degree of f and the divisors, w = (2 * max(DEGREE_CAP,
+    d)).bit_length() + 1 fits any S-polynomial term below the guards, and a
+    product past the cap overflows only upwards, so the compare catches it.
+    Pending terms sit in a dict, each pushed once onto a heap as its key
+    (exponent fields less degree field under grevlex, their negation under
+    lex): the heap's top is the leading term, skipped once cancelled.
 
-    Division always terminates, but the number of steps grows with the
-    degree of f, and under orders that are not degree-compatible (lex) the
-    intermediate total degree and the rational coefficient size can
-    explode.  So every division runs under DEGREE_CAP (intermediate total
-    degree), STEP_CAP (reduction steps) and COEFF_BIT_CAP (coefficient bit
-    size), and passing one raises DegreeCapExceeded.  All three are exact
+    Division always terminates, but its steps grow with the degree of f,
+    and under lex the intermediate degree and the rational coefficient size
+    can explode.  So every division runs under DEGREE_CAP (intermediate
+    total degree), STEP_CAP (reduction steps) and COEFF_BIT_CAP (coefficient
+    bit size), and passing one raises DegreeCapExceeded; all three are exact
     counts, so capped runs stay machine-independent.
     """
     return _divide(f, divisors)[0]
 
 
-def _divide(
-    f: Polynomial, divisors: Sequence[Polynomial]
-) -> tuple[Polynomial, int, int]:
-    """normal_form's division, under the same caps, with its costs.
-
-    Returns the remainder, the number of reduction steps taken and the
-    largest numerator-plus-denominator bit size of a step's factor (0 when
-    no factor is a Fraction, as over F_p).
-    """
+def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
+    """normal_form's division with its costs: the remainder, the steps taken
+    and the largest numerator-plus-denominator bit size of a step's factor
+    (0 when no factor is a Fraction, as over F_p)."""
     ring = f.ring
-    fld = ring.field
-    zero = fld.zero
-    rank = ring.order.rank
-    table = []
-    for g in divisors:
-        if g.ring != ring:
-            raise AmbientMismatch("divisor outside the ambient ring")
-        if g:
-            table.append((g.leading_monomial(), g.leading_coeff(), g.terms))
+    if any(g.ring is not ring and g.ring != ring for g in divisors):
+        raise AmbientMismatch("divisor outside the ambient ring")
+    if not (f and any(divisors)):
+        return f, 0, 0
+    pk, (work, *packed) = _packed(ring, (f, *divisors))
+    table = [(*t[0], t[1:]) for t in packed if t]
+    rem, steps, bits = _reduce(pk, dict(work), table, ring.field)
+    return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
+
+
+def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
+    # _divide, packed: work divided in place by rows (lead, coefficient, tail)
+    guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
+    zero, one, push = fld.zero, fld.one, heapq.heappush
     # work holds every monomial on the heap, cancelled ones with coefficient 0
-    work = dict(f.terms)
-    heap = [(rank(m), m) for m in work]
-    heapq.heapify(heap)
-    rem = []
-    steps = top_bits = 0
+    heap = sorted(map(pk.key, work))
+    rem, steps, top_bits = [], 0, 0
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heapq.heappop(heap)
+        m = pk.lcm(-m, 0) if lex else m - (m >> shift << shift + 1)
         c = work.pop(m)
         if not c:
             continue
-        for gm, gc, gterms in table:
-            if mono_divides(gm, m):
-                steps += 1
-                if steps > STEP_CAP:
+        for gm, gc, gtail in table:
+            quot = m - gm
+            if quot & guard:
+                continue
+            steps += 1
+            if steps > STEP_CAP:
+                raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
+            factor = c if gc is one or gc == one else fld.div(c, gc)
+            if isinstance(factor, Fraction):
+                bits = factor.numerator.bit_length() + factor.denominator.bit_length()
+                if bits > COEFF_BIT_CAP:
                     raise DegreeCapExceeded(
-                        f"division passed {STEP_CAP} reduction steps"
+                        f"division coefficient passed {COEFF_BIT_CAP} bits"
                     )
-                factor = fld.div(c, gc)
-                if isinstance(factor, Fraction):
-                    bits = (
-                        factor.numerator.bit_length()
-                        + factor.denominator.bit_length()
+                top_bits = max(top_bits, bits)
+            for tm, tc in gtail:
+                mm = tm + quot
+                if mm > cap:
+                    raise DegreeCapExceeded(
+                        f"division intermediate degree passed {DEGREE_CAP}"
                     )
-                    if bits > COEFF_BIT_CAP:
-                        raise DegreeCapExceeded(
-                            f"division coefficient passed {COEFF_BIT_CAP} bits"
-                        )
-                    if bits > top_bits:
-                        top_bits = bits
-                quot = mono_div(m, gm)
-                for tm, tc in gterms[1:]:
-                    mm = mono_mul(tm, quot)
-                    if sum(mm) > DEGREE_CAP:
-                        raise DegreeCapExceeded(
-                            f"division intermediate degree passed {DEGREE_CAP}"
-                        )
-                    prev = work.get(mm)
-                    if prev is None:
-                        heapq.heappush(heap, (rank(mm), mm))
-                        prev = zero
-                    work[mm] = fld.sub(prev, fld.mul(factor, tc))
-                break
+                prev = work.get(mm)
+                if prev is None:
+                    push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
+                    prev = zero
+                work[mm] = fld.sub(prev, factor * tc)
+            break
         else:
             rem.append((m, c))
-    return Polynomial(ring, tuple(rem)), steps, top_bits
+    return rem, steps, top_bits
 
 
-def _chain_skip(i: int, j: int, lcm, lms, pending) -> bool:
-    # Skip (i, j) when a third lead divides their lcm and both linking
-    # pairs are already settled (classic second Buchberger criterion).
-    for k in range(len(lms)):
-        if k == i or k == j:
-            continue
-        if mono_divides(lms[k], lcm):
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                return True
-    return False
-
-
-def _reduce_basis(
-    G: list[Polynomial], ring: PolyRing, pivots: list
-) -> tuple[Polynomial, ...]:
-    lms = [g.leading_monomial() for g in G]
-    removed: set[int] = set()
-    for i in range(len(G)):
-        for j in range(len(G)):
-            if i == j or i in removed or j in removed:
-                continue
-            if mono_divides(lms[j], lms[i]):
-                removed.add(i)
-                break
-    minimal = [G[i] for i in range(len(G)) if i not in removed]
-    out = []
+def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
+    # drop each row whose lead a later row's, or a kept earlier row's, divides
+    minimal: list = []
+    for i, g in enumerate(G):
+        if all((g[0] - h[0]) & pk.guard for h in minimal + G[i + 1:]):
+            minimal.append(g)
+    fld, out = ring.field, []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others)
+        r = _reduce(pk, dict([g[:2], *g[2]]), minimal[:i] + minimal[i + 1:], fld)[0]
         if r:
-            pivots.append(r.leading_coeff())
-            out.append(r.monic())
-    out.sort(key=lambda h: ring.order.rank(h.leading_monomial()))
-    return tuple(out)
+            pivots.append(r[0][1])
+            out.append(_row(r, fld))
+    out.sort(key=lambda row: pk.key(row[0]))
+    return tuple(Polynomial(ring, pk.unpack([g[:2], *g[2]])) for g in out)
 
 
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
@@ -247,57 +273,54 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     caps (PAIR_CAP, DEGREE_CAP on every new element, and the division caps)
     convert pathological growth into a DegreeCapExceeded error rather than
     an open-ended run.  Every call computes; ``pres.basis`` keeps the
-    result.
+    result.  Monomials stay packed (see normal_form) until the end.
     """
-    ring = pres.ring
-    rank = ring.order.rank
-    G = [g.monic() for g in pres.generators if g]
-    if not G:
+    ring, fld = pres.ring, pres.ring.field
+    gens = [g for g in pres.generators if g]
+    if not gens:
         return GroebnerBasis(())
     pivots = [g.leading_coeff() for g in pres.generators]
-
-    lms = [g.leading_monomial() for g in G]
-    heap: list = []
+    pk, packed = _packed(ring, gens)
+    shift, guard, G, heap = pk.shift, pk.guard, [], []
     pending: set[tuple[int, int]] = set()
 
-    def push(i: int, j: int) -> None:
-        lcm = mono_lcm(lms[i], lms[j])
-        key = (sum(lcm), tuple(-e for e in rank(lcm)), i, j)
-        heapq.heappush(heap, key)
-        pending.add((i, j))
+    def add(row: tuple) -> None:
+        # a basis row; its pairs go by lcm degree, then the larger lcm key
+        G.append(row)
+        t = len(G) - 1
+        for i in range(t):
+            lcm = pk.lcm(G[i][0], row[0])
+            heapq.heappush(heap, ((lcm >> shift << shift + 1) - pk.key(lcm), i, t))
+            pending.add((i, t))
 
-    for j in range(len(G)):
-        for i in range(j):
-            push(i, j)
-
+    for t in packed:
+        add(_row(t, fld))
     handled = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         handled += 1
         if handled > PAIR_CAP:
             raise DegreeCapExceeded(f"more than {PAIR_CAP} S-pairs examined")
-        lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]):  # coprime leads
+        lcm = pk.lcm(G[i][0], G[j][0])
+        # Skip coprime leads, and (i, j) when a third lead divides their lcm
+        # and both linking pairs are settled (Buchberger's chain criterion).
+        if lcm == G[i][0] + G[j][0] or any(
+            k != i and k != j
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, row in enumerate(G) if not (lcm - row[0]) & guard
+        ):
             continue
-        if _chain_skip(i, j, lcm, lms, pending):
-            continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        r = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld)[0]
         if not r:
             continue
-        if r.degree() > DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"basis element degree passed the cap {DEGREE_CAP}"
-            )
-        pivots.append(r.leading_coeff())
-        r = r.monic()
-        G.append(r)
-        lms.append(r.leading_monomial())
-        t = len(G) - 1
-        for i2 in range(t):
-            push(i2, t)
+        if max(r)[0] > pk.cap:
+            raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
+        pivots.append(r[0][1])
+        add(_row(r, fld))
 
-    return GroebnerBasis(_reduce_basis(G, ring, pivots), tuple(pivots))
+    return GroebnerBasis(_reduce_basis(G, pk, ring, pivots), tuple(pivots))
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:

@@ -37,6 +37,9 @@ class BadPrime(ValueError):
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, k): the first k bases decide every n below bound (Jaeschke 1993)
+_MILLER_RABIN_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                        (2152302898747, 5), (3474749660383, 6), (341550071728321, 7))
 
 
 def is_prime(n: int) -> bool:
@@ -50,7 +53,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MILLER_RABIN_BASES:
+    k = next((k for bound, k in _MILLER_RABIN_BOUNDS if n < bound), 12)
+    for a in _MILLER_RABIN_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -188,20 +192,6 @@ Mono = tuple[int, ...]
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """Whether a divides b componentwise."""
-    return all(map(operator.le, a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """The quotient a/b, for b dividing a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
@@ -386,19 +376,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(
             self.ring, tuple((m, fld.mul(c, tc)) for m, tc in self.terms)
-        )
-
-    def mul_term(self, coeff, mono: Mono) -> "Polynomial":
-        """Multiply by a single term; order multiplicativity keeps canonical form."""
-        if len(mono) != self.ring.nvars:
-            raise AmbientMismatch("monomial length does not match the ring")
-        fld = self.ring.field
-        c = fld.coerce(coeff)
-        if not c or not self.terms:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(m, mono), fld.mul(c, tc)) for m, tc in self.terms),
         )
 
     def __add__(self, other) -> "Polynomial":

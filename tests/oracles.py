@@ -51,7 +51,7 @@ def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _mono_divides(a, b):
+def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
@@ -104,7 +104,7 @@ def reference_normal_form(
         m = max(work, key=key)
         c = work.pop(m)
         for gm, gc, gterms in table:
-            if _mono_divides(gm, m):
+            if mono_divides(gm, m):
                 steps += 1
                 if step_cap is not None and steps > step_cap:
                     raise DegreeCapExceeded(
@@ -176,7 +176,8 @@ class MembershipOracle:
         self.pivots: list[tuple[int, list[Fraction]]] = []
         for g in gens:
             for m in monomials_up_to(ring.nvars, cofactor_cap):
-                self._insert(self._vector(g.mul_term(1, m)))
+                term = Polynomial(ring, ((m, ring.field.one),))
+                self._insert(self._vector(g * term))
 
     def _vector(self, poly) -> list[Fraction]:
         vec = [Fraction(0)] * len(self.monos)

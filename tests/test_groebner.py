@@ -21,17 +21,18 @@ from gbtransfer.polyarith import (
     AmbientMismatch,
     GREVLEX,
     LEX,
+    Polynomial,
     PolyRing,
     QQ,
-    mono_divides,
     parse_polynomial,
 )
 
 from corpus import NAMED_IDEALS, R1, R2, R3, P, mk
+from oracles import mono_divides
 
 RT2 = PolyRing(QQ, 2, GREVLEX, ("T1", "T2"))
 
-# Leading monomials of the pairs that reach s_polynomial, in the order the
+# Leading monomials of the pairs that reach the S-polynomial, in the order the
 # normal-strategy queue pops them (lcm degree, then the smaller lcm).
 S_PAIRS = {
     ("cyclic4", "grevlex"): [
@@ -200,14 +201,43 @@ class TestPairOrder:
             ring, tuple(ring.from_dict(dict(g.terms)) for g in gens)
         )
         seen = []
+        spoly = groebner._spoly
 
-        def spy(f, g):
-            seen.append((f.leading_monomial(), g.leading_monomial()))
-            return s_polynomial(f, g)
+        def spy(pk, a, b, fld):
+            # a and b are packed rows; a row's first entry is its lead
+            leads = pk.unpack([(a[0], None), (b[0], None)])
+            seen.append(tuple(m for m, _ in leads))
+            return spoly(pk, a, b, fld)
 
-        with mock.patch.object(groebner, "s_polynomial", spy):
+        with mock.patch.object(groebner, "_spoly", spy):
             buchberger(pres)
         assert seen == S_PAIRS[name, kind]
+
+
+class TestKernelPins:
+    """What the packed kernel keeps: the costs _divide reports, which the
+    probe's row table (predicates._Rows) reads, and the pivots of bases."""
+
+    def test_divide_costs_of_single_monomials(self):
+        def one(m):
+            return Polynomial(RT2, ((m, QQ.one),))
+
+        basis = mk(RT2, "T1*T2 - 1").basis
+        assert groebner._divide(one((3, 5)), basis) == (P("T2^2", RT2), 3, 2)
+        basis = mk(RT2, "3*T1^2 - 2*T2", "5*T2^2 - 7*T1").basis
+        assert groebner._divide(one((4, 3)), basis) == (
+            P("2744/3375*T1", RT2), 6, 19
+        )
+
+    @pytest.mark.parametrize("name, pivots", [
+        ("cyclic4", [1] * 6 + [-1] * 3 + [1] * 8),
+        ("katsura3", [1, 1, 2, 1, 9, Fraction(-14, 9), Fraction(-45, 7),
+                      Fraction(81, 35), Fraction(55, 81)] + [1] * 7),
+    ])
+    def test_pivots_over_q_pinned(self, name, pivots):
+        assert buchberger(dict(NAMED_IDEALS)[name]).pivots == tuple(
+            map(Fraction, pivots)
+        )
 
 
 class TestMembership:

@@ -41,6 +41,26 @@ class TestPrimality:
     def test_composites(self, n):
         assert not is_prime(n)
 
+    def test_agrees_with_a_sieve_below_a_million(self):
+        n = 10**6
+        sieve = bytearray([1]) * n
+        sieve[0] = sieve[1] = 0
+        for q in range(2, 1001):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+        assert [k for k in range(n) if is_prime(k)] == [
+            k for k in range(n) if sieve[k]
+        ]
+
+    # the smallest strong pseudoprime to the first k bases, k = 1..7 and 9:
+    # each sits at the bound where one more base starts to run
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+    ])
+    def test_strong_pseudoprimes_at_the_bounds(self, n):
+        assert not is_prime(n)
+
 
 class TestFields:
     def test_rational_parse_exact(self):

@@ -6,7 +6,8 @@ from fractions import Fraction
 from functools import cmp_to_key, partial
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from gbtransfer import groebner
 from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_member, normal_form
@@ -17,6 +18,7 @@ from gbtransfer.polyarith import (
     PrimeField,
     QQ,
     mono_mul,
+    parse_polynomial,
     reduce_coeffs_mod_p,
 )
 
@@ -24,6 +26,11 @@ from oracles import reference_normal_form, textbook_compare
 
 RXY = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
 R3 = PolyRing(QQ, 3, GREVLEX, ("x", "y", "z"))
+
+
+def P3(text):
+    return parse_polynomial(text, R3)
+
 
 monomials2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
 monomials3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -195,16 +202,82 @@ class TestHeapDivisionMatchesReference:
             )
 
 
+@st.composite
+def straddling_division_problems(draw):
+    """Divisions in 1 to 6 variables whose degrees straddle the degree cap:
+    exponents up to 70 pass the default cap of 64, and small exponents
+    pass a cap patched down to 4..8."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    n = draw(st.integers(1, 6))
+    ring = PolyRing(field, n, draw(orders))
+    top = draw(st.sampled_from([2, 3, 70]))
+    monos = st.tuples(*[st.integers(0, top)] * n)
+    polys = poly_strategy(ring, monos, max_terms=3)
+    cap = draw(st.sampled_from([4, 5, 6, 7, 8, groebner.DEGREE_CAP]))
+    f, divisors = draw(polys), draw(st.lists(polys, max_size=3))
+    if divisors:  # so that most divisions take a step
+        f = f + draw(poly_strategy(ring, monos, max_terms=1)) * divisors[-1]
+    return f, divisors, cap
+
+
+def _same_as_reference_under(f, divisors, degree_cap):
+    # every kernel cap patched, so the max-based reference stays quick
+    caps = (degree_cap, 300, 512)
+    with mock.patch.object(groebner, "DEGREE_CAP", degree_cap), mock.patch.object(
+        groebner, "STEP_CAP", 300
+    ), mock.patch.object(groebner, "COEFF_BIT_CAP", 512):
+        ours = _division_outcome(normal_form, f, divisors)
+    return ours == _division_outcome(reference_normal_form, f, divisors, *caps)
+
+
+class TestPackedDivisionMatchesReference:
+    """The packed kernel's field width follows the inputs and DEGREE_CAP."""
+
+    @given(straddling_division_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_same_remainder_or_cap_message(self, problem):
+        f, divisors, cap = problem
+        assert _same_as_reference_under(f, divisors, cap)
+
+    def test_a_divisor_past_the_cap_widens_the_fields(self):
+        f, g = P3("x^200"), P3("x^150 - y")
+        assert normal_form(f, [g]) == P3("x^50*y")
+        assert _same_as_reference_under(f, [g], groebner.DEGREE_CAP)
+
+    def test_a_1024_variable_ring(self):
+        ring = PolyRing(PrimeField(32003), 1024)
+        x = [ring.variable(i) for i in (0, 511, 1023)]
+        f = x[0] * x[2] ** 3 + x[1] ** 2
+        divisors = [x[2] ** 2 - x[0], x[1] - ring.one()]
+        assert normal_form(f, divisors) == x[0] ** 2 * x[2] + ring.one()
+        assert _same_as_reference_under(f, divisors, groebner.DEGREE_CAP)
+
+
+# A draw whose basis over Q passes COEFF_BIT_CAP: ideal_equal raises on it.
+CAPPED_GENS = [
+    parse_polynomial(text, RXY)
+    for text in ("x^5", "x^3*y^5 + 1/2*x^2*y^4 + x^2*y + 1", "x^4*y^5 + 5*x^3*y^3")
+]
+
+
 class TestNormalizationProperties:
     @given(st.lists(poly_strategy(RXY, monomials2), min_size=1, max_size=4))
+    @example(CAPPED_GENS)
     @settings(max_examples=40, deadline=None)
     def test_normalize_same_ideal_distinct_monic_leads(self, gens):
         from gbtransfer.encoding import code_size, normalize_generators
         from gbtransfer.groebner import IdealPresentation, ideal_equal
 
         pres = IdealPresentation(RXY, tuple(gens))
-        norm = normalize_generators(pres)
-        assert ideal_equal(pres, norm)
+        if gens == CAPPED_GENS:
+            with pytest.raises(DegreeCapExceeded, match="coefficient passed"):
+                ideal_equal(pres, normalize_generators(pres))
+            return
+        try:
+            norm = normalize_generators(pres)
+            assert ideal_equal(pres, norm)
+        except DegreeCapExceeded:
+            reject()  # a draw past a kernel cap checks nothing here
         live = [g for g in norm.generators if g]
         leads = [g.leading_monomial() for g in live]
         assert len(leads) == len(set(leads))
