@@ -12,7 +12,7 @@ import dataclasses
 import json
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .encoding import (
@@ -58,14 +58,13 @@ class CaseFormatError(ValueError):
     """A case file does not match the expected schema."""
 
 
-def _emit(obj, out=None) -> None:
-    # indented JSON to out (stdout by default), batch by batch: a large
-    # report is never held as one string
-    out = out or sys.stdout
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+def _emit(obj, *outs) -> None:
+    # indented JSON to every out (stdout when none is given), batch by
+    # batch: a large report is encoded once and never held as one string
+    chunks = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), "\n")
     while batch := "".join(islice(chunks, 65536)):
-        out.write(batch)
-    out.write("\n")
+        for out in outs or (sys.stdout,):
+            out.write(batch)
 
 
 def _expect_keys(obj, required, optional=(), where="object"):
@@ -333,11 +332,11 @@ def _cmd_sweep(args) -> int:
         print("witness fails in characteristic zero", file=sys.stderr)
         _emit(exc.result.as_dict())
         return 1
-    payload = report.as_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
-            _emit(payload, out)
-    _emit(payload)
+            _emit(report.as_dict(), out, sys.stdout)
+    else:
+        _emit(report.as_dict())
     return 0 if report.all_passed() else 1
 
 

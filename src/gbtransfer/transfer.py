@@ -274,38 +274,39 @@ def verify_witness(
     )
 
 
-def bad_primes(
-    sys_: DiophantineSystem, w: Witness, candidates: Sequence[int]
-) -> dict[int, tuple[str, ...]]:
+def _dividing(numbers, candidates: Sequence[int]) -> set[int]:
+    # the candidates dividing one of numbers: one product of the distinct
+    # nonzero absolute values, one remainder per candidate
+    product = math.prod({abs(n) for n in numbers} - {0})
+    return {p for p in candidates if product % p == 0}
+
+
+def bad_primes(w: Witness, candidates: Sequence[int]) -> dict[int, tuple[str, ...]]:
     """The candidate primes the sweep must exclude, with reasons.
 
     A candidate is bad when it divides a denominator anywhere in the
-    witness data, or the numerator of a leading coefficient of a generator
-    of I, m or (x): those vanishing mod p would collapse leading-term
-    structure or drop degrees, silently distorting the uniform complexity
-    claim.  A sound over-approximation, not a minimal set.  Only the
-    candidates are tried, so huge coefficients cost no factoring.
+    witness data (every coefficient and the point b), or the numerator of
+    a leading coefficient of a generator of I, m or (x): those vanishing
+    mod p would collapse leading-term structure or drop degrees, silently
+    distorting the uniform complexity claim.  A sound over-approximation,
+    not a minimal set.  Each reason takes one product, of the denominators
+    or of the leading numerators, and one remainder per candidate
+    (_dividing), so huge coefficients cost no factoring.
     """
     if not isinstance(w.ring.field, RationalField):
         raise AmbientMismatch("bad primes only make sense for rational witnesses")
-    numbers = {
-        (c.denominator, "denominator")
-        for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
-        for _, c in g.terms
+    gens = (*w.i_gens, *w.m_gens, *w.x_images)
+    denominators = {c.denominator for g in (*gens, *w.y_images) for _, c in g.terms}
+    denominators.update(c.denominator for c in w.point_b or ())
+    leads = {g.leading_coeff().numerator for g in gens if g}
+    hits = {
+        "denominator": _dividing(denominators, candidates),
+        "leading-coeff": _dividing(leads, candidates),
     }
-    if w.point_b is not None:
-        numbers |= {(Fraction(c).denominator, "denominator") for c in w.point_b}
-    numbers |= {
-        (g.leading_coeff().numerator, "leading-coeff")
-        for g in (*w.i_gens, *w.m_gens, *w.x_images)
-        if g
+    return {
+        p: tuple(why for why, ps in hits.items() if p in ps)
+        for p in sorted(set.union(*hits.values()))
     }
-    out = {}
-    for p in sorted(set(candidates)):
-        reasons = sorted({why for n, why in numbers if n % p == 0})
-        if reasons:
-            out[p] = tuple(reasons)
-    return out
 
 
 def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
@@ -496,8 +497,7 @@ def exceptional_primes(
         for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
         if g
     )
-    product = math.prod(abs(n) for n in numbers)
-    return {p for p in candidates if product % p == 0}
+    return _dividing(numbers, candidates)
 
 
 def sweep(
@@ -507,7 +507,7 @@ def sweep(
     caps: Caps = Caps(),
     prime_range: tuple[int, int] | None = None,
 ) -> SweepReport:
-    """Reduce and re-verify the witness at every requested good prime.
+    """Verify over Q, then re-verify mod p only at the exceptional primes.
 
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
@@ -524,7 +524,7 @@ def sweep(
     char0 = verify_witness(sys_, w, caps)
     if not char0.passed:
         raise CharZeroFailure(char0)
-    bad = bad_primes(sys_, w, candidates)
+    bad = bad_primes(w, candidates)
     good = [p for p in candidates if p not in bad]
     if good:  # no F_p holds a good prime past the word bound: refuse it
         PrimeField(good[-1])

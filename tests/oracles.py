@@ -14,7 +14,9 @@ against which the basis-only ``rational_maximal`` is checked.  A sweep's
 exceptional set has the per-prime luck test of a Groebner trace, which
 computes every basis at p, against which the primes a sweep answers from
 the run over Q are checked.  Such a prime has its verification read off
-the one over Q too, against which the full checks at p are checked.
+the one over Q too, against which the full checks at p are checked.  The
+bad primes have the plain loop that tries every number against every
+candidate, against which the two products of ``bad_primes`` are checked.
 """
 
 from __future__ import annotations
@@ -318,3 +320,30 @@ def reference_lucky(ideals, p: int) -> bool:
         if IdealPresentation(target, gens).basis != image:
             return False
     return True
+
+
+def reference_bad_primes(w, candidates) -> dict:
+    """The bad primes of a rational witness w among the candidates, with
+    reasons: every (number, reason) pair is tried against every candidate.
+    A number is a coefficient or point denominator, or the numerator of a
+    leading coefficient of a generator of I, m or (x)."""
+    if not isinstance(w.ring.field, RationalField):
+        raise AmbientMismatch("bad primes only make sense for rational witnesses")
+    numbers = {
+        (c.denominator, "denominator")
+        for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
+        for _, c in g.terms
+    }
+    if w.point_b is not None:
+        numbers |= {(Fraction(c).denominator, "denominator") for c in w.point_b}
+    numbers |= {
+        (g.leading_coeff().numerator, "leading-coeff")
+        for g in (*w.i_gens, *w.m_gens, *w.x_images)
+        if g
+    }
+    out = {}
+    for p in sorted(set(candidates)):
+        reasons = sorted({why for n, why in numbers if n % p == 0})
+        if reasons:
+            out[p] = tuple(reasons)
+    return out

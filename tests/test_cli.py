@@ -145,19 +145,36 @@ class TestSweepCommand:
         assert json.loads(out)["passed"] is False
 
     def test_output_file(self, capsys, tmp_path):
+        # 2..20000 encodes to over 65536 chunks: two batches to each out
         target = tmp_path / "report.json"
-        code, out = run(
-            capsys,
-            "sweep",
-            str(CASES / "square_root.json"),
-            "--primes",
-            "2..20",
-            "--output",
-            str(target),
-        )
-        assert code == 0
+        original = json.JSONEncoder.iterencode
+        with mock.patch.object(
+            json.JSONEncoder, "iterencode", autospec=True, side_effect=original
+        ) as spy:
+            code, out = run(
+                capsys,
+                "sweep",
+                str(CASES / "square_root.json"),
+                "--primes",
+                "2..20000",
+                "--output",
+                str(target),
+            )
+        assert code == 0 and spy.call_count == 1
         assert json.loads(target.read_text())["char0_d"] == 2
-        assert target.read_text().strip() == out.strip()
+        assert target.read_bytes() == out.encode()
+        _, plain = run(
+            capsys, "sweep", str(CASES / "square_root.json"), "--primes", "2..20000"
+        )
+        assert plain == out
+
+    def test_output_file_that_cannot_be_opened(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        argv = ["sweep", str(CASES / "square_root.json"), "--primes", "2..20"]
+        code = main([*argv, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error:" in captured.err and not target.exists()
 
     def test_good_prime_past_the_word_bound_refused(self, capsys):
         # 2^63 + 29 is prime and good for the case, but no F_p holds it

@@ -170,14 +170,14 @@ def test_unlucky_prime_is_not_replayed(radical_fields):
     # makes 5 exceptional), so 5 runs every check; 7 is answered from the
     # run over Q
     system, w = UNLUCKY
-    assert 5 not in bad_primes(system, w, [5])
+    assert 5 not in bad_primes(w, [5])
     sweep(system, w, [5, 7], CAPS)
     assert radical_fields == [QQ, PrimeField(5)]
 
 
 def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
     system, w = LOWERED
-    assert 5 not in bad_primes(system, w, [5])
+    assert 5 not in bad_primes(w, [5])
     char0 = verify_witness(system, w, CAPS)
     assert [e for _, e in char0.condition1.exponents] == [2, 2]
     assert char0.condition1.contents == ((5,), (1,))
@@ -196,7 +196,7 @@ def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
 
 def test_prime_unlucky_for_m_alone_is_not_contained():
     system, w = UNLUCKY_M
-    assert 5 not in bad_primes(system, w, [5])
+    assert 5 not in bad_primes(w, [5])
     five = sweep(system, w, [5], CAPS).per_prime[0]
     assert five.error == "NotContained: I is not contained in m"
 
@@ -210,7 +210,7 @@ def test_sweep_matches_the_full_path(name, primes):
     # test_every_good_prime_matches_the_full_path compares whole results.
     system, w = WITNESSES[name]
     report = sweep(system, w, primes, CAPS)
-    bad = bad_primes(system, w, primes)
+    bad = bad_primes(w, primes)
     full = tuple(
         _run_prime(system, w, p, CAPS) for p in sorted(primes) if p not in bad
     )
@@ -258,7 +258,7 @@ def test_a_prime_outside_the_exceptional_set_reduces_nothing(monkeypatch, name):
     monkeypatch.setattr(transfer, "reduce_coeffs_mod_p", recording)
     system, w = WITNESSES[name]
     sweep(system, w, PRIMES, CAPS)
-    bad = bad_primes(system, w, PRIMES)
+    bad = bad_primes(w, PRIMES)
     good = [p for p in PRIMES if p not in bad]
     char0 = verify_witness(system, w, CAPS)
     assert reduced_at == exceptional_primes(w, char0, good)
@@ -332,7 +332,7 @@ def test_a_factor_seven_makes_seven_exceptional(kind):
     assert char0.passed
     members = _members(w, char0)
     assert [k for k in members if any(n % 7 == 0 for n in members[k])] == [kind]
-    assert 7 not in bad_primes(system, w, [7])
+    assert 7 not in bad_primes(w, [7])
     assert exceptional_primes(w, char0, [7]) == {7}
 
 
@@ -346,7 +346,7 @@ def test_every_good_prime_matches_the_full_path(name):
     # good prime the sweep's outcome is the full path's.
     system, w = WITNESSES.get(name) or SEVENS[name.removeprefix("seven:")]
     char0 = verify_witness(system, w, CAPS)
-    bad = bad_primes(system, w, PRIMES)
+    bad = bad_primes(w, PRIMES)
     good = [p for p in PRIMES if p not in bad]
     exceptional = exceptional_primes(w, char0, good)
     for p in good:

@@ -5,10 +5,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbtransfer import polyarith, transfer
 from gbtransfer.groebner import IdealPresentation, ideal
 from gbtransfer.polyarith import (
+    AmbientMismatch,
     BadPrime,
     GREVLEX,
     PolyRing,
@@ -34,6 +36,8 @@ from gbtransfer.transfer import (
     system_ring,
     verify_witness,
 )
+
+from oracles import reference_bad_primes
 
 RT = PolyRing(QQ, 1, GREVLEX, ("T",))
 T = RT.variable(0)
@@ -153,8 +157,6 @@ class TestVerifyWitness:
         assert res.condition3 == "not_certified"
 
     def test_shape_mismatch(self):
-        from gbtransfer.polyarith import AmbientMismatch
-
         w = Witness(
             ring=RT,
             i_gens=(RT.zero(),),
@@ -171,13 +173,13 @@ class TestVerifyWitness:
 
 class TestBadPrimes:
     def test_denominator_primes(self):
-        assert bad_primes(SIXTH_SYS, sixth_scaled_witness(), SMALL_PRIMES) == {
+        assert bad_primes(sixth_scaled_witness(), SMALL_PRIMES) == {
             2: ("denominator",),
             3: ("denominator",),
         }
 
     def test_clean_witness_has_none(self):
-        assert bad_primes(SQUARE_SYS, square_root_witness(), SMALL_PRIMES) == {}
+        assert bad_primes(square_root_witness(), SMALL_PRIMES) == {}
 
     def test_leading_coefficient_primes(self):
         w = Witness(
@@ -190,14 +192,14 @@ class TestBadPrimes:
             claimed_n=1,
             domain_claim=False,
         )
-        bad = bad_primes(SQUARE_SYS, w, SMALL_PRIMES)
+        bad = bad_primes(w, SMALL_PRIMES)
         assert bad == {2: ("leading-coeff",), 3: ("leading-coeff",)}
 
     def test_large_denominator_needs_no_factoring(self):
         # a 20-digit denominator p*q: only the candidates are tried
         p, q = 9999999943, 9999999967
         w = square_root_witness(x1=(T * T).scale(Fraction(1, p * q)))
-        assert bad_primes(SQUARE_SYS, w, [2, 3, p, q]) == {
+        assert bad_primes(w, [2, 3, p, q]) == {
             p: ("denominator",),
             q: ("denominator",),
         }
@@ -207,6 +209,55 @@ class TestBadPrimes:
         )
         assert time.monotonic() - t0 < 10
         assert report.bad_primes == () and report.all_passed()
+
+
+R2 = PolyRing(QQ, 2, GREVLEX, ("s", "t"))
+
+
+@st.composite
+def rational_witnesses(draw):
+    """A witness over Q whose generators need not form a valid witness:
+    bad_primes reads only their coefficients.  Numerators run negative,
+    I may hold zero generators, the point may carry denominators, and one
+    draw in two is integral throughout."""
+    integral = draw(st.booleans())
+    dens = st.just(1) if integral else st.sampled_from((1, 2, 3, 6, 7, 10, 49))
+    coeffs = st.builds(Fraction, st.integers(-60, 60), dens)
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    polys = st.lists(st.tuples(coeffs, monos), max_size=4).map(R2.from_terms)
+    gens = st.lists(polys, min_size=1, max_size=3).map(tuple)
+    i_gens = st.lists(polys | st.just(R2.zero()), min_size=1, max_size=3)
+    point = st.none() | st.tuples(coeffs, coeffs)
+    w = Witness(
+        R2, tuple(draw(i_gens)), draw(gens), draw(point), draw(gens), draw(gens), 0
+    )
+    return w, integral
+
+
+class TestBadPrimesMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rational_witnesses(),
+        st.lists(st.sampled_from(primes_in_range(2, 60)), max_size=24),
+    )
+    def test_same_primes_reasons_and_order(self, drawn, candidates):
+        w, integral = drawn
+        bad = bad_primes(w, candidates)
+        assert list(bad.items()) == list(reference_bad_primes(w, candidates).items())
+        if integral:
+            assert all(reasons == ("leading-coeff",) for reasons in bad.values())
+
+    def test_one_prime_with_both_reasons(self):
+        # 3 divides the denominator of -1/3 and the leading numerator 3
+        w = square_root_witness(x1=T * T.scale(3) - RT.constant(Fraction(1, 3)))
+        want = {3: ("denominator", "leading-coeff")}
+        assert bad_primes(w, [7, 3, 5, 3, 2]) == want
+        assert reference_bad_primes(w, [7, 3, 5, 3, 2]) == want
+
+    def test_rejects_a_witness_over_f_p(self):
+        w = reduce_witness_mod_p(square_root_witness(), 5)
+        with pytest.raises(AmbientMismatch):
+            bad_primes(w, [5])
 
 
 class TestReduceWitness:
@@ -340,7 +391,7 @@ class TestCorpusCoherence:
 
     def test_substitution_commutes_with_reduction(self):
         for name, (system, w) in self._rational_cases():
-            bad = set(bad_primes(system, w, SMALL_PRIMES))
+            bad = set(bad_primes(w, SMALL_PRIMES))
             images = list(w.x_images) + list(w.y_images)
             values = [substitute(F, images) for F in system.equations]
             for p in (5, 7, 11):
@@ -355,7 +406,7 @@ class TestCorpusCoherence:
 
     def test_condition2_survives_reduction(self):
         for name, (system, w) in self._rational_cases():
-            bad = set(bad_primes(system, w, SMALL_PRIMES))
+            bad = set(bad_primes(w, SMALL_PRIMES))
             assert verify_witness(system, w, CAPS).passed, name
             for p in (5, 7, 13):
                 if p in bad:
@@ -365,7 +416,7 @@ class TestCorpusCoherence:
 
     def test_bad_primes_sound(self):
         for name, (system, w) in self._rational_cases():
-            bad = bad_primes(system, w, SMALL_PRIMES)
+            bad = bad_primes(w, SMALL_PRIMES)
             for p in bad:
                 with pytest.raises((BadPrime, DegenerateGenerator)):
                     reduce_witness_mod_p(w, p)
