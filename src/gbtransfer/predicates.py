@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import groebner
 from .groebner import (
@@ -217,32 +217,14 @@ PROBE_PROBABLY_PRIME = "probably_prime"
 PROBE_TRIAL_CAP = 10_000  # most trials one probe draws
 
 
-class ProbeTrial(NamedTuple):
-    """The two draws of a trial, as (monomial, coefficient) tuples, and the
-    contents (_content) of NF(f), NF(g) and NF(f*g); None where the trial
-    skipped that normal form."""
-
-    f: tuple
-    g: tuple
-    f_content: int
-    g_content: int | None
-    fg_content: int | None
-
-
 @dataclass(frozen=True)
 class ProbeResult:
-    """Probe verdict, with the trials it drew.
-
-    record holds every trial drawn, in order; a sweep reads its contents
-    over Q to build its exceptional set.  It takes no part in ==, repr or
-    as_dict.
-    """
+    """Probe verdict, with the pair found when it is not_prime."""
 
     status: str
     trials: int
     witness_f: Polynomial | None = None
     witness_g: Polynomial | None = None
-    record: tuple[ProbeTrial, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def probably_prime(self) -> bool:
@@ -310,7 +292,7 @@ def _content(f: Polynomial) -> int:
 
 
 class _Rows:
-    """Normal forms of draws modulo a basis, read off memoized rows.
+    """Whether draws reduce to zero modulo a basis, read off memoized rows.
 
     A row is the normal form of one monomial.  It is divided on first use
     by normal_form's own loop (groebner._divide) and kept with that
@@ -337,7 +319,7 @@ class _Rows:
       |sum c_m * a_m * prod_{k != m} b_k| is below C * 2^T and the
       denominator prod b_m below 2^T.  Reducing the fraction only shrinks
       both, so f's factor at t has at most 2*T + C.bit_length() bits.
-    content() answers only when these bounds are within STEP_CAP and
+    zero() answers only when these bounds are within STEP_CAP and
     COEFF_BIT_CAP, so the division it stands in for stays within every cap.
     """
 
@@ -371,9 +353,9 @@ class _Rows:
         rows[m] = (vec, steps, bits)
         return rows[m]
 
-    def content(self, terms: tuple) -> int | None:
-        """_content of NF(terms), or None unless the rows prove that the
-        direct division of terms stays within every kernel cap."""
+    def zero(self, terms: tuple) -> bool | None:
+        """Whether NF(terms) is zero, or None unless the rows prove that
+        the direct division of terms stays within every kernel cap."""
         rows = self.rows
         den = self.den
         steps = bits = size = 0
@@ -389,18 +371,14 @@ class _Rows:
             for t, v in vec:
                 acc[t] = acc.get(t, 0) + c * v
         if self.den != den:  # a new row raised the shared denominator
-            return self.content(terms)
+            return self.zero(terms)
         if steps > groebner.STEP_CAP or (
             bits and 2 * bits + size.bit_length() > groebner.COEFF_BIT_CAP
         ):
             return None
         if self.p is not None:
-            return math.gcd(*(v % self.p for v in acc.values()))
-        # NF = acc / den.  A prime's exponent in the reduced numerator of
-        # a / den is max(0, v(a) - v(den)), so the gcd of the reduced
-        # numerators is g // gcd(g, den), with g the gcd of acc.
-        g = math.gcd(*acc.values())
-        return g // math.gcd(g, self.den)
+            return not any(v % self.p for v in acc.values())
+        return not any(acc.values())
 
 
 def prime_probe(
@@ -412,10 +390,11 @@ def prime_probe(
     P.  A probably_prime verdict is evidence, not proof; a not_prime
     verdict ships a re-checkable certificate.  Deterministic per seed.
 
-    A trial's normal forms are read off memoized monomial rows (_Rows)
-    where the rows prove that dividing the trial stays within every kernel
-    cap; elsewhere normal_form divides it.  So the verdicts, and any
-    DegreeCapExceeded with its message, are those of dividing every trial.
+    Whether a trial's normal forms are zero is read off memoized monomial
+    rows (_Rows) where the rows prove that dividing the trial stays within
+    every kernel cap; elsewhere normal_form divides it.  So the verdicts,
+    and any DegreeCapExceeded with its message, are those of dividing every
+    trial.
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
@@ -429,29 +408,19 @@ def prime_probe(
     choice = random.Random(seed).choice
     rows = _Rows(ring, P.basis)
 
-    def content(terms: tuple) -> int:
-        c = rows.content(terms)
-        if c is None:
-            c = _content(normal_form(_polynomial(ring, terms), P.basis))
-        return c
+    def zero(terms: tuple) -> bool:
+        z = rows.zero(terms)
+        if z is None:
+            z = not normal_form(_polynomial(ring, terms), P.basis)
+        return z
 
-    record = []
     for _ in range(trials):
         f = _draw(choice, monos, coeffs)
         g = _draw(choice, monos, coeffs)
-        cf = content(f)
-        cg = content(g) if cf else None
-        cfg = content(_product(f, g)) if cf and cg else None
-        record.append(ProbeTrial(f, g, cf, cg, cfg))
-        if cfg == 0:
-            return ProbeResult(
-                PROBE_NOT_PRIME,
-                trials,
-                _polynomial(ring, f),
-                _polynomial(ring, g),
-                tuple(record),
-            )
-    return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
+        if not zero(f) and not zero(g) and zero(_product(f, g)):
+            pair = _polynomial(ring, f), _polynomial(ring, g)
+            return ProbeResult(PROBE_NOT_PRIME, trials, *pair)
+    return ProbeResult(PROBE_PROBABLY_PRIME, trials)
 
 
 def rational_maximal(m: IdealPresentation, point) -> bool:

@@ -7,7 +7,8 @@ field: Rad((x) + I) = m, vanishing of every system equation at (x, y)
 modulo I, the height bookkeeping ht(m) - ht(I), and the residue-field
 certification through the rational point.  The sweep answers every
 requested prime outside a finite bad set from the characteristic-zero run,
-or, in a finite exceptional set, by re-running the checks mod p.  It
+or, in a finite exceptional set, by re-running the checks mod p.  The
+primality probe, which no per-prime outcome prints, runs once, over Q.  It
 reports the per-prime outcomes and the maximal complexity seen, which
 never exceeds the characteristic-zero complexity.
 """
@@ -15,7 +16,7 @@ never exceeds the characteristic-zero complexity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
@@ -219,7 +220,8 @@ def verify_witness(
     Requires I inside m up front.  Overall pass needs the radical equality,
     vanishing of every equation, the height match, and, when a point is
     supplied, the rational-maximality certification.  The primality probe
-    on I is attached as evidence when the witness claims a domain.
+    on I is attached as evidence when the witness claims a domain; a sweep
+    runs it over Q only.
     """
     if len(w.x_images) != sys_.n or len(w.y_images) != sys_.r:
         raise AmbientMismatch("witness tuple shape does not match the system")
@@ -416,9 +418,10 @@ class SweepReport:
 def _run_prime(
     sys_: DiophantineSystem, w: Witness, p: int, caps: Caps
 ) -> PrimeOutcome:
+    # An outcome prints no probe, so w mod p is verified without one.
     try:
         wp = reduce_witness_mod_p(w, p)
-        res = verify_witness(sys_, wp, caps)
+        res = verify_witness(sys_, replace(wp, domain_claim=False), caps)
     except (
         BadPrime,
         DegenerateGenerator,
@@ -450,12 +453,11 @@ def exceptional_primes(
     candidate is bad for w (bad_primes).  A candidate is exceptional when
     it divides, in one product taken once: a numerator or denominator of a
     pivot of the bases over Q of m, (x) + I and I (char0.ideals); a content
-    the radical search recorded; a nonzero content in the probe's record,
-    or 6 when a probe ran; one top-degree coefficient numerator of each
-    witness polynomial.
+    the radical search recorded; one top-degree coefficient numerator of
+    each witness polynomial.
 
-    At any other prime p, every check run on w mod p gives char0, with the
-    generators of m and the probe's witness pair mapped mod p (Traverso's
+    At any other prime p, every check a sweep runs on w mod p (all but the
+    probe) gives char0, with the generators of m mapped mod p (Traverso's
     Groebner trace, Pauer's lucky ideals):
     - no witness polynomial vanishes or drops degree, so no generator
       degenerates and the complexity is char0's;
@@ -470,14 +472,10 @@ def exceptional_primes(
       behind I in m, (x) + I in m, condition 2 and condition 3 is zero, so
       those are char0's; the radical search stops at char0's exponents, p
       dividing no recorded content; the heights read the same leads;
-    - p >= 5, so the seeded draws at p are the images of those over Q; the
-      trial contents vanish at p exactly where they do over Q, so the probe
-      at p ends on the same trial, with the image pair;
     - no cap fires at p that the checks over Q passed.  A division at p
       uses the same lead table in the same order, so its steps and pushed
-      monomials are a subset of those of the division over Q (run, or for
-      a probe trial proven within the caps by its rows), and a factor in
-      F_p has no bit size.  A product at p has at most the terms it has
+      monomials are a subset of those of the division over Q, and a factor
+      in F_p has no bit size.  A product at p has at most the terms it has
       over Q, so the product budgets hold; the basis runs examine the same
       pairs.
     """
@@ -488,10 +486,6 @@ def exceptional_primes(
         for n in (c.numerator, c.denominator)
     }
     numbers.update(c for cs in char0.condition1.contents for c in cs)
-    probe = char0.prime_probe
-    if probe is not None:
-        numbers.add(6)
-        numbers.update(c for t in probe.record for c in t[2:] if c)
     numbers.update(
         max(g.terms, key=lambda t: sum(t[0]))[1].numerator
         for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
@@ -512,10 +506,12 @@ def sweep(
     Refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
     recorded in the report, never raised.  Primes run one after another in
-    ascending order, so the report is the same on every run.  Each good
+    ascending order, so the report is the same on every run.  The
+    primality probe runs once, in the verification over Q, which the report
+    prints; no prime's outcome prints it, so no prime runs it.  Each good
     prime outside exceptional_primes is answered from the
-    characteristic-zero verification, which is what running every check
-    there gives, and every exceptional prime runs every check.
+    characteristic-zero verification, which is what running every other
+    check there gives, and every exceptional prime runs every other check.
     """
     candidates = sorted({int(p) for p in primes})
     for p in candidates:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import random
 from fractions import Fraction
 
@@ -43,7 +42,6 @@ from gbtransfer.predicates import (
     PROBE_NOT_PRIME,
     PROBE_PROBABLY_PRIME,
     ProbeResult,
-    ProbeTrial,
     RadicalResult,
     UnitIdeal,
 )
@@ -239,18 +237,10 @@ def _random_bounded_poly(ring, rng, monos, coeffs) -> Polynomial:
     return ring.from_dict(acc)
 
 
-def _content(f) -> int:
-    return math.gcd(*(c.numerator for _, c in f.terms))
-
-
 def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
     """``prime_probe`` as a plain loop: build f, g and f*g as polynomials
-    and divide each with ``normal_form``.
-
-    Same seeded draws, verdict and caps; its record holds, for every
-    trial, the draws as polynomials and the contents of NF(f), NF(g) and
-    NF(f*g).
-    """
+    and divide each with ``normal_form``.  Same seeded draws, verdict and
+    caps."""
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
     if any(g.degree() == 0 for g in P.basis):
@@ -258,17 +248,16 @@ def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:
     monos = monomials_up_to(P.ring.nvars, degree_bound)
     coeffs = _sample_coefficients(P.ring.field)
     rng = random.Random(seed)
-    record = []
     for _ in range(trials):
         f = _random_bounded_poly(P.ring, rng, monos, coeffs)
         g = _random_bounded_poly(P.ring, rng, monos, coeffs)
-        cf = _content(normal_form(f, P.basis))
-        cg = _content(normal_form(g, P.basis)) if cf else None
-        cfg = _content(normal_form(f * g, P.basis)) if cf and cg else None
-        record.append(ProbeTrial(f, g, cf, cg, cfg))
-        if cfg == 0:
-            return ProbeResult(PROBE_NOT_PRIME, trials, f, g, tuple(record))
-    return ProbeResult(PROBE_PROBABLY_PRIME, trials, record=tuple(record))
+        if (
+            normal_form(f, P.basis)
+            and normal_form(g, P.basis)
+            and not normal_form(f * g, P.basis)
+        ):
+            return ProbeResult(PROBE_NOT_PRIME, trials, f, g)
+    return ProbeResult(PROBE_PROBABLY_PRIME, trials)
 
 
 def reference_rational_maximal(m, point) -> bool:
@@ -287,23 +276,17 @@ def reference_rational_maximal(m, point) -> bool:
 
 
 def reference_read_off(char0, ring, p: int):
-    """The verification at a good prime p outside a sweep's exceptional
-    set, read off the passing verification char0 over Q in ring: char0,
-    with the generators of m in the radical exponents and the probe's
-    witness pair mapped mod p."""
+    """The verification without the probe at a good prime p outside a
+    sweep's exceptional set, read off the passing verification char0 over
+    Q in ring: char0 without its probe, with the generators of m in the
+    radical exponents mapped mod p."""
     target = ring.with_field(PrimeField(p))
-
-    def image(g):
-        return reduce_coeffs_mod_p(g, target) if g else None
-
-    q1, probe = char0.condition1, char0.prime_probe
-    exponents = tuple((image(g), e) for g, e in q1.exponents)
-    if probe is not None:
-        probe = ProbeResult(
-            probe.status, probe.trials, image(probe.witness_f), image(probe.witness_g)
-        )
+    q1 = char0.condition1
+    exponents = tuple(
+        (reduce_coeffs_mod_p(g, target), e) for g, e in q1.exponents
+    )
     cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
-    return dataclasses.replace(char0, condition1=cond1, prime_probe=probe)
+    return dataclasses.replace(char0, condition1=cond1, prime_probe=None)
 
 
 def reference_lucky(ideals, p: int) -> bool:

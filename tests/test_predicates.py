@@ -220,7 +220,12 @@ class TestPrimeProbe:
         _, w = load_case(str(CASES / "hyperbola.json"))
         I = w.ideal_i()
         I.basis
-        rows, trials = [], []
+        draws, rows, trials, answers = [], [], [], []
+        real_draw = predicates._draw
+
+        def draw(*args):
+            draws.append(real_draw(*args))
+            return draws[-1]
 
         def row(f, divisors):
             rows.append(f)
@@ -230,10 +235,14 @@ class TestPrimeProbe:
             trials.append(f)
             return groebner.normal_form(f, divisors)
 
+        monkeypatch.setattr(predicates, "_draw", draw)
         monkeypatch.setattr(predicates, "_divide", row)
         monkeypatch.setattr(predicates, "normal_form", whole)
+        monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(answers))
         res = prime_probe(I, 2, 200, seed=0)
-        assert res.probably_prime and len(res.record) == 200
+        assert res.probably_prime and len(draws) == 2 * 200
+        # each trial reads NF(f) at least, off the rows
+        assert len(answers) >= 200
         assert all(len(f.terms) == 1 for f in rows)
         assert len(rows) == len(set(rows)) <= 15
         assert trials == []
@@ -270,19 +279,33 @@ def probe_problems(draw):
 
 
 def _probe_outcome(probe, pres, args):
-    """A probe's result, as_dict and record, or the error it raised."""
+    """A probe's result and as_dict, or the error it raised."""
     try:
         res = probe(pres, *args)
     except (DegreeCapExceeded, UnitIdeal) as exc:
         return type(exc), str(exc)
+    return res, res.as_dict()
 
-    def poly(draw):  # a reference draw is a Polynomial, a probe draw terms
-        if isinstance(draw, Polynomial):
-            return draw
-        return predicates._polynomial(pres.ring, draw)
 
-    record = [(poly(t.f), poly(t.g), *t[2:]) for t in res.record]
-    return res, res.as_dict(), record
+def _checked_zero(answers):
+    """_Rows.zero, checked: every answer it gives (not None) must be
+    whether normal_form, within every cap, reduces the same terms to zero;
+    each is appended to answers."""
+    real = predicates._Rows.zero
+
+    def zero(rows, terms):
+        z = real(rows, terms)
+        if z is not None:
+            f = predicates._polynomial(rows.ring, terms)
+            try:
+                nf = groebner.normal_form(f, rows.basis)
+            except DegreeCapExceeded as exc:
+                raise AssertionError(f"rows answered past a cap: {exc}")
+            assert z == (not nf), terms
+            answers.append(z)
+        return z
+
+    return zero
 
 
 def _problem(text_gens, args=(2, 60, 0), **caps):
@@ -302,8 +325,8 @@ class TestProbeMatchesReference:
 
     @given(probe_problems())
     @settings(max_examples=200, deadline=None)
-    # NF(x) = y/2 and NF(x^2) = y^2/4: a content needs the shared
-    # denominator divided out, and a product can raise it from 2 to 4.
+    # NF(x) = y/2 and NF(x^2) = y^2/4: a product can raise the shared
+    # denominator from 2 to 4.
     @example(_problem(["2*x - y"], args=(1, 60, 0)))
     # Two rows of 2 steps each; a two-term draw takes up to 4 steps.
     @example(_problem(["x^2 - y", "y^2 - x"], STEP_CAP=3))
@@ -313,13 +336,16 @@ class TestProbeMatchesReference:
     # Dividing y^4 pushes x*y^2, past DEGREE_CAP 2: a product with a y^4
     # term is divided in full and raises.
     @example(_problem(["x - y^2"], DEGREE_CAP=2))
-    def test_same_verdict_record_and_errors(self, problem):
+    def test_same_verdict_and_errors(self, problem):
         pres, args, caps = problem
         try:
             pres.basis  # computed under the default caps
         except DegreeCapExceeded:
             return
-        with mock.patch.multiple(groebner, **caps):
+        answers = []
+        with mock.patch.multiple(groebner, **caps), mock.patch.object(
+            predicates._Rows, "zero", _checked_zero(answers)
+        ):
             ours = _probe_outcome(prime_probe, pres, args)
             assert ours == _probe_outcome(reference_prime_probe, pres, args)
 

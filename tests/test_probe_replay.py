@@ -1,5 +1,6 @@
 """The sweep's answers from the run over Q against the full checks at every
-prime, and its exceptional set against the per-prime luck test."""
+prime, and its exceptional set against the per-prime luck test.  No prime
+runs the primality probe: it runs once, over Q."""
 
 import dataclasses
 import json
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gbtransfer import predicates, transfer
 from gbtransfer.cli import load_case, main
+from gbtransfer.groebner import DegreeCapExceeded
 from gbtransfer.polyarith import (
     QQ, PrimeField, format_polynomial, parse_polynomial,
 )
@@ -112,8 +114,6 @@ SEVENS = {
     "pivot": _witness(("X1 + 7*Y1", "X1"), "X1", "X1 - Y1", 0),
     # NF(X1 + 7*Y1) = 7*Y1 modulo (X1, Y1^2): the exponent is 1 at 7
     "radical": _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1 + 7*Y1", "Y1")),
-    # NF(X1) = 7*Y1 modulo I, so trials drawing X1 alone skip at 7
-    "probe": _witness(("X1 - 7*Y1",), "Y1", "X1 - Y1", 1),
     # y drops from degree 3 to 1 mod 7, and d from 3 to 2
     "top": _witness(("Y1",), "X1", "Y1", 1, y="7*Y1^3 + Y1"),
 }
@@ -121,7 +121,6 @@ SEVENS = {
 
 def _members(w, char0):
     """The integers of each kind the exceptional set is built from."""
-    probe = char0.prime_probe
     return {
         "pivot": [
             n
@@ -130,7 +129,6 @@ def _members(w, char0):
             for n in (c.numerator, c.denominator)
         ],
         "radical": [c for cs in char0.condition1.contents for c in cs],
-        "probe": [c for t in probe.record for c in t[2:] if c],
         "top": [
             max(g.terms, key=lambda t: sum(t[0]))[1].numerator
             for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
@@ -182,8 +180,8 @@ def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
     assert [e for _, e in char0.condition1.exponents] == [2, 2]
     assert char0.condition1.contents == ((5,), (1,))
     report = sweep(system, w, [3, 5, 7], CAPS)
-    # 3 is exceptional through the factor 6, 5 through the content 5
-    assert radical_fields == [QQ, QQ, PrimeField(3), PrimeField(5)]
+    # 5 is exceptional through the content 5
+    assert radical_fields == [QQ, QQ, PrimeField(5)]
     exponents = {}
     for p in (3, 5, 7):
         res = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
@@ -232,17 +230,11 @@ def full_probe_primes(monkeypatch):
     return primes
 
 
-# with a probe, 2 and 3 are exceptional and run every check
-FULL_FIELDS = {
-    "hyperbola.json": [QQ, PrimeField(2), PrimeField(3)],
-    "hyperbola.json:no_domain": [QQ],
-}
-
-
-@pytest.mark.parametrize("name", sorted(FULL_FIELDS))
+@pytest.mark.parametrize("name", ["hyperbola.json", "hyperbola.json:no_domain"])
 def test_lucky_primes_run_no_radical_search(radical_fields, name):
+    # with a probe or without, no prime is exceptional
     sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
-    assert radical_fields == FULL_FIELDS[name]
+    assert radical_fields == [QQ]
 
 
 @pytest.mark.parametrize("name", ["hyperbola.json:no_domain", "lowered"])
@@ -265,22 +257,22 @@ def test_a_prime_outside_the_exceptional_set_reduces_nothing(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "name, full_at", [("hyperbola.json", [2, 3]), ("unlucky", [2, 3, 5])]
+    "name, full_at", [("hyperbola.json", []), ("unlucky", [])]
 )
 def test_full_probe_runs_only_where_replay_is_not_exact(
     full_probe_primes, name, full_at
 ):
+    # no prime probes, not even the exceptional 5 of unlucky
     sweep(*WITNESSES[name], primes_in_range(2, 200), CAPS)
     assert full_probe_primes == full_at
 
 
-@pytest.mark.parametrize("trials, full_at", [(10, [2, 3]), (11, [])])
+@pytest.mark.parametrize("trials, full_at", [(10, []), (11, [])])
 def test_probe_past_the_record_cap_is_not_replayed(
     monkeypatch, full_probe_primes, trials, full_at
 ):
-    # The trial cap bounds the record: a probe within it keeps its record,
-    # and only the exceptional primes probe again; a probe past it is
-    # refused over Q, so no prime is probed.
+    # A probe within the trial cap runs over Q only; a probe past it is
+    # refused over Q.  No prime is probed either way.
     monkeypatch.setattr(predicates, "PROBE_TRIAL_CAP", 10)
     system, w = WITNESSES["hyperbola.json"]
     caps = Caps(probe_trials=trials)
@@ -297,7 +289,7 @@ def test_probe_past_the_record_cap_is_not_replayed(
 
 
 def test_probe_past_the_trial_cap_exits_2(capsys):
-    # Every Q probe keeps its record; the trial cap bounds its size.
+    # The trial cap bounds a probe's time.
     argv = ["prime-probe", "--vars", "x,y", "--ideal", "x*y - 1", "--trials"]
     t0 = time.monotonic()
     assert main([*argv, str(PROBE_TRIAL_CAP)]) == 0
@@ -309,9 +301,9 @@ def test_probe_past_the_trial_cap_exits_2(capsys):
 
 
 def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
-    # With seed 98 the probe of (X1*Y1) over Q ends on NF(f) = 5*X1, which
-    # is zero mod 5: its content 5 makes 5 exceptional, so the probe at 5
-    # runs in full.
+    # With seed 98 the probe of (X1*Y1) over Q ends on f = 5*X1, which is
+    # zero mod 5.  No outcome prints a probe, so 5 is not probed, and
+    # answered as the full path without the probe answers it.
     system, w = NOT_PRIME
     caps = Caps(seed=98)
     probe = verify_witness(system, w, caps).prime_probe
@@ -319,7 +311,7 @@ def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
     assert format_polynomial(probe.witness_f) == "5*X1"
     primes = [2, 3, 5, 7, 11]
     report = sweep(system, w, primes, caps)
-    assert full_probe_primes == [2, 3, 5]
+    assert full_probe_primes == []
     assert report.per_prime == tuple(
         _run_prime(system, w, p, caps) for p in primes
     )
@@ -341,9 +333,10 @@ def test_a_factor_seven_makes_seven_exceptional(kind):
 )
 def test_every_good_prime_matches_the_full_path(name):
     # Outside the exceptional set every basis mod p is the image of the
-    # basis over Q, and every check mod p gives the result over Q mapped
-    # mod p: exponent images, probe pair, residues and heights.  At every
-    # good prime the sweep's outcome is the full path's.
+    # basis over Q, and every check mod p but the probe, which no prime
+    # runs, gives the result over Q mapped mod p: exponent images, residues
+    # and heights.  At every good prime the sweep's outcome is the full
+    # path's.
     system, w = WITNESSES.get(name) or SEVENS[name.removeprefix("seven:")]
     char0 = verify_witness(system, w, CAPS)
     bad = bad_primes(w, PRIMES)
@@ -352,24 +345,50 @@ def test_every_good_prime_matches_the_full_path(name):
     for p in good:
         if p not in exceptional:
             assert reference_lucky(char0.ideals, p), p
-            full = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
+            wp = reduce_witness_mod_p(w, p)
+            full = verify_witness(
+                system, dataclasses.replace(wp, domain_claim=False), CAPS
+            )
             assert full == reference_read_off(char0, w.ring, p), p
     report = sweep(system, w, PRIMES, CAPS)
     assert report.per_prime == tuple(_run_prime(system, w, p, CAPS) for p in good)
 
 
-def test_a_probe_makes_three_exceptional_through_the_factor_six():
-    # With seed 1 the probe of (X1*Y1) over Q records no content that 3
-    # divides, but the draws at 3 are not the images of those over Q
-    # (the sample coefficients 1, -1, 2, -2 are not distinct mod 3), and
-    # the probe there ends on another pair.
+def test_three_is_not_exceptional_though_its_probe_ends_elsewhere():
+    # With seed 1 the draws at 3 are not the images of those over Q (the
+    # sample coefficients 1, -1, 2, -2 are not distinct mod 3), and the
+    # probe there ends on another pair.  No prime is probed, so 3 is no
+    # exceptional prime, and verify --prime 3 still probes mod 3.
     system, w = NOT_PRIME
     caps = Caps(seed=1)
     char0 = verify_witness(system, w, caps)
-    assert all(n % 3 for ns in _members(w, char0).values() for n in ns)
-    assert exceptional_primes(w, char0, [3]) == {3}
+    assert exceptional_primes(w, char0, [3]) == set()
     assert sweep(system, w, [3], caps).per_prime == (_run_prime(system, w, 3, caps),)
     probe = verify_witness(system, reduce_witness_mod_p(w, 3), caps).prime_probe
     pair = (probe.witness_f, probe.witness_g)
     assert [format_polynomial(g) for g in pair] == ["Y1^2", "X1"]
     assert format_polynomial(char0.prime_probe.witness_f) != "Y1^2"
+
+
+def test_a_cap_inside_a_probe_mod_p_errs_at_no_prime(monkeypatch):
+    # A probe over F_p would raise, but no sweep runs one: every prime
+    # passes.
+    real = transfer.prime_probe
+
+    def capped(P, *args):
+        if isinstance(P.ring.field, PrimeField):
+            raise DegreeCapExceeded("probe over a prime field")
+        return real(P, *args)
+
+    monkeypatch.setattr(transfer, "prime_probe", capped)
+    report = sweep(*WITNESSES["hyperbola.json"], primes_in_range(2, 200), CAPS)
+    assert report.all_passed()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_no_bundled_case_has_an_exceptional_prime(name):
+    system, w = BUNDLED[name]
+    primes = primes_in_range(2, 20000)
+    bad = bad_primes(w, primes)
+    good = [p for p in primes if p not in bad]
+    assert exceptional_primes(w, verify_witness(system, w, CAPS), good) == set()
