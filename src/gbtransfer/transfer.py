@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product as _cartesian
-from typing import Sequence
+from itertools import compress, product as _cartesian
+from typing import NamedTuple, Sequence
 
 from .groebner import (
     DegreeCapExceeded,
@@ -58,7 +58,7 @@ from .predicates import (
 )
 
 POINT_BUDGET = 10 ** 6
-PRIME_RANGE_CAP = 10 ** 6  # widest LO..HI span primes_in_range will test
+PRIME_RANGE_CAP = 10 ** 6  # widest LO..HI span listed; largest number sieved
 
 
 class DegenerateGenerator(ValueError):
@@ -358,8 +358,7 @@ def _conditions(res: VerificationResult) -> tuple:
     return (res.condition1.status, res.condition2, res.condition3, res.height_ok)
 
 
-@dataclass(frozen=True)
-class PrimeOutcome:
+class PrimeOutcome(NamedTuple):
     """One sweep entry: verification summary or the recorded error."""
 
     p: int
@@ -370,23 +369,16 @@ class PrimeOutcome:
     conditions: tuple | None
 
     def as_dict(self) -> dict:
-        conditions = None
+        out = self._asdict()
         if self.conditions is not None:
             cond1, cond2, cond3, height_ok = self.conditions
-            conditions = {
+            out["conditions"] = {
                 "condition1": cond1,
                 "condition2": list(cond2),
                 "condition3": cond3,
                 "height_ok": height_ok,
             }
-        return {
-            "p": self.p,
-            "passed": self.passed,
-            "d": self.d,
-            "error": self.error,
-            "unresolved_over_prime_field": self.unresolved_over_prime_field,
-            "conditions": conditions,
-        }
+        return out
 
 
 @dataclass(frozen=True)
@@ -503,7 +495,9 @@ def sweep(
 ) -> SweepReport:
     """Verify over Q, then re-verify mod p only at the exceptional primes.
 
-    Refuses to run unless the witness verifies in characteristic zero
+    Refuses first the smallest candidate that is not prime (ValueError),
+    found by one sieve when no candidate exceeds PRIME_RANGE_CAP, then
+    refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
     recorded in the report, never raised.  Primes run one after another in
     ascending order, so the report is the same on every run.  The
@@ -514,8 +508,10 @@ def sweep(
     check there gives, and every exceptional prime runs every other check.
     """
     candidates = sorted({int(p) for p in primes})
+    top = candidates[-1] if candidates else 0
+    prime = _sieve(max(top, 0)).__getitem__ if top <= PRIME_RANGE_CAP else is_prime
     for p in candidates:
-        if not is_prime(p):
+        if p < 2 or not prime(p):
             raise ValueError(f"{p} is not prime")
     char0 = verify_witness(sys_, w, caps)
     if not char0.passed:
@@ -548,13 +544,26 @@ def sweep(
     )
 
 
+def _sieve(n: int) -> bytearray:
+    # entry k is 1 exactly when k is prime, for 0 <= k <= n (Eratosthenes)
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return sieve
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """The primes in lo..hi; a span wider than PRIME_RANGE_CAP is refused."""
+    """The primes in lo..hi, by one sieve when hi <= PRIME_RANGE_CAP, else by
+    is_prime; a span wider than PRIME_RANGE_CAP is refused."""
     if hi - lo > PRIME_RANGE_CAP:
         raise ValueError(
             f"prime range {lo}..{hi} is wider than {PRIME_RANGE_CAP}"
         )
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    lo = max(lo, 2)
+    if hi > PRIME_RANGE_CAP:
+        return [p for p in range(lo, hi + 1) if is_prime(p)]
+    return list(compress(range(lo, hi + 1), _sieve(max(hi, 0))[lo:]))
 
 
 def search_witness_points(I: IdealPresentation) -> list[tuple[int, ...]]:

@@ -2,12 +2,14 @@
 
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbtransfer import polyarith, transfer
+from gbtransfer.cli import load_case
 from gbtransfer.groebner import IdealPresentation, ideal
 from gbtransfer.polyarith import (
     AmbientMismatch,
@@ -27,6 +29,7 @@ from gbtransfer.transfer import (
     CharZeroFailure,
     DegenerateGenerator,
     DiophantineSystem,
+    PrimeOutcome,
     Witness,
     bad_primes,
     primes_in_range,
@@ -43,6 +46,8 @@ RT = PolyRing(QQ, 1, GREVLEX, ("T",))
 T = RT.variable(0)
 CAPS = Caps(seed=11)
 SMALL_PRIMES = primes_in_range(2, 30)
+CASES = Path(__file__).resolve().parent.parent / "cases"
+CAP = transfer.PRIME_RANGE_CAP
 
 
 def _system(*texts, n=1, r=1):
@@ -260,6 +265,32 @@ class TestBadPrimesMatchesReference:
             bad_primes(w, [5])
 
 
+def _listed_one_by_one(lo, hi):
+    return [n for n in range(max(lo, 2), hi + 1) if polyarith.is_prime(n)]
+
+
+class TestPrimesInRange:
+    """The sieve up to PRIME_RANGE_CAP against Miller-Rabin on each number."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, CAP), st.integers(-3, 3000))
+    def test_windows_below_the_cap(self, lo, width):
+        hi = min(lo + width, CAP)
+        assert primes_in_range(lo, hi) == _listed_one_by_one(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (10, 3), (5, 4), (2, 1), (0, 0), (0, 1), (0, 2), (2, 2), (-7, 2),
+        (-7, -1), (CAP - 500, CAP), (CAP - 500, CAP + 1), (CAP, CAP + 1),
+        (CAP + 1, CAP + 800), (CAP - 3, CAP - 3), (CAP - 17, CAP - 17),
+    ])
+    def test_edges(self, lo, hi):
+        assert primes_in_range(lo, hi) == _listed_one_by_one(lo, hi)
+
+    def test_whole_sieve(self):
+        listed = primes_in_range(0, CAP)
+        assert len(listed) == 78498 and listed[-1] == 999983
+
+
 class TestReduceWitness:
     def test_mod_five(self):
         w5 = reduce_witness_mod_p(sixth_scaled_witness(), 5)
@@ -347,6 +378,51 @@ class TestSweep:
     def test_rejects_composite_candidates(self):
         with pytest.raises(ValueError):
             sweep(SQUARE_SYS, square_root_witness(), [4], CAPS)
+
+    @pytest.mark.parametrize("candidates", [
+        [7, 9, 15], [15, 9, 7], [4], [0], [1], [-3, 5], [9, 9, 7, 7],
+        [2, 4, 4], [1000001], [7, 1000001], [CAP + 3, 4],
+    ])
+    def test_refuses_the_smallest_non_prime_before_the_run_over_q(
+        self, candidates
+    ):
+        # the sieve below the cap and Miller-Rabin above it name the same
+        # number as testing each candidate with is_prime
+        want = min(p for p in candidates if not polyarith.is_prime(p))
+        with mock.patch.object(
+            transfer, "verify_witness", wraps=transfer.verify_witness
+        ) as spy:
+            with pytest.raises(ValueError, match=f"^{want} is not prime$"):
+                sweep(SQUARE_SYS, square_root_witness(), candidates, CAPS)
+        assert spy.call_count == 0
+
+    def test_a_sparse_list_up_to_the_cap_answers(self):
+        report = sweep(SQUARE_SYS, square_root_witness(), [999983, 2], CAPS)
+        assert [o.p for o in report.per_prime] == [2, 999983]
+        assert report.all_passed()
+
+    def test_candidates_are_tested_once_in_all(self):
+        # one sieve lists and checks every prime; the one Miller-Rabin test
+        # left is PrimeField's word-bound check on the largest good prime
+        system, w = load_case(str(CASES / "hyperbola.json"))
+        spy = mock.Mock(wraps=polyarith.is_prime)
+        with mock.patch.object(transfer, "is_prime", spy), mock.patch.object(
+            polyarith, "is_prime", spy
+        ):
+            report = sweep(system, w, primes_in_range(2, 20000), CAPS)
+        assert len(report.per_prime) + len(report.bad_primes) == 2262
+        assert spy.call_count <= 1
+
+    def test_outcomes_are_immutable_and_compare_by_every_field(self):
+        fields = (5, True, 2, None, False, ("equal", (True,), "passed", True))
+        outcome = PrimeOutcome(*fields)
+        assert outcome == PrimeOutcome(*fields)
+        for k in range(len(fields)):
+            changed = list(fields)
+            changed[k] = "other"
+            assert outcome != PrimeOutcome(*changed)
+        with pytest.raises(AttributeError):
+            outcome.passed = False
 
     def test_good_prime_past_the_word_bound_refused(self):
         with pytest.raises(ValueError, match="machine-word bound"):
