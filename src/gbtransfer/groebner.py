@@ -13,10 +13,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .polyarith import AmbientMismatch, Polynomial, PolyRing
+from .polyarith import AmbientMismatch, Polynomial, PolyRing, RationalField
 
 # Kernel caps: every division and basis computation reads them as it runs.
 DEGREE_CAP = 64  # intermediate and basis-element total degree
@@ -178,12 +179,18 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
 
+    Over Q the loop works on plain ints: from its first step to its end,
+    each pending coefficient is a reduced (numerator, denominator) pair, a
+    divisor's tail is converted on its first use in a call, and the
+    remainder leaves as Fractions again.
+
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
     can explode.  So every division runs under DEGREE_CAP (intermediate
-    total degree), STEP_CAP (reduction steps) and COEFF_BIT_CAP (coefficient
-    bit size), and passing one raises DegreeCapExceeded; all three are exact
-    counts, so capped runs stay machine-independent.
+    total degree), STEP_CAP (reduction steps) and COEFF_BIT_CAP (numerator
+    plus denominator bits of a step's reduced factor), and passing one
+    raises DegreeCapExceeded; all three are exact counts, so capped runs
+    stay machine-independent.
     """
     return _divide(f, divisors)[0]
 
@@ -191,7 +198,7 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
 def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     """normal_form's division with its costs: the remainder, the steps taken
     and the largest numerator-plus-denominator bit size of a step's factor
-    (0 when no factor is a Fraction, as over F_p)."""
+    (0 over F_p)."""
     ring = f.ring
     if any(g.ring is not ring and g.ring != ring for g in divisors):
         raise AmbientMismatch("divisor outside the ambient ring")
@@ -207,6 +214,9 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
     # _divide, packed: work divided in place by rows (lead, coefficient, tail)
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     zero, one, push = fld.zero, fld.one, heapq.heappush
+    # Over Q, coefficients are reduced int pairs from the first step on, and
+    # paired is how many remainder terms (Fractions still) came before it.
+    q, paired = isinstance(fld, RationalField), None
     # work holds every monomial on the heap, cancelled ones with coefficient 0
     heap = sorted(map(pk.key, work))
     rem, steps, top_bits = [], 0, 0
@@ -223,14 +233,16 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
             steps += 1
             if steps > STEP_CAP:
                 raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
-            factor = c if gc is one or gc == one else fld.div(c, gc)
-            if isinstance(factor, Fraction):
-                bits = factor.numerator.bit_length() + factor.denominator.bit_length()
-                if bits > COEFF_BIT_CAP:
-                    raise DegreeCapExceeded(
-                        f"division coefficient passed {COEFF_BIT_CAP} bits"
-                    )
+            if q:
+                if paired is None:
+                    paired, rows = len(rem), {}  # rows: the ones _sub_pairs converted
+                    work = {t: (v.numerator, v.denominator) if v else 0
+                            for t, v in work.items()}
+                    c = c.numerator, c.denominator
+                bits = _sub_pairs(pk, work, heap, rows, gm, gc, gtail, quot, c)
                 top_bits = max(top_bits, bits)
+                break
+            factor = c if gc is one or gc == one else fld.div(c, gc)
             for tm, tc in gtail:
                 mm = tm + quot
                 if mm > cap:
@@ -245,7 +257,53 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
             break
         else:
             rem.append((m, c))
+    if paired is not None:
+        rem[paired:] = [(m, Fraction(*c)) for m, c in rem[paired:]]
     return rem, steps, top_bits
+
+
+def _sub_pairs(pk, work, heap, rows, gm, gc, gtail, quot, c) -> int:
+    # _reduce's step over Q: work -= c / gc * x^quot * tail on reduced
+    # (numerator, denominator) int pairs, cancelled entries 0.  Each product
+    # cancels across first, each difference divides by the gcd of the
+    # denominators, then by its gcd with the numerator (Knuth, TAOCP
+    # 4.5.1).  A row converts on its first use; keying by lead is safe, as
+    # only the first row with a given lead is ever used.  Returns the bits
+    # of the factor c / gc.
+    if gm not in rows:
+        gn, gd = gc.numerator, gc.denominator
+        pairs = [(m, t.numerator, t.denominator) for m, t in gtail]
+        rows[gm] = None if gn == gd == 1 else (gn, gd), pairs
+    div, tail = rows[gm]
+    fn, fd = c
+    if div:
+        g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
+        fn, fd = fn // g1 * (div[1] // g2), fd // g2 * (div[0] // g1)
+        if fd < 0:
+            fn, fd = -fn, -fd
+    bits = fn.bit_length() + fd.bit_length()
+    if bits > COEFF_BIT_CAP:
+        raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
+    cap, low, lex, push = pk.cap, pk.low, pk.lex, heapq.heappush
+    for tm, tn, td in tail:
+        mm = tm + quot
+        if mm > cap:
+            raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
+        g1, g2 = gcd(fn, td), gcd(tn, fd)
+        pn, pd = fn // g1 * (tn // g2), fd // g2 * (td // g1)
+        prev = work.get(mm)
+        if not prev:
+            if prev is None:
+                push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
+            work[mm] = -pn, pd
+            continue
+        an, ad = prev
+        g = gcd(ad, pd)
+        s = ad // g
+        t = an * (pd // g) - pn * s
+        g2 = gcd(t, g)
+        work[mm] = (t // g2, s * (pd // g2)) if t else 0
+    return bits
 
 
 def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:

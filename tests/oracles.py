@@ -3,10 +3,11 @@
 These deliberately avoid the Groebner path: membership is decided by exact
 linear algebra over the span of bounded-degree multiples of the
 generators, dimension by exhaustive variable-subset search on monomial
-generators.  Division has a slow reference too: the plain loop that picks
-each leading term with ``max``, against which the heap-ordered
-``normal_form`` is checked.  The monomial orders have their textbook
-definitions here, against which ``MonomialOrder.rank`` is checked.  The
+generators.  Division has a slow reference too: the plain ``Fraction``
+loop that picks each leading term with ``max``, against which the
+heap-ordered ``_divide`` is checked, with the steps and factor bits it
+reports.  The monomial orders have their textbook definitions here,
+against which ``MonomialOrder.rank`` is checked.  The
 primality probe has its plain per-trial loop, which builds and divides
 every draw, against which the row-table ``prime_probe`` is checked.
 Rational maximality has its definition by evaluation at the point,
@@ -77,13 +78,16 @@ def textbook_compare(kind, a, b) -> int:
     return 1 if nonzero[-1] < 0 else -1
 
 
-def reference_normal_form(
+def reference_divide(
     f, divisors, degree_cap=None, step_cap=None, coeff_bit_cap=None
 ):
     """Multivariate division choosing each leading term with ``max``.
 
-    Same contract as ``groebner.normal_form``, including every cap and its
-    message; it rescans the whole work dict at every step.
+    Same contract as ``groebner._divide``, including every cap and its
+    message: it returns the remainder, the steps taken and the largest
+    numerator-plus-denominator bit size of a step's factor (0 when no
+    factor is a Fraction).  It rescans the whole work dict at every step
+    and divides with ``Fraction`` arithmetic.
     """
     ring = f.ring
     fld = ring.field
@@ -99,7 +103,7 @@ def reference_normal_form(
             table.append((g.leading_monomial(), g.leading_coeff(), g.terms))
     work = dict(f.terms)
     rem: dict = {}
-    steps = 0
+    steps = top_bits = 0
     while work:
         m = max(work, key=key)
         c = work.pop(m)
@@ -111,16 +115,16 @@ def reference_normal_form(
                         f"division passed {step_cap} reduction steps"
                     )
                 factor = fld.div(c, gc)
-                if (
-                    coeff_bit_cap is not None
-                    and isinstance(factor, Fraction)
-                    and factor.numerator.bit_length()
-                    + factor.denominator.bit_length()
-                    > coeff_bit_cap
-                ):
-                    raise DegreeCapExceeded(
-                        f"division coefficient passed {coeff_bit_cap} bits"
+                if isinstance(factor, Fraction):
+                    bits = (
+                        factor.numerator.bit_length()
+                        + factor.denominator.bit_length()
                     )
+                    if coeff_bit_cap is not None and bits > coeff_bit_cap:
+                        raise DegreeCapExceeded(
+                            f"division coefficient passed {coeff_bit_cap} bits"
+                        )
+                    top_bits = max(top_bits, bits)
                 quot = _mono_div(m, gm)
                 for tm, tc in gterms[1:]:
                     mm = _mono_mul(tm, quot)
@@ -137,7 +141,7 @@ def reference_normal_form(
         else:
             rem[m] = c
     terms = sorted(rem.items(), key=lambda mc: key(mc[0]), reverse=True)
-    return Polynomial(ring, tuple(terms))
+    return Polynomial(ring, tuple(terms)), steps, top_bits
 
 
 def dimension_oracle(pres) -> int:

@@ -1,5 +1,6 @@
 """Normal forms, Buchberger, and the ideal comparison procedures."""
 
+import hashlib
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +32,28 @@ from corpus import NAMED_IDEALS, R1, R2, R3, P, mk
 from oracles import mono_divides
 
 RT2 = PolyRing(QQ, 2, GREVLEX, ("T1", "T2"))
+
+
+def kernel_ideal(name):
+    """cyclic-n in x0.. or katsura-n in u0.. over Q under grevlex, with the
+    variables and generators in the order perfbench/gen.py writes them."""
+    n = int(name[-1])
+    if name.startswith("cyclic"):
+        xs = [f"x{i}" for i in range(n)]
+        gens = [
+            " + ".join("*".join(xs[(i + k) % n] for k in range(d)) for i in range(n))
+            for d in range(1, n)
+        ] + ["*".join(xs) + " - 1"]
+    else:
+        xs = [f"u{i}" for i in range(n + 1)]
+        gens = [" + ".join([xs[0]] + [f"2*{x}" for x in xs[1:]]) + " - 1"] + [
+            " + ".join(
+                f"{xs[abs(l - i)]}*{xs[abs(i)]}"
+                for i in range(-n, n + 1) if abs(l - i) <= n
+            ) + f" - {xs[l]}"
+            for l in range(n)
+        ]
+    return mk(PolyRing(QQ, len(xs), GREVLEX, tuple(xs)), *gens)
 
 # Leading monomials of the pairs that reach the S-polynomial, in the order the
 # normal-strategy queue pops them (lcm degree, then the smaller lcm).
@@ -233,11 +256,24 @@ class TestKernelPins:
         ("cyclic4", [1] * 6 + [-1] * 3 + [1] * 8),
         ("katsura3", [1, 1, 2, 1, 9, Fraction(-14, 9), Fraction(-45, 7),
                       Fraction(81, 35), Fraction(55, 81)] + [1] * 7),
+        # larger ideals: the count and the SHA-256 of repr(pivots)
+        ("katsura4", (28, "558d31b51fdb0aa116a00798f78c0885"
+                          "a59e7f1c394249f48e186cdf5da2bce8")),
+        ("cyclic5", (66, "b6b7eb83ee91f82bd1175a844e6835ff"
+                         "65b1e428b18e4afb7469bd60d6dc2a2f")),
+        ("katsura5", (46, "8c7139ff0560f9412b3222220dab1742"
+                          "1ec20219ef40fed40fb44037c0ef0a69")),
     ])
     def test_pivots_over_q_pinned(self, name, pivots):
-        assert buchberger(dict(NAMED_IDEALS)[name]).pivots == tuple(
-            map(Fraction, pivots)
-        )
+        pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
+        got = buchberger(pres).pivots
+        # exceptional_primes reads the numerator and denominator of each
+        assert all(isinstance(c, Fraction) for c in got)
+        if isinstance(pivots, tuple):
+            assert len(got) == pivots[0]
+            assert hashlib.sha256(repr(got).encode()).hexdigest() == pivots[1]
+        else:
+            assert got == tuple(map(Fraction, pivots))
 
 
 class TestMembership:

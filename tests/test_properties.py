@@ -22,7 +22,7 @@ from gbtransfer.polyarith import (
     reduce_coeffs_mod_p,
 )
 
-from oracles import reference_normal_form, textbook_compare
+from oracles import reference_divide, textbook_compare
 
 RXY = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
 R3 = PolyRing(QQ, 3, GREVLEX, ("x", "y", "z"))
@@ -169,30 +169,49 @@ def division_problems(draw):
 
 
 def _division_outcome(divide, f, divisors, *caps):
+    # the remainder's terms, the steps and the factor bits, or the cap message
     try:
-        return divide(f, divisors, *caps).terms
+        rem, steps, bits = divide(f, divisors, *caps)
     except DegreeCapExceeded as exc:
         return str(exc)
+    return rem.terms, steps, bits
 
 
 def _same_as_reference(f, divisors, step_cap, coeff_bit_cap):
-    # normal_form reads the kernel caps; the reference takes them as arguments
+    # _divide reads the kernel caps; the reference takes them as arguments
     caps = (groebner.DEGREE_CAP, step_cap, coeff_bit_cap)
     with mock.patch.object(groebner, "STEP_CAP", step_cap), mock.patch.object(
         groebner, "COEFF_BIT_CAP", coeff_bit_cap
     ):
-        ours = _division_outcome(normal_form, f, divisors)
-    return ours == _division_outcome(reference_normal_form, f, divisors, *caps)
+        ours = _division_outcome(groebner._divide, f, divisors)
+    return ours == _division_outcome(reference_divide, f, divisors, *caps)
+
+
+# Divisions over Q whose denominators share factors: a negative divisor
+# lead, both cross-cancelling gcds of a product above 1, differences whose
+# denominator gcd and whose gcd with the numerator are above 1, and a z that
+# cancels to 0, is written again and is then divided, so an unreduced pair
+# would show in the factor bits.  And one whose denominators are coprime,
+# so that every gcd of its pair arithmetic is 1.
+SHARED_DENOMINATORS = (
+    P3("1/6*x + 7/16*y - 1/10*z"),
+    [P3("-2/3*x + 1/4*y + 2/5*z"), P3("3/4*y - 5/6*z"), P3("3*z - 1")],
+)
+COPRIME_DENOMINATORS = (P3("1/5*x*y + 1/7*y*z"), [P3("1/3*x + 1/2*z")])
 
 
 class TestHeapDivisionMatchesReference:
     @given(division_problems())
+    @example(SHARED_DENOMINATORS)
+    @example(COPRIME_DENOMINATORS)
     @settings(max_examples=150, deadline=None)
     def test_same_remainder(self, problem):
+        # and the same steps and factor bits, or the same cap message
         f, divisors = problem
         assert _same_as_reference(f, divisors, step_cap=5000, coeff_bit_cap=512)
 
     @given(division_problems())
+    @example(SHARED_DENOMINATORS)
     @settings(max_examples=100, deadline=None)
     def test_step_cap_raises_exactly_when_the_reference_does(self, problem):
         f, divisors = problem
@@ -226,8 +245,8 @@ def _same_as_reference_under(f, divisors, degree_cap):
     with mock.patch.object(groebner, "DEGREE_CAP", degree_cap), mock.patch.object(
         groebner, "STEP_CAP", 300
     ), mock.patch.object(groebner, "COEFF_BIT_CAP", 512):
-        ours = _division_outcome(normal_form, f, divisors)
-    return ours == _division_outcome(reference_normal_form, f, divisors, *caps)
+        ours = _division_outcome(groebner._divide, f, divisors)
+    return ours == _division_outcome(reference_divide, f, divisors, *caps)
 
 
 class TestPackedDivisionMatchesReference:
