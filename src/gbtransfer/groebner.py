@@ -104,8 +104,10 @@ class _Packing:
         self.cap = ((cap + 1) << s) - 1
 
     def unpack(self, terms) -> tuple:
+        # (m, c) terms, or (m, numerator, denominator) ones into Fractions
         mask, offsets = (1 << self.w) - 1, self.offsets
-        return tuple([(tuple([m >> o & mask for o in offsets]), c) for m, c in terms])
+        return tuple([(tuple([m >> o & mask for o in offsets]),
+                       Fraction(*c) if c[1:] else c[0]) for m, *c in terms])
 
     def lcm(self, a: int, b: int) -> int:
         # field by field the larger exponent; their sum tops low * ones
@@ -121,32 +123,63 @@ class _Packing:
 
 def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tuple:
     # A packing (built once per shape) wide enough for polys, see normal_form,
-    # and polys packed under it; a term past DEGREE_CAP packs above pk.cap.
+    # and polys packed under it, as (m, c) or over Q (m, numerator,
+    # denominator) terms; a term past DEGREE_CAP packs above pk.cap.
     w = (2 * max(DEGREE_CAP, degree)).bit_length() + 1
     pk = _Packing(ring.nvars, ring.order.kind == "lex", w, DEGREE_CAP)
     mults = pk.mults
-    packed = [[(sum(map(mul, m, mults)), c) for m, c in g.terms] for g in polys]
-    if not degree and max([m for t in packed for m, _ in t], default=0) > pk.cap:
+    if isinstance(ring.field, RationalField):
+        packed = [[(sum(map(mul, m, mults)), c.numerator, c.denominator)
+                   for m, c in g.terms] for g in polys]
+    else:
+        packed = [[(sum(map(mul, m, mults)), c) for m, c in g.terms] for g in polys]
+    if not degree and max([t[0] for g in packed for t in g], default=0) > pk.cap:
         return _packed(ring, polys, max(g.degree() for g in polys))
     return pk, packed
 
 
 def _row(terms: list, fld) -> tuple:
-    # the divisor row (lead, 1, tail) of the monic multiple of packed terms
-    inv = fld.inv(terms[0][1])
-    if inv != fld.one:
-        terms = [(m, fld.mul(inv, c)) for m, c in terms]
-    return terms[0][0], fld.one, terms[1:]
+    # the monic row (lead, None, tail) of packed terms
+    if isinstance(fld, RationalField):
+        _, n, d = terms[0]
+        if n != d:  # times d / n, each product cancelled across
+            n, d = (-n, -d) if n < 0 else (n, d)
+            out = []
+            for m, tn, td in terms:
+                g1, g2 = gcd(tn, n), gcd(td, d)
+                out.append((m, tn // g1 * (d // g2), td // g2 * (n // g1)))
+            terms = out
+    else:
+        inv = fld.inv(terms[0][1])
+        if inv != 1:
+            terms = [(m, fld.mul(inv, c)) for m, c in terms]
+    return terms[0][0], None, terms[1:]
 
 
 def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
     # two monic rows' tails shifted to the lcm of the leads, merged in a dict
+    # (over Q of reduced int pairs, cancelled entries 0, as _sub_pairs keeps)
     lcm = pk.lcm(a[0], b[0])
-    qa, qb, zero = lcm - a[0], lcm - b[0], fld.zero
-    out = {m + qa: c for m, c in a[2]}
-    for m, c in b[2]:
+    qa, qb = lcm - a[0], lcm - b[0]
+    if not isinstance(fld, RationalField):
+        out = {m + qa: c for m, c in a[2]}
+        for m, c in b[2]:
+            m += qb
+            out[m] = fld.sub(out.get(m, 0), c)
+        return out
+    out = {m + qa: (n, d) for m, n, d in a[2]}
+    for m, n, d in b[2]:
         m += qb
-        out[m] = fld.sub(out.get(m, zero), c)
+        prev = out.get(m)
+        if prev is None:
+            out[m] = -n, d
+            continue
+        an, ad = prev
+        g = gcd(ad, d)
+        s = ad // g
+        t = an * (d // g) - n * s
+        g2 = gcd(t, g)
+        out[m] = (t // g2, s * (d // g2)) if t else 0
     return out
 
 
@@ -156,7 +189,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    return f.ring.from_dict(dict(pk.unpack(_spoly(pk, a, b, fld).items())))
+    out = _spoly(pk, a, b, fld).items()
+    if isinstance(fld, RationalField):
+        out = [(m, *c) for m, c in out if c]
+    return f.ring.from_dict(dict(pk.unpack(out)))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -179,10 +215,9 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
 
-    Over Q the loop works on plain ints: from its first step to its end,
-    each pending coefficient is a reduced (numerator, denominator) pair, a
-    divisor's tail is converted on its first use in a call, and the
-    remainder leaves as Fractions again.
+    Over Q the loop works on plain ints: each coefficient is split once,
+    as the polynomials are packed, into a reduced (numerator, denominator)
+    pair, and the remainder leaves as Fractions again.
 
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
@@ -205,18 +240,21 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     if not (f and any(divisors)):
         return f, 0, 0
     pk, (work, *packed) = _packed(ring, (f, *divisors))
-    table = [(*t[0], t[1:]) for t in packed if t]
-    rem, steps, bits = _reduce(pk, dict(work), table, ring.field)
+    q = isinstance(ring.field, RationalField)
+    work = {m: (n, d) for m, n, d in work} if q else dict(work)
+    table = [(t[0][0], None if t[0][1:] in ((1,), (1, 1)) else t[0][1:], t[1:])
+             for t in packed if t]
+    rem, steps, bits = _reduce(pk, work, table, ring.field)
     return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
 
 
 def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
-    # _divide, packed: work divided in place by rows (lead, coefficient, tail)
+    # _divide, packed: work divided in place by rows (lead, div, tail), div
+    # the lead coefficient's ints ((c,), over Q (n, d)) or None for 1; over
+    # Q work holds reduced int pairs and the remainder (m, n, d) terms
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
-    zero, one, push = fld.zero, fld.one, heapq.heappush
-    # Over Q, coefficients are reduced int pairs from the first step on, and
-    # paired is how many remainder terms (Fractions still) came before it.
-    q, paired = isinstance(fld, RationalField), None
+    q, push = isinstance(fld, RationalField), heapq.heappush
+    p = None if q else fld.p
     # work holds every monomial on the heap, cancelled ones with coefficient 0
     heap = sorted(map(pk.key, work))
     rem, steps, top_bits = [], 0, 0
@@ -234,15 +272,9 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
             if steps > STEP_CAP:
                 raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
             if q:
-                if paired is None:
-                    paired, rows = len(rem), {}  # rows: the ones _sub_pairs converted
-                    work = {t: (v.numerator, v.denominator) if v else 0
-                            for t, v in work.items()}
-                    c = c.numerator, c.denominator
-                bits = _sub_pairs(pk, work, heap, rows, gm, gc, gtail, quot, c)
-                top_bits = max(top_bits, bits)
+                top_bits = max(top_bits, _sub_pairs(pk, work, heap, gc, gtail, quot, c))
                 break
-            factor = c if gc is one or gc == one else fld.div(c, gc)
+            factor = c if gc is None else fld.div(c, *gc)
             for tm, tc in gtail:
                 mm = tm + quot
                 if mm > cap:
@@ -252,29 +284,20 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
                 prev = work.get(mm)
                 if prev is None:
                     push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-                    prev = zero
-                work[mm] = fld.sub(prev, factor * tc)
+                    prev = 0
+                work[mm] = (prev - factor * tc) % p
             break
         else:
-            rem.append((m, c))
-    if paired is not None:
-        rem[paired:] = [(m, Fraction(*c)) for m, c in rem[paired:]]
+            rem.append((m, *c) if q else (m, c))
     return rem, steps, top_bits
 
 
-def _sub_pairs(pk, work, heap, rows, gm, gc, gtail, quot, c) -> int:
-    # _reduce's step over Q: work -= c / gc * x^quot * tail on reduced
+def _sub_pairs(pk, work, heap, div, tail, quot, c) -> int:
+    # _reduce's step over Q: work -= c / div * x^quot * tail on reduced
     # (numerator, denominator) int pairs, cancelled entries 0.  Each product
     # cancels across first, each difference divides by the gcd of the
     # denominators, then by its gcd with the numerator (Knuth, TAOCP
-    # 4.5.1).  A row converts on its first use; keying by lead is safe, as
-    # only the first row with a given lead is ever used.  Returns the bits
-    # of the factor c / gc.
-    if gm not in rows:
-        gn, gd = gc.numerator, gc.denominator
-        pairs = [(m, t.numerator, t.denominator) for m, t in gtail]
-        rows[gm] = None if gn == gd == 1 else (gn, gd), pairs
-    div, tail = rows[gm]
+    # 4.5.1).  Returns the bits of the factor c / div.
     fn, fd = c
     if div:
         g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
@@ -313,13 +336,14 @@ def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
         if all((g[0] - h[0]) & pk.guard for h in minimal + G[i + 1:]):
             minimal.append(g)
     fld, out = ring.field, []
+    q = isinstance(fld, RationalField)
     for i, g in enumerate(minimal):
-        r = _reduce(pk, dict([g[:2], *g[2]]), minimal[:i] + minimal[i + 1:], fld)[0]
-        if r:
-            pivots.append(r[0][1])
-            out.append(_row(r, fld))
+        # no other lead divides g's, so only the tail reduces, and the pivot is 1
+        work = {m: (n, d) for m, n, d in g[2]} if q else dict(g[2])
+        pivots.append(fld.one)
+        out.append((g[0], _reduce(pk, work, minimal[:i] + minimal[i + 1:], fld)[0]))
     out.sort(key=lambda row: pk.key(row[0]))
-    return tuple(Polynomial(ring, pk.unpack([g[:2], *g[2]])) for g in out)
+    return tuple(Polynomial(ring, pk.unpack([(g[0], fld.one), *g[1]])) for g in out)
 
 
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
@@ -331,9 +355,11 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     caps (PAIR_CAP, DEGREE_CAP on every new element, and the division caps)
     convert pathological growth into a DegreeCapExceeded error rather than
     an open-ended run.  Every call computes; ``pres.basis`` keeps the
-    result.  Monomials stay packed (see normal_form) until the end.
+    result.  Monomials stay packed, and coefficients over Q reduced int
+    pairs (see normal_form), until the end.
     """
     ring, fld = pres.ring, pres.ring.field
+    q = isinstance(fld, RationalField)
     gens = [g for g in pres.generators if g]
     if not gens:
         return GroebnerBasis(())
@@ -375,7 +401,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
             continue
         if max(r)[0] > pk.cap:
             raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
-        pivots.append(r[0][1])
+        pivots.append(Fraction(*r[0][1:]) if q else r[0][1])
         add(_row(r, fld))
 
     return GroebnerBasis(_reduce_basis(G, pk, ring, pivots), tuple(pivots))

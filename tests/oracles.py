@@ -6,10 +6,12 @@ generators, dimension by exhaustive variable-subset search on monomial
 generators.  Division has a slow reference too: the plain ``Fraction``
 loop that picks each leading term with ``max``, against which the
 heap-ordered ``_divide`` is checked, with the steps and factor bits it
-reports.  The monomial orders have their textbook definitions here,
-against which ``MonomialOrder.rank`` is checked.  The
-primality probe has its plain per-trial loop, which builds and divides
-every draw, against which the row-table ``prime_probe`` is checked.
+reports.  The S-polynomial has its textbook formula, against which the
+packed ``s_polynomial`` is checked.  The monomial orders have their
+textbook definitions here, against which ``MonomialOrder.rank`` is
+checked.  The primality probe has its plain per-trial loop, which builds
+and divides every draw, against which the row-table ``prime_probe`` is
+checked.
 Rational maximality has its definition by evaluation at the point,
 against which the basis-only ``rational_maximal`` is checked.  A sweep's
 exceptional set has the per-prime luck test of a Groebner trace, which
@@ -142,6 +144,17 @@ def reference_divide(
             rem[m] = c
     terms = sorted(rem.items(), key=lambda mc: key(mc[0]), reverse=True)
     return Polynomial(ring, tuple(terms)), steps, top_bits
+
+
+def reference_s_polynomial(f, g):
+    """lcm / lt(f) * f - lcm / lt(g) * g in plain ``Polynomial`` arithmetic,
+    with lcm the least common multiple of the two leading monomials."""
+    ring, fld = f.ring, f.ring.field
+    fm, gm = f.leading_monomial(), g.leading_monomial()
+    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
+    a = ring.from_dict({_mono_div(lcm, fm): fld.div(fld.one, f.leading_coeff())})
+    b = ring.from_dict({_mono_div(lcm, gm): fld.div(fld.one, g.leading_coeff())})
+    return a * f - b * g
 
 
 def dimension_oracle(pres) -> int:

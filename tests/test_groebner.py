@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -237,6 +238,13 @@ class TestPairOrder:
         assert seen == S_PAIRS[name, kind]
 
 
+def _reduced_pair(v):
+    return (
+        type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+        and v[1] > 0 and gcd(*v) == 1
+    )
+
+
 class TestKernelPins:
     """What the packed kernel keeps: the costs _divide reports, which the
     probe's row table (predicates._Rows) reads, and the pivots of bases."""
@@ -265,8 +273,27 @@ class TestKernelPins:
                           "1ec20219ef40fed40fb44037c0ef0a69")),
     ])
     def test_pivots_over_q_pinned(self, name, pivots):
+        # and no Fraction enters the kernel: every value _reduce sees or
+        # returns is plain ints, work holding reduced pairs or 0, a row
+        # (lead, div, tail) div None or a reduced pair and (m, n, d) tail
+        # terms, and so a remainder
+        reduce, steps = groebner._reduce, []
+
+        def spy(pk, work, table, fld):
+            assert all(type(v) is int and v == 0 or _reduced_pair(v)
+                       for v in work.values())
+            for gm, div, tail in table:
+                assert type(gm) is int and (div is None or _reduced_pair(div))
+                assert all(type(t[0]) is int and _reduced_pair(t[1:]) for t in tail)
+            out = reduce(pk, work, table, fld)
+            assert all(_reduced_pair(t[1:]) for t in out[0])
+            steps.append(out[1])
+            return out
+
         pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
-        got = buchberger(pres).pivots
+        with mock.patch.object(groebner, "_reduce", spy):
+            got = buchberger(pres).pivots
+        assert sum(steps)
         # exceptional_primes reads the numerator and denominator of each
         assert all(isinstance(c, Fraction) for c in got)
         if isinstance(pivots, tuple):

@@ -1,6 +1,6 @@
 """Property tests: order laws, ring axioms, reduction homomorphism,
-canonical-form and normal-form idempotence, and heap-ordered division
-against the max-based reference."""
+canonical-form and normal-form idempotence, and heap-ordered division and
+packed S-polynomials against their plain references."""
 
 from fractions import Fraction
 from functools import cmp_to_key, partial
@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from gbtransfer import groebner
-from gbtransfer.groebner import DegreeCapExceeded, ideal, ideal_member, normal_form
+from gbtransfer.groebner import (
+    DegreeCapExceeded, ideal, ideal_member, normal_form, s_polynomial,
+)
 from gbtransfer.polyarith import (
     GREVLEX,
     LEX,
@@ -22,7 +24,7 @@ from gbtransfer.polyarith import (
     reduce_coeffs_mod_p,
 )
 
-from oracles import reference_divide, textbook_compare
+from oracles import reference_divide, reference_s_polynomial, textbook_compare
 
 RXY = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
 R3 = PolyRing(QQ, 3, GREVLEX, ("x", "y", "z"))
@@ -323,3 +325,30 @@ class TestPrimeFieldPolys:
     @settings(max_examples=40)
     def test_distributivity_mod_p(self, f, g):
         assert (f + g) * f == f * f + g * f
+
+
+@st.composite
+def s_pairs(draw):
+    ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
+    polys = poly_strategy(ring, monomials3, max_terms=5).filter(bool)
+    return draw(polys), draw(polys)
+
+
+class TestSPolynomialMatchesReference:
+    """s_polynomial over Q makes both rows monic and merges them on reduced
+    int pairs; the reference multiplies and subtracts Fractions."""
+
+    @given(s_pairs())
+    # negative and non-unit leads with denominators that share factors,
+    # where x*y*z cancels to 0 and the other terms survive
+    @example((P3("-1/2*x^2 + 1/3*x*z + y^2"), P3("3/4*x*y - 1/2*y*z - z^2")))
+    # coprime denominators, so every gcd of the pair arithmetic is 1
+    @example((P3("1/5*x^2 + 1/7*y"), P3("1/3*x*y + 1/2*z")))
+    # a monic and a non-monic row whose S-polynomial cancels to 0
+    @example((P3("x^2 + x*z"), P3("-6*x*y - 6*y*z")))
+    @settings(max_examples=150, deadline=None)
+    def test_same_polynomial(self, pair):
+        f, g = pair
+        got = s_polynomial(f, g)
+        assert got == reference_s_polynomial(f, g)
+        assert all(isinstance(c, Fraction) for _, c in got.terms)
