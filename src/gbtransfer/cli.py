@@ -8,7 +8,6 @@ messages go to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -290,7 +289,7 @@ def _parse_point_arg(text: str, ring: PolyRing) -> tuple:
 
 
 def _caps_from_args(args) -> Caps:
-    return Caps(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Caps)})
+    return Caps(**{name: getattr(args, name) for name in Caps._fields})
 
 
 def _cmd_verify(args) -> int:
@@ -403,7 +402,7 @@ _IDEAL_COMMANDS = (
         "bounded radical equality check",
         {
             "--radical": {"required": True, "help": "the candidate prime P"},
-            "--cap": {"type": int, "default": Caps.exponent_cap},
+            "--cap": {"type": int, "default": Caps().exponent_cap},
         },
         _run_radical_eq,
     ),
@@ -411,9 +410,9 @@ _IDEAL_COMMANDS = (
         "prime-probe",
         "randomized non-primality search",
         {
-            "--degree-bound": {"type": int, "default": Caps.probe_degree},
-            "--trials": {"type": int, "default": Caps.probe_trials},
-            "--seed": {"type": int, "default": Caps.seed},
+            "--degree-bound": {"type": int, "default": Caps().probe_degree},
+            "--trials": {"type": int, "default": Caps().probe_trials},
+            "--seed": {"type": int, "default": Caps().seed},
         },
         _run_prime_probe,
     ),
@@ -456,8 +455,8 @@ def _cmd_decode(args) -> int:
 
 def _add_caps_flags(sub) -> None:
     # one flag per Caps field, --exponent-cap for exponent_cap
-    for f in dataclasses.fields(Caps):
-        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+    for name, default in Caps()._asdict().items():
+        sub.add_argument("--" + name.replace("_", "-"), type=int, default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groebner import IdealPresentation
 from .polyarith import (
@@ -108,8 +108,7 @@ def normalize_generators(I: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(ring, tuple(gens))
 
 
-@dataclass(frozen=True)
-class IdealCode:
+class IdealCode(NamedTuple):
     """The flattened form: header (n, d, order, field) plus a D x D grid."""
 
     nvars: int

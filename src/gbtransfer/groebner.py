@@ -10,12 +10,11 @@ predicates at the same ideals.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polyarith import AmbientMismatch, Polynomial, PolyRing, RationalField
 
@@ -30,29 +29,29 @@ class DegreeCapExceeded(RuntimeError):
     """A computation blew past a kernel cap instead of hanging."""
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
-    """An ideal given by explicit generators in a fixed ambient ring.
-
-    Zero generators are dropped at construction; the zero ideal keeps a
-    single zero generator so every presentation is non-empty.
-    """
-
+class _IdealPresentation(NamedTuple):
     ring: PolyRing
     generators: tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
+
+class IdealPresentation(_IdealPresentation):
+    """An ideal given by explicit generators in a fixed ambient ring.
+
+    Zero generators are dropped at construction; the zero ideal keeps a
+    single zero generator so every presentation is non-empty.  Instances
+    keep a __dict__ for the memos below.
+    """
+
+    def __new__(cls, ring: PolyRing, generators: tuple[Polynomial, ...]):
         gens = []
-        for g in self.generators:
+        for g in generators:
             if not isinstance(g, Polynomial):
                 raise TypeError("generators must be polynomials")
-            if g.ring != self.ring:
+            if g.ring != ring:
                 raise AmbientMismatch("generator outside the ambient ring")
             if g:
                 gens.append(g)
-        if not gens:
-            gens = [self.ring.zero()]
-        object.__setattr__(self, "generators", tuple(gens))
+        return super().__new__(cls, ring, tuple(gens) or (ring.zero(),))
 
     def is_zero_ideal(self) -> bool:
         return len(self.generators) == 1 and not self.generators[0]
@@ -77,8 +76,7 @@ def ideal(*gens: Polynomial, ring: PolyRing | None = None) -> IdealPresentation:
     return IdealPresentation(ring, tuple(gens))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """A reduced basis: monic, pairwise lead-irreducible, canonically sorted.
 
     pivots are the leading coefficients buchberger divided out, in order:

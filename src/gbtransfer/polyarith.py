@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
@@ -70,12 +69,18 @@ def is_prime(n: int) -> bool:
 _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
-@dataclass(frozen=True)
 class RationalField:
     """The rational numbers; elements are reduced `Fraction` values."""
 
+    __slots__ = ()  # no fields, yet not an empty tuple, which would be falsy
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RationalField) or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool):
@@ -117,19 +122,23 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """A prime field F_p; elements are canonical residues 0..p-1."""
-
+class _PrimeField(NamedTuple):
     p: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
+
+class PrimeField(_PrimeField):
+    """A prime field F_p; elements are canonical residues 0..p-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> "PrimeField":
+        if not isinstance(p, int) or isinstance(p, bool):
             raise TypeError("modulus must be an int")
-        if self.p >= 1 << 63:
+        if p >= 1 << 63:
             raise ValueError("modulus exceeds the machine-word bound")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        return super().__new__(cls, p)
 
     zero = 0
     one = 1
@@ -220,8 +229,11 @@ def _grevlex_rank(m: Mono):
     return (-sum(m),) + m[::-1]
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class _MonomialOrder(NamedTuple):
+    kind: str = "grevlex"
+
+
+class MonomialOrder(_MonomialOrder):
     """A fixed multiplicative well-order on monomials (lex or grevlex).
 
     rank(m), set once per order object, is the order's only key: a flat
@@ -231,47 +243,60 @@ class MonomialOrder:
     tuple, tuple(-e for e in rank(m)), sorts ascending.
     """
 
-    kind: str = "grevlex"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("lex", "grevlex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-        rank = _lex_rank if self.kind == "lex" else _grevlex_rank
-        object.__setattr__(self, "rank", rank)
+    def __new__(cls, kind: str = "grevlex") -> "MonomialOrder":
+        if kind not in ("lex", "grevlex"):
+            raise ValueError(f"unknown monomial order {kind!r}")
+        self = super().__new__(cls, kind)
+        self.rank = _lex_rank if kind == "lex" else _grevlex_rank
+        return self
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """Ambient ring descriptor.
 
     Identity is (field, nvars, order); variable names are display metadata
-    only and never participate in equality or hashing.
+    only and never participate in equality or hashing.  Not a tuple, whose
+    order and length would count the names.
     """
 
-    field: Field
-    nvars: int
-    order: MonomialOrder = GREVLEX
-    names: tuple[str, ...] = _dc_field(default=(), compare=False)
+    __slots__ = ("field", "nvars", "order", "names")
 
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
+    def __init__(self, field: Field, nvars: int,
+                 order: MonomialOrder = GREVLEX, names: tuple[str, ...] = ()) -> None:
+        if nvars < 1:
             raise ValueError("a polynomial ring needs at least one variable")
-        if self.nvars > NVARS_CAP:
+        if nvars > NVARS_CAP:
             raise ValueError(f"more than {NVARS_CAP} variables")
-        if not self.names:
-            object.__setattr__(
-                self, "names", tuple(f"x{i + 1}" for i in range(self.nvars))
-            )
-        else:
-            object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) != self.nvars:
+        names = tuple(names) if names else tuple(f"x{i + 1}" for i in range(nvars))
+        if len(names) != nvars:
             raise ValueError("variable name count does not match nvars")
-        if len(set(self.names)) != self.nvars:
-            raise ValueError(f"variable names must be distinct: {self.names}")
+        if len(set(names)) != nvars:
+            raise ValueError(f"variable names must be distinct: {names}")
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "nvars", nvars)
+        init(self, "order", order)
+        init(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyRing):
+            return NotImplemented
+        return other is self or (self.field, self.nvars, self.order) == (
+            other.field, other.nvars, other.order)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nvars, self.order))
+
+    def __repr__(self) -> str:
+        return (f"PolyRing(field={self.field!r}, nvars={self.nvars!r}, "
+                f"order={self.order!r}, names={self.names!r})")
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())

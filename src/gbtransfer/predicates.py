@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import groebner
 from .groebner import (
@@ -38,8 +37,7 @@ class NotContained(ValueError):
     """A required ideal containment does not hold."""
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     """Size data of a presentation: variable count, degrees, their max."""
 
     nvars: int
@@ -48,12 +46,7 @@ class ComplexityReport:
     generator_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "max_degree": self.max_degree,
-            "complexity": self.complexity,
-            "generator_count": self.generator_count,
-        }
+        return self._asdict()
 
 
 def complexity_of(nvars: int, polys: Sequence[Polynomial]) -> ComplexityReport:
@@ -110,8 +103,7 @@ def dimension(I: IdealPresentation) -> int:
     raise AssertionError("unreachable: the empty subset is always independent")
 
 
-@dataclass(frozen=True)
-class HeightResult:
+class HeightResult(NamedTuple):
     """Dimension of the quotient and the complementary codimension."""
 
     dimension: int
@@ -132,14 +124,13 @@ RADICAL_NOT_CONTAINED = "not_contained_in_p"
 RADICAL_POWER_NOT_FOUND = "generator_power_not_found"
 
 
-@dataclass(frozen=True)
-class RadicalResult:
+class RadicalResult(NamedTuple):
     """Outcome of the bounded radical-equality check, with certificates.
 
     generator_power_not_found means "not proven within the cap", never a
     disproof.  contents holds, for each generator in exponents, the
     _content of NF(g^e) for every e below its exponent; a sweep reads it
-    over Q to build its exceptional set.  It takes no part in ==, repr or
+    over Q to build its exceptional set.  It takes no part in ==, hash or
     as_dict.
     """
 
@@ -147,9 +138,17 @@ class RadicalResult:
     exponents: tuple[tuple[Polynomial, int], ...] = ()
     failed_generator: Polynomial | None = None
     cap: int | None = None
-    contents: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    contents: tuple[tuple[int, ...], ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RadicalResult):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     @property
     def equal(self) -> bool:
@@ -217,8 +216,7 @@ PROBE_PROBABLY_PRIME = "probably_prime"
 PROBE_TRIAL_CAP = 10_000  # most trials one probe draws
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Probe verdict, with the pair found when it is not_prime."""
 
     status: str

@@ -16,7 +16,6 @@ never exceeds the characteristic-zero complexity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, product as _cartesian
 from typing import NamedTuple, Sequence
@@ -87,19 +86,22 @@ def system_ring(n: int, r: int, order: MonomialOrder = GREVLEX) -> PolyRing:
     return PolyRing(QQ, n + r, order, names)
 
 
-@dataclass(frozen=True)
-class DiophantineSystem:
-    """Equations over Z in the parameter slots X and the free slots Y."""
-
+class _DiophantineSystem(NamedTuple):
     n: int
     r: int
     equations: tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.r < 0 or self.n + self.r < 1:
+
+class DiophantineSystem(_DiophantineSystem):
+    """Equations over Z in the parameter slots X and the free slots Y."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, r: int, equations: tuple[Polynomial, ...]):
+        if n < 0 or r < 0 or n + r < 1:
             raise ValueError("need n >= 0, r >= 0 and n + r >= 1")
-        for F in self.equations:
-            if F.ring.nvars != self.n + self.r:
+        for F in equations:
+            if F.ring.nvars != n + r:
                 raise AmbientMismatch(
                     "equation variable count does not match n + r"
                 )
@@ -108,12 +110,10 @@ class DiophantineSystem:
             for _, c in F.terms:
                 if c.denominator != 1:
                     raise ValueError("system coefficients must be integers")
+        return super().__new__(cls, n, r, equations)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Semi-parametric witness data over one ambient ring."""
-
+class _Witness(NamedTuple):
     ring: PolyRing
     i_gens: tuple[Polynomial, ...]
     m_gens: tuple[Polynomial, ...]
@@ -123,19 +123,24 @@ class Witness:
     claimed_n: int
     domain_claim: bool = False
 
-    def __post_init__(self) -> None:
-        for g in (*self.i_gens, *self.m_gens, *self.x_images, *self.y_images):
-            if g.ring != self.ring:
+
+class Witness(_Witness):
+    """Semi-parametric witness data over one ambient ring."""
+
+    __slots__ = ()
+
+    def __new__(cls, ring, i_gens, m_gens, point_b, x_images, y_images,
+                claimed_n, domain_claim=False):
+        for g in (*i_gens, *m_gens, *x_images, *y_images):
+            if g.ring != ring:
                 raise AmbientMismatch("witness polynomial outside the ring")
-        if self.point_b is not None:
-            pt = tuple(self.ring.field.coerce(c) for c in self.point_b)
-            if len(pt) != self.ring.nvars:
+        if point_b is not None:
+            point_b = tuple(ring.field.coerce(c) for c in point_b)
+            if len(point_b) != ring.nvars:
                 raise AmbientMismatch("point length does not match the ring")
-            object.__setattr__(self, "point_b", pt)
-        object.__setattr__(self, "i_gens", tuple(self.i_gens))
-        object.__setattr__(self, "m_gens", tuple(self.m_gens))
-        object.__setattr__(self, "x_images", tuple(self.x_images))
-        object.__setattr__(self, "y_images", tuple(self.y_images))
+        return super().__new__(cls, ring, tuple(i_gens), tuple(m_gens), point_b,
+                               tuple(x_images), tuple(y_images), claimed_n,
+                               domain_claim)
 
     def ideal_i(self) -> IdealPresentation:
         return IdealPresentation(self.ring, self.i_gens)
@@ -144,16 +149,20 @@ class Witness:
         return IdealPresentation(self.ring, self.m_gens)
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Resource knobs shared by verification and sweeps."""
-
+class _Caps(NamedTuple):
     exponent_cap: int = 16
     probe_trials: int = 200
     probe_degree: int = 2
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class Caps(_Caps):
+    """Resource knobs shared by verification and sweeps."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # the messages of radical_equals and prime_probe, which check again
         if self.exponent_cap < 1:
             raise ValueError("exponent cap must be at least 1")
@@ -161,6 +170,7 @@ class Caps:
             raise ValueError("degree bound and trial count must be positive")
         if self.probe_trials > PROBE_TRIAL_CAP:
             raise ValueError(f"over {PROBE_TRIAL_CAP} probe trials")
+        return self
 
 
 CERT_PASSED = "passed"
@@ -168,11 +178,10 @@ CERT_FAILED = "failed"
 CERT_NOT_CERTIFIED = "not_certified"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """The checks' outcomes.  ideals holds the presentations of m, (x) + I
     and I, with the bases they computed, which a sweep reads over Q to build
-    its exceptional set.  It takes no part in ==, repr or as_dict."""
+    its exceptional set.  It takes no part in ==, hash or as_dict."""
 
     condition1: RadicalResult
     condition2: tuple[bool, ...]
@@ -183,7 +192,17 @@ class VerificationResult:
     prime_probe: ProbeResult | None
     complexity: ComplexityReport
     passed: bool
-    ideals: tuple[IdealPresentation, ...] = field(compare=False, repr=False)
+    ideals: tuple[IdealPresentation, ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationResult):
+            return NotImplemented
+        return self[:9] == other[:9]
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
+
+    def __hash__(self) -> int:
+        return hash(self[:9])
 
     @property
     def height_ok(self) -> bool:
@@ -381,8 +400,7 @@ class PrimeOutcome(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     prime_range: tuple[int, int] | None
     bad_primes: tuple[tuple[int, tuple[str, ...]], ...]
     per_prime: tuple[PrimeOutcome, ...]
@@ -413,7 +431,7 @@ def _run_prime(
     # An outcome prints no probe, so w mod p is verified without one.
     try:
         wp = reduce_witness_mod_p(w, p)
-        res = verify_witness(sys_, replace(wp, domain_claim=False), caps)
+        res = verify_witness(sys_, wp._replace(domain_claim=False), caps)
     except (
         BadPrime,
         DegenerateGenerator,

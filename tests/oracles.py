@@ -24,7 +24,6 @@ candidate, against which the two products of ``bad_primes`` are checked.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -303,7 +302,7 @@ def reference_read_off(char0, ring, p: int):
         (reduce_coeffs_mod_p(g, target), e) for g, e in q1.exponents
     )
     cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
-    return dataclasses.replace(char0, condition1=cond1, prime_probe=None)
+    return char0._replace(condition1=cond1, prime_probe=None)
 
 
 def reference_lucky(ideals, p: int) -> bool:

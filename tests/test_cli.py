@@ -638,6 +638,36 @@ class TestCapsDefaults:
             caps.probe_trials, caps.probe_degree, caps.seed
         )
 
+    def test_no_flags_give_the_documented_defaults(self):
+        parse = _build_parser().parse_args
+        defaults = {
+            "exponent_cap": 16, "probe_trials": 200, "probe_degree": 2, "seed": 0
+        }
+        for command in (["verify", "c.json"], ["sweep", "c.json", "--primes", "2..3"]):
+            caps = _caps_from_args(parse(command))
+            assert caps == Caps() and caps._asdict() == defaults
+        args = parse(["radical-eq", "--vars", "x", "--ideal", "x", "--radical", "x"])
+        assert args.cap == 16
+        args = parse(["prime-probe", "--vars", "x", "--ideal", "x"])
+        assert (args.trials, args.degree_bound, args.seed) == (200, 2, 0)
+
+
+class TestImportCost:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # each costs milliseconds at every CLI start; -S keeps site's own
+        # imports out of the check
+        code = (
+            "import sys, gbtransfer.cli; "
+            "bad = {'dataclasses', 'inspect'} & set(sys.modules); "
+            "print(sorted(bad)); sys.exit(bool(bad))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
 
 class TestErrorTypes:
     def test_structural_errors_are_value_errors(self):

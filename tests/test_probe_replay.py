@@ -2,7 +2,6 @@
 prime, and its exceptional set against the per-prime luck test.  No prime
 runs the primality probe: it runs once, over Q."""
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -69,7 +68,7 @@ def _bundled():
 def _without_domain_claim(cases):
     # the sweep-lift traffic: the probe is bypassed, the other checks stay
     return {
-        name + ":no_domain": (system, dataclasses.replace(w, domain_claim=False))
+        name + ":no_domain": (system, w._replace(domain_claim=False))
         for name, (system, w) in cases.items()
     }
 
@@ -347,7 +346,7 @@ def test_every_good_prime_matches_the_full_path(name):
             assert reference_lucky(char0.ideals, p), p
             wp = reduce_witness_mod_p(w, p)
             full = verify_witness(
-                system, dataclasses.replace(wp, domain_claim=False), CAPS
+                system, wp._replace(domain_claim=False), CAPS
             )
             assert full == reference_read_off(char0, w.ring, p), p
     report = sweep(system, w, PRIMES, CAPS)

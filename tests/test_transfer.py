@@ -10,19 +10,25 @@ from hypothesis import given, settings, strategies as st
 
 from gbtransfer import polyarith, transfer
 from gbtransfer.cli import load_case
-from gbtransfer.groebner import IdealPresentation, ideal
+from gbtransfer.encoding import IdealCode
+from gbtransfer.groebner import GroebnerBasis, IdealPresentation, ideal
 from gbtransfer.polyarith import (
     AmbientMismatch,
     BadPrime,
     GREVLEX,
+    LEX,
+    MonomialOrder,
     PolyRing,
     PrimeField,
     QQ,
+    RationalField,
     parse_polynomial,
     reduce_coeffs_mod_p,
     substitute,
 )
-from gbtransfer.predicates import NotContained
+from gbtransfer.predicates import (
+    ComplexityReport, HeightResult, NotContained, ProbeResult, RadicalResult,
+)
 from gbtransfer.transfer import (
     BudgetExceeded,
     Caps,
@@ -30,6 +36,8 @@ from gbtransfer.transfer import (
     DegenerateGenerator,
     DiophantineSystem,
     PrimeOutcome,
+    SweepReport,
+    VerificationResult,
     Witness,
     bad_primes,
     primes_in_range,
@@ -447,6 +455,156 @@ class TestSweep:
             assert substitute(SIXTH_SYS.equations[0], images_p) == (
                 reduce_coeffs_mod_p(value, wp.ring)
             )
+
+
+RV = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
+XV, YV = RV.variable(0), RV.variable(1)
+_REPORT = ComplexityReport(2, 1, 2, 1)
+_VERIFIED = VerificationResult(
+    RadicalResult("equal", ((XV, 1),), None, 16), (True,), ("0",), "passed",
+    1, 1, None, _REPORT, True, (),
+)
+
+# (class, constructor keywords, [(keywords changed, whether still equal)]):
+# every field is changed at least once.  names, contents and ideals take no
+# part in == or hash.
+VALUE_CASES = [
+    (RationalField, {}, []),
+    (PrimeField, {"p": 7}, [({"p": 11}, False)]),
+    (MonomialOrder, {"kind": "grevlex"}, [({"kind": "lex"}, False)]),
+    (
+        PolyRing,
+        {"field": QQ, "nvars": 2, "order": GREVLEX, "names": ("x", "y")},
+        [({"field": PrimeField(7)}, False), ({"nvars": 3, "names": ()}, False),
+         ({"order": LEX}, False), ({"names": ("u", "v")}, True)],
+    ),
+    (
+        IdealPresentation,
+        {"ring": RV, "generators": ()},
+        [({"ring": PolyRing(QQ, 2, LEX)}, False), ({"generators": (XV,)}, False)],
+    ),
+    (
+        GroebnerBasis,
+        {"basis": (XV,), "pivots": (1,)},
+        [({"basis": (YV,)}, False), ({"pivots": (2,)}, False)],
+    ),
+    (
+        ComplexityReport,
+        _REPORT._asdict(),
+        [({"nvars": 3}, False), ({"max_degree": 2}, False),
+         ({"complexity": 3}, False), ({"generator_count": 2}, False)],
+    ),
+    (
+        HeightResult,
+        {"dimension": 1, "height": 1},
+        [({"dimension": 0}, False), ({"height": 2}, False)],
+    ),
+    (
+        RadicalResult,
+        {"status": "equal", "exponents": ((XV, 1),), "failed_generator": None,
+         "cap": 16, "contents": ((),)},
+        [({"status": "not_contained_in_p"}, False), ({"exponents": ((XV, 2),)}, False),
+         ({"failed_generator": YV}, False), ({"cap": 3}, False),
+         ({"contents": ((5,),)}, True)],
+    ),
+    (
+        ProbeResult,
+        {"status": "not_prime", "trials": 3, "witness_f": XV, "witness_g": YV},
+        [({"status": "probably_prime"}, False), ({"trials": 4}, False),
+         ({"witness_f": YV}, False), ({"witness_g": XV}, False)],
+    ),
+    (
+        IdealCode,
+        {"nvars": 2, "complexity": 2, "order": GREVLEX, "field": QQ, "rows": ()},
+        [({"nvars": 3}, False), ({"complexity": 3}, False), ({"order": LEX}, False),
+         ({"field": PrimeField(7)}, False), ({"rows": ((1,),)}, False)],
+    ),
+    (
+        DiophantineSystem,
+        {"n": 1, "r": 1, "equations": ()},
+        [({"n": 2}, False), ({"r": 2}, False),
+         ({"equations": _system("X1 - Y1^2").equations}, False)],
+    ),
+    (
+        Witness,
+        {"ring": RV, "i_gens": (), "m_gens": (), "point_b": None, "x_images": (),
+         "y_images": (), "claimed_n": 1, "domain_claim": False},
+        [({"ring": PolyRing(QQ, 3)}, False), ({"i_gens": (XV,)}, False),
+         ({"m_gens": (XV,)}, False), ({"point_b": (0, 0)}, False),
+         ({"x_images": (XV,)}, False), ({"y_images": (XV,)}, False),
+         ({"claimed_n": 2}, False), ({"domain_claim": True}, False)],
+    ),
+    (
+        Caps,
+        {"exponent_cap": 16, "probe_trials": 200, "probe_degree": 2, "seed": 0},
+        [({"exponent_cap": 3}, False), ({"probe_trials": 5}, False),
+         ({"probe_degree": 1}, False), ({"seed": 9}, False)],
+    ),
+    (
+        VerificationResult,
+        _VERIFIED._asdict(),
+        [({"condition1": RadicalResult("not_contained_in_p", cap=16)}, False),
+         ({"condition2": (False,)}, False), ({"condition2_residues": ("x",)}, False),
+         ({"condition3": "failed"}, False), ({"height_computed": 2}, False),
+         ({"claimed_n": 2}, False), ({"prime_probe": ProbeResult("x", 1)}, False),
+         ({"complexity": ComplexityReport(3, 1, 3, 1)}, False),
+         ({"passed": False}, False),
+         ({"ideals": (IdealPresentation(RV, (XV,)),)}, True)],
+    ),
+    (
+        SweepReport,
+        {"prime_range": (2, 5), "bad_primes": (), "per_prime": (), "uniform_d": 2,
+         "char0_d": 2, "char0_result": _VERIFIED},
+        [({"prime_range": None}, False),
+         ({"bad_primes": ((2, ("denominator",)),)}, False),
+         ({"per_prime": (PrimeOutcome(3, True, 2, None, False, None),)}, False),
+         ({"uniform_d": None}, False), ({"char0_d": 3}, False),
+         ({"char0_result": _VERIFIED._replace(passed=False)}, False)],
+    ),
+]
+
+
+class TestValues:
+    """The value classes: immutable, compared and hashed by their fields."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, changes", VALUE_CASES, ids=[c[0].__name__ for c in VALUE_CASES]
+    )
+    def test_immutable_and_compared_by_their_fields(self, cls, kwargs, changes):
+        assert set(kwargs) <= {name for change, _ in changes for name in change}
+        value = cls(**kwargs)
+        assert value == cls(**kwargs) and not value != cls(**kwargs)
+        assert hash(value) == hash(cls(**kwargs))
+        assert value  # none is an empty, falsy tuple
+        for change, still_equal in changes:
+            other = cls(**{**kwargs, **change})
+            if still_equal:
+                assert value == other and not value != other, change
+                assert hash(value) == hash(other), change
+            else:
+                assert value != other and not value == other, change
+        for name in kwargs or ("zero",):  # RationalField: a read-only constant
+            with pytest.raises(AttributeError):
+                setattr(value, name, kwargs.get(name))
+
+    @pytest.mark.parametrize(
+        "build, exc, message",
+        [
+            (lambda: PrimeField(4), ValueError, "modulus 4 is not prime"),
+            (lambda: PrimeField(True), TypeError, "modulus must be an int"),
+            (lambda: PolyRing(QQ, 0), ValueError,
+             "a polynomial ring needs at least one variable"),
+            (lambda: MonomialOrder("foo"), ValueError, "unknown monomial order 'foo'"),
+            (lambda: Caps(exponent_cap=0), ValueError,
+             "exponent cap must be at least 1"),
+        ],
+        ids=["PrimeField(4)", "PrimeField(True)", "PolyRing(QQ, 0)",
+             "MonomialOrder(foo)", "Caps(exponent_cap=0)"],
+    )
+    def test_validation_errors_keep_type_and_message(self, build, exc, message):
+        with pytest.raises(exc) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (exc, message)
 
 
 class TestCorpusCoherence:
