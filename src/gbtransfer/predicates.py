@@ -253,16 +253,30 @@ def _sample_coefficients(fld) -> tuple:
     return tuple(out)
 
 
-def _draw(choice, monos: Sequence, coeffs: Sequence) -> tuple:
-    """Sparse random (monomial, coefficient) terms on the given choices.
+def _draw(bits, monos: Sequence, coeffs: Sequence) -> tuple:
+    """Sparse random (monomial, coefficient) terms, picked with bits, the
+    getrandbits of a random.Random, as its choice picks: from a sequence
+    of length n, getrandbits(n.bit_length()) until the value is below n.
+    So the generator's stream is the one choice would consume.
 
     Coefficients are plain integer sums: over F_p a term may be 0 mod p,
     which adds nothing to a normal form and which _polynomial drops.
     """
+    nm, km = len(monos), len(monos).bit_length()
+    nc, kc = len(coeffs), len(coeffs).bit_length()
+    r = bits(3)  # the pick count, from the 6 of the loop below
+    while r >= 6:
+        r = bits(3)
     acc: dict = {}
-    for _ in range(choice((1, 1, 1, 2, 2, 3))):
-        m = choice(monos)
-        acc[m] = acc.get(m, 0) + choice(coeffs)
+    for _ in range((1, 1, 1, 2, 2, 3)[r]):
+        r = bits(km)
+        while r >= nm:
+            r = bits(km)
+        m = monos[r]
+        r = bits(kc)
+        while r >= nc:
+            r = bits(kc)
+        acc[m] = acc.get(m, 0) + coeffs[r]
     terms = tuple(acc.items())
     if 0 in acc.values():  # two picks of one monomial cancelled
         terms = tuple(t for t in terms if t[1])
@@ -390,9 +404,10 @@ def prime_probe(
 
     Whether a trial's normal forms are zero is read off memoized monomial
     rows (_Rows) where the rows prove that dividing the trial stays within
-    every kernel cap; elsewhere normal_form divides it.  So the verdicts,
-    and any DegreeCapExceeded with its message, are those of dividing every
-    trial.
+    every kernel cap; elsewhere normal_form divides it.  Each distinct
+    terms tuple is decided once per call, and its answer is kept only once
+    given.  So the verdicts, and any DegreeCapExceeded with its message,
+    are those of dividing every trial.  Picks are choice's (see _draw).
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
@@ -403,18 +418,22 @@ def prime_probe(
     ring = P.ring
     monos = monomials_up_to(ring.nvars, degree_bound)
     coeffs = _sample_coefficients(ring.field)
-    choice = random.Random(seed).choice
+    bits = random.Random(seed).getrandbits
     rows = _Rows(ring, P.basis)
+    seen: dict = {}  # terms -> whether NF(terms) is zero, this call only
 
     def zero(terms: tuple) -> bool:
-        z = rows.zero(terms)
+        z = seen.get(terms)
         if z is None:
-            z = not normal_form(_polynomial(ring, terms), P.basis)
+            z = rows.zero(terms)
+            if z is None:
+                z = not normal_form(_polynomial(ring, terms), P.basis)
+            seen[terms] = z
         return z
 
     for _ in range(trials):
-        f = _draw(choice, monos, coeffs)
-        g = _draw(choice, monos, coeffs)
+        f = _draw(bits, monos, coeffs)
+        g = _draw(bits, monos, coeffs)
         if not zero(f) and not zero(g) and zero(_product(f, g)):
             pair = _polynomial(ring, f), _polynomial(ring, g)
             return ProbeResult(PROBE_NOT_PRIME, trials, *pair)

@@ -11,7 +11,8 @@ packed ``s_polynomial`` is checked.  The monomial orders have their
 textbook definitions here, against which ``MonomialOrder.rank`` is
 checked.  The primality probe has its plain per-trial loop, which builds
 and divides every draw, against which the row-table ``prime_probe`` is
-checked.
+checked, and its draws are built with ``random.Random.choice``, against
+which the inline picks of ``_draw`` are checked.
 Rational maximality has its definition by evaluation at the point,
 against which the basis-only ``rational_maximal`` is checked.  A sweep's
 exceptional set has the per-prime luck test of a Groebner trace, which
@@ -251,6 +252,16 @@ def _random_bounded_poly(ring, rng, monos, coeffs) -> Polynomial:
         prev = acc.get(m)
         acc[m] = c if prev is None else fld.add(prev, c)
     return ring.from_dict(acc)
+
+
+def reference_draw(rng, monos, coeffs) -> tuple:
+    """``predicates._draw`` with ``rng.choice`` for every pick, against
+    which its inline picks on ``getrandbits`` are checked."""
+    acc: dict = {}
+    for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
+        m = rng.choice(monos)
+        acc[m] = acc.get(m, 0) + rng.choice(coeffs)
+    return tuple((m, c) for m, c in acc.items() if c)
 
 
 def reference_prime_probe(P, degree_bound, trials, seed) -> ProbeResult:

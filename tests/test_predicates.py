@@ -1,5 +1,6 @@
 """Complexity, dimension/height, radical equality, probe, maximality."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -33,8 +34,10 @@ from gbtransfer.predicates import (
 )
 
 from corpus import MONOMIAL_IDEALS, NAMED_IDEALS, R1, R2, R3, P, mk
+import oracles
 from oracles import (
     dimension_oracle,
+    reference_draw,
     reference_prime_probe,
     reference_rational_maximal,
 )
@@ -220,7 +223,7 @@ class TestPrimeProbe:
         _, w = load_case(str(CASES / "hyperbola.json"))
         I = w.ideal_i()
         I.basis
-        draws, rows, trials, answers = [], [], [], []
+        draws, rows, trials, asked = [], [], [], []
         real_draw = predicates._draw
 
         def draw(*args):
@@ -238,17 +241,44 @@ class TestPrimeProbe:
         monkeypatch.setattr(predicates, "_draw", draw)
         monkeypatch.setattr(predicates, "_divide", row)
         monkeypatch.setattr(predicates, "normal_form", whole)
-        monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(answers))
+        monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(asked))
         res = prime_probe(I, 2, 200, seed=0)
         assert res.probably_prime and len(draws) == 2 * 200
-        # each trial reads NF(f) at least, off the rows
-        assert len(answers) >= 200
+        # every trial asks about its f; each distinct terms tuple reaches
+        # the rows once, so a repeated f is answered without them
+        assert set(draws[::2]) <= set(asked)
+        assert len(asked) == len(set(asked))
+        assert len(set(draws[::2])) < 200
         assert all(len(f.terms) == 1 for f in rows)
         assert len(rows) == len(set(rows)) <= 15
         assert trials == []
 
+    @given(
+        st.integers(1, 33), st.integers(1, 33), st.integers(0, 2**64),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(1, 1, 0, 8)
+    @example(2, 3, 1, 8)
+    @example(4, 2, 2, 8)
+    @example(8, 4, 3, 8)
+    @example(16, 1, 4, 8)
+    @example(32, 2, 5, 8)
+    @example(33, 3, 6, 8)
+    def test_draw_picks_as_choice(self, nm, nc, seed, count):
+        # coefficients 1, -1, 2, -2, ...: two picks of a monomial can cancel
+        monos = tuple((i,) for i in range(nm))
+        coeffs = tuple((i // 2 + 1) * (-1) ** i for i in range(nc))
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            got = predicates._draw(ours.getrandbits, monos, coeffs)
+            assert got == reference_draw(ref, monos, coeffs)
+        assert ours.getstate() == ref.getstate()
 
-FIELDS = (QQ, PrimeField(7), PrimeField(32003))
+
+# One sample coefficient over F_2 and two over F_3: a pick from each
+# rejects on its own path.
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003))
 
 
 @st.composite
@@ -287,13 +317,14 @@ def _probe_outcome(probe, pres, args):
     return res, res.as_dict()
 
 
-def _checked_zero(answers):
+def _checked_zero(asked):
     """_Rows.zero, checked: every answer it gives (not None) must be
     whether normal_form, within every cap, reduces the same terms to zero;
-    each is appended to answers."""
+    the terms of each call are appended to asked."""
     real = predicates._Rows.zero
 
     def zero(rows, terms):
+        asked.append(terms)
         z = real(rows, terms)
         if z is not None:
             f = predicates._polynomial(rows.ring, terms)
@@ -302,16 +333,15 @@ def _checked_zero(answers):
             except DegreeCapExceeded as exc:
                 raise AssertionError(f"rows answered past a cap: {exc}")
             assert z == (not nf), terms
-            answers.append(z)
         return z
 
     return zero
 
 
-def _problem(text_gens, args=(2, 60, 0), **caps):
-    """A probe of an ideal of Q[x, y], under the given caps and the
-    default ones for the rest."""
-    ring = PolyRing(QQ, 2, GREVLEX, ("x", "y"))
+def _problem(text_gens, args=(2, 60, 0), ring=None, **caps):
+    """A probe of an ideal of ring, by default Q[x, y], under the given
+    caps and the default ones for the rest."""
+    ring = ring or PolyRing(QQ, 2, GREVLEX, ("x", "y"))
     gens = tuple(parse_polynomial(g, ring) for g in text_gens)
     defaults = {
         name: getattr(groebner, name)
@@ -336,18 +366,50 @@ class TestProbeMatchesReference:
     # Dividing y^4 pushes x*y^2, past DEGREE_CAP 2: a product with a y^4
     # term is divided in full and raises.
     @example(_problem(["x - y^2"], DEGREE_CAP=2))
+    # One variable at degree bound 3 draws from 4 monomials, a power of
+    # two: a pick takes 3 bits and rejects half of its values.
+    @example(_problem(["x^2 - 2"], args=(3, 60, 1), ring=R1))
+    @example(_problem(["x^2 + 1"], args=(3, 60, 2), ring=PolyRing(
+        PrimeField(2), 1, GREVLEX, ("x",))))
     def test_same_verdict_and_errors(self, problem):
         pres, args, caps = problem
         try:
             pres.basis  # computed under the default caps
         except DegreeCapExceeded:
             return
-        answers = []
         with mock.patch.multiple(groebner, **caps), mock.patch.object(
-            predicates._Rows, "zero", _checked_zero(answers)
+            predicates._Rows, "zero", _checked_zero([])
         ):
             ours = _probe_outcome(prime_probe, pres, args)
             assert ours == _probe_outcome(reference_prime_probe, pres, args)
+
+    # Both raise after the memo has answered repeated draws: at trial 24
+    # after 5 repeated f, and at trial 14 after 5.
+    @pytest.mark.parametrize("problem", [
+        _problem(["x^2 - y", "y^2 - x"], args=(2, 200, 5), STEP_CAP=3),
+        _problem(["2*x - 1", "3*y - 1"], args=(1, 200, 15), COEFF_BIT_CAP=4),
+    ])
+    def test_cap_raises_at_the_reference_trial(self, problem, monkeypatch):
+        pres, args, caps = problem
+        ours, theirs = [], []
+        real_draw, real_poly = predicates._draw, oracles._random_bounded_poly
+
+        def draw(*a):
+            ours.append(real_draw(*a))
+            return ours[-1]
+
+        def poly(*a):
+            theirs.append(real_poly(*a))
+            return theirs[-1]
+
+        monkeypatch.setattr(predicates, "_draw", draw)
+        monkeypatch.setattr(oracles, "_random_bounded_poly", poly)
+        with mock.patch.multiple(groebner, **caps):
+            got = _probe_outcome(prime_probe, pres, args)
+            want = _probe_outcome(reference_prime_probe, pres, args)
+        assert got[0] is DegreeCapExceeded and got == want
+        assert len(ours) == len(theirs) < 2 * args[1]
+        assert len(set(ours[::2])) <= len(ours) // 2 - 5
 
 
 class TestRationalMaximal:
