@@ -408,6 +408,9 @@ def prime_probe(
     terms tuple is decided once per call, and its answer is kept only once
     given.  So the verdicts, and any DegreeCapExceeded with its message,
     are those of dividing every trial.  Picks are choice's (see _draw).
+
+    The zero ideal, past every refusal, is answered without drawing: in a
+    domain no product of nonzero draws is zero, and no basis means no cap.
     """
     if degree_bound < 1 or trials < 1:
         raise ValueError("degree bound and trial count must be positive")
@@ -417,6 +420,8 @@ def prime_probe(
         raise UnitIdeal("the probed ideal is the whole ring")
     ring = P.ring
     monos = monomials_up_to(ring.nvars, degree_bound)
+    if P.is_zero_ideal():
+        return ProbeResult(PROBE_PROBABLY_PRIME, trials)
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
     rows = _Rows(ring, P.basis)

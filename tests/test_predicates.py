@@ -21,6 +21,7 @@ from gbtransfer.polyarith import (
     parse_polynomial,
 )
 from gbtransfer.predicates import (
+    PROBE_TRIAL_CAP,
     RADICAL_EQUAL,
     RADICAL_NOT_CONTAINED,
     RADICAL_POWER_NOT_FOUND,
@@ -410,6 +411,54 @@ class TestProbeMatchesReference:
         assert got[0] is DegreeCapExceeded and got == want
         assert len(ours) == len(theirs) < 2 * args[1]
         assert len(set(ours[::2])) <= len(ours) // 2 - 5
+
+
+def _no_draws(*args):
+    raise AssertionError("the zero ideal drew")
+
+
+class TestZeroIdealProbe:
+    """The zero ideal is answered without drawing, after every refusal."""
+
+    @given(
+        st.sampled_from(FIELDS),
+        st.sampled_from((GREVLEX, LEX)),
+        st.integers(1, 4),  # variables
+        st.integers(1, 4),  # degree bound
+        st.one_of(st.integers(1, 60), st.integers(1, PROBE_TRIAL_CAP)),
+        st.integers(0, 2**32),  # seed
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(QQ, GREVLEX, 4, 4, PROBE_TRIAL_CAP, 0)
+    @example(PrimeField(2), LEX, 1, 1, 1, 1)
+    def test_same_result_as_the_trial_loop(self, fld, order, n, degree, trials, seed):
+        pres = IdealPresentation(PolyRing(fld, n, order), ())
+        assert pres.is_zero_ideal()
+        args = (degree, trials, seed)
+        with mock.patch.object(predicates, "_draw", _no_draws), mock.patch.object(
+            predicates._Rows, "zero", _no_draws
+        ):
+            ours = _probe_outcome(prime_probe, pres, args)
+        assert ours == _probe_outcome(reference_prime_probe, pres, args)
+        assert ours[1] == {
+            "status": "probably_prime", "trials": trials, "f": None, "g": None,
+        }
+
+    # Each refusal keeps its message: the zero ideal is answered only once
+    # all of them have passed.
+    @pytest.mark.parametrize("n, degree, trials, message", [
+        (2, 0, 10, "degree bound and trial count must be positive"),
+        (2, 2, 0, "degree bound and trial count must be positive"),
+        (2, 0, PROBE_TRIAL_CAP + 1, "degree bound and trial count must be positive"),
+        (2, 2, PROBE_TRIAL_CAP + 1, f"over {PROBE_TRIAL_CAP} probe trials"),
+        (8, 12, PROBE_TRIAL_CAP + 1, f"over {PROBE_TRIAL_CAP} probe trials"),
+        (8, 12, 10, "over 10000 monomials of degree <= 12"),
+    ])
+    def test_refusals_come_first(self, n, degree, trials, message):
+        pres = IdealPresentation(PolyRing(QQ, n, GREVLEX), ())
+        with pytest.raises(ValueError) as exc:
+            prime_probe(pres, degree, trials, 0)
+        assert str(exc.value) == message
 
 
 class TestRationalMaximal:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gbtransfer import predicates, transfer
 from gbtransfer.cli import load_case, main
-from gbtransfer.groebner import DegreeCapExceeded
+from gbtransfer.groebner import DegreeCapExceeded, IdealPresentation
 from gbtransfer.polyarith import (
     QQ, PrimeField, format_polynomial, parse_polynomial,
 )
@@ -391,3 +391,41 @@ def test_no_bundled_case_has_an_exceptional_prime(name):
     bad = bad_primes(w, primes)
     good = [p for p in primes if p not in bad]
     assert exceptional_primes(w, verify_witness(system, w, CAPS), good) == set()
+
+
+ZERO_I = sorted(n for n, (_, w) in BUNDLED.items() if w.ideal_i().is_zero_ideal())
+
+
+def _zero_i_reports(name, capsys):
+    """The sweep over 2..2000 and the verify --char0 and --prime 7 reports
+    of a bundled case, as printed JSON."""
+    system, w = BUNDLED[name]
+    out = [json.dumps(sweep(system, w, PRIMES, CAPS).as_dict(), indent=2, sort_keys=True)]
+    for flags in (["--char0"], ["--prime", "7"]):
+        main(["verify", str(CASES / name), *flags])
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def test_zero_ideals_are_the_bundled_cases_but_hyperbola():
+    assert ZERO_I == sorted(set(BUNDLED) - {"hyperbola.json"})
+    assert len(ZERO_I) == 6
+
+
+@pytest.mark.parametrize("name", ZERO_I)
+def test_zero_ideal_reports_match_the_trial_loop(name, capsys, monkeypatch):
+    # The probe of the zero ideal draws nothing; forced through the trial
+    # loop, it prints the same bytes.
+    draws = []
+    real_draw = predicates._draw
+
+    def draw(*args):
+        draws.append(real_draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(predicates, "_draw", draw)
+    answered = _zero_i_reports(name, capsys)
+    assert draws == []
+    monkeypatch.setattr(IdealPresentation, "is_zero_ideal", lambda self: False)
+    assert _zero_i_reports(name, capsys) == answered
+    assert len(draws) == 3 * 2 * 200
