@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, inf
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -102,10 +102,10 @@ class _Packing:
         self.cap = ((cap + 1) << s) - 1
 
     def unpack(self, terms) -> tuple:
-        # (m, c) terms, or (m, numerator, denominator) ones into Fractions
+        # (m, c) terms, an (n, d) pair c into a Fraction
         mask, offsets = (1 << self.w) - 1, self.offsets
         return tuple([(tuple([m >> o & mask for o in offsets]),
-                       Fraction(*c) if c[1:] else c[0]) for m, *c in terms])
+                       Fraction(*c) if type(c) is tuple else c) for m, c in terms])
 
     def lcm(self, a: int, b: int) -> int:
         # field by field the larger exponent; their sum tops low * ones
@@ -121,63 +121,48 @@ class _Packing:
 
 def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tuple:
     # A packing (built once per shape) wide enough for polys, see normal_form,
-    # and polys packed under it, as (m, c) or over Q (m, numerator,
-    # denominator) terms; a term past DEGREE_CAP packs above pk.cap.
+    # and polys packed under it as (m, c) terms, c over Q a reduced int pair
+    # (n, d); a term past DEGREE_CAP packs above pk.cap.
     w = (2 * max(DEGREE_CAP, degree)).bit_length() + 1
     pk = _Packing(ring.nvars, ring.order.kind == "lex", w, DEGREE_CAP)
-    mults = pk.mults
-    if isinstance(ring.field, RationalField):
-        packed = [[(sum(map(mul, m, mults)), c.numerator, c.denominator)
-                   for m, c in g.terms] for g in polys]
-    else:
-        packed = [[(sum(map(mul, m, mults)), c) for m, c in g.terms] for g in polys]
-    if not degree and max([t[0] for g in packed for t in g], default=0) > pk.cap:
+    mults, q = pk.mults, isinstance(ring.field, RationalField)
+    packed = [[(sum(map(mul, m, mults)), (c.numerator, c.denominator) if q else c)
+               for m, c in g.terms] for g in polys]
+    if not degree and max([m for g in packed for m, _ in g], default=0) > pk.cap:
         return _packed(ring, polys, max(g.degree() for g in polys))
     return pk, packed
 
 
 def _row(terms: list, fld) -> tuple:
     # the monic row (lead, None, tail) of packed terms
+    lead = terms[0][1]
     if isinstance(fld, RationalField):
-        _, n, d = terms[0]
+        n, d = lead
         if n != d:  # times d / n, each product cancelled across
             n, d = (-n, -d) if n < 0 else (n, d)
             out = []
-            for m, tn, td in terms:
+            for m, (tn, td) in terms:
                 g1, g2 = gcd(tn, n), gcd(td, d)
-                out.append((m, tn // g1 * (d // g2), td // g2 * (n // g1)))
+                out.append((m, (tn // g1 * (d // g2), td // g2 * (n // g1))))
             terms = out
-    else:
-        inv = fld.inv(terms[0][1])
-        if inv != 1:
-            terms = [(m, fld.mul(inv, c)) for m, c in terms]
+    elif lead != 1:
+        inv = fld.inv(lead)
+        terms = [(m, fld.mul(inv, c)) for m, c in terms]
     return terms[0][0], None, terms[1:]
 
 
 def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
-    # two monic rows' tails shifted to the lcm of the leads, merged in a dict
-    # (over Q of reduced int pairs, cancelled entries 0, as _sub_pairs keeps)
+    # two monic rows' tails shifted to the lcm of the leads, a's less b's,
+    # merged in a dict (over Q by _sub_pairs, uncapped, cancelled entries 0)
     lcm = pk.lcm(a[0], b[0])
     qa, qb = lcm - a[0], lcm - b[0]
-    if not isinstance(fld, RationalField):
-        out = {m + qa: c for m, c in a[2]}
-        for m, c in b[2]:
-            m += qb
-            out[m] = fld.sub(out.get(m, 0), c)
+    out = {m + qa: c for m, c in a[2]}
+    if isinstance(fld, RationalField):
+        _sub_pairs(pk, out, [], None, b[2], qb, (1, 1), inf)
         return out
-    out = {m + qa: (n, d) for m, n, d in a[2]}
-    for m, n, d in b[2]:
+    for m, c in b[2]:
         m += qb
-        prev = out.get(m)
-        if prev is None:
-            out[m] = -n, d
-            continue
-        an, ad = prev
-        g = gcd(ad, d)
-        s = ad // g
-        t = an * (d // g) - n * s
-        g2 = gcd(t, g)
-        out[m] = (t // g2, s * (d // g2)) if t else 0
+        out[m] = fld.sub(out.get(m, 0), c)
     return out
 
 
@@ -187,10 +172,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    out = _spoly(pk, a, b, fld).items()
-    if isinstance(fld, RationalField):
-        out = [(m, *c) for m, c in out if c]
-    return f.ring.from_dict(dict(pk.unpack(out)))
+    return f.ring.from_dict(dict(pk.unpack(_spoly(pk, a, b, fld).items())))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -213,9 +195,10 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
 
-    Over Q the loop works on plain ints: each coefficient is split once,
-    as the polynomials are packed, into a reduced (numerator, denominator)
-    pair, and the remainder leaves as Fractions again.
+    Every term is one (m, c) pair over both fields: c is a residue over
+    F_p and, over Q, a reduced (numerator, denominator) pair of ints, split
+    once as the polynomials are packed; the loop works on plain ints and
+    the remainder leaves as Fractions again.
 
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
@@ -238,18 +221,16 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     if not (f and any(divisors)):
         return f, 0, 0
     pk, (work, *packed) = _packed(ring, (f, *divisors))
-    q = isinstance(ring.field, RationalField)
-    work = {m: (n, d) for m, n, d in work} if q else dict(work)
-    table = [(t[0][0], None if t[0][1:] in ((1,), (1, 1)) else t[0][1:], t[1:])
+    table = [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:])
              for t in packed if t]
-    rem, steps, bits = _reduce(pk, work, table, ring.field)
+    rem, steps, bits = _reduce(pk, dict(work), table, ring.field)
     return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
 
 
 def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
     # _divide, packed: work divided in place by rows (lead, div, tail), div
-    # the lead coefficient's ints ((c,), over Q (n, d)) or None for 1; over
-    # Q work holds reduced int pairs and the remainder (m, n, d) terms
+    # the lead coefficient or None for 1, every c as _packed builds it; the
+    # F_p step is inline, the Q one is _sub_pairs
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     q, push = isinstance(fld, RationalField), heapq.heappush
     p = None if q else fld.p
@@ -270,9 +251,10 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
             if steps > STEP_CAP:
                 raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
             if q:
-                top_bits = max(top_bits, _sub_pairs(pk, work, heap, gc, gtail, quot, c))
+                bits = _sub_pairs(pk, work, heap, gc, gtail, quot, c, cap)
+                top_bits = max(top_bits, bits)
                 break
-            factor = c if gc is None else fld.div(c, *gc)
+            factor = c if gc is None else fld.div(c, gc)
             for tm, tc in gtail:
                 mm = tm + quot
                 if mm > cap:
@@ -286,16 +268,16 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
                 work[mm] = (prev - factor * tc) % p
             break
         else:
-            rem.append((m, *c) if q else (m, c))
+            rem.append((m, c))
     return rem, steps, top_bits
 
 
-def _sub_pairs(pk, work, heap, div, tail, quot, c) -> int:
-    # _reduce's step over Q: work -= c / div * x^quot * tail on reduced
-    # (numerator, denominator) int pairs, cancelled entries 0.  Each product
-    # cancels across first, each difference divides by the gcd of the
-    # denominators, then by its gcd with the numerator (Knuth, TAOCP
-    # 4.5.1).  Returns the bits of the factor c / div.
+def _sub_pairs(pk, work, heap, div, tail, quot, c, cap) -> int:
+    # work -= c / div * x^quot * tail on reduced (numerator, denominator)
+    # int pairs, cancelled entries 0, no product past cap: _reduce's step
+    # over Q and _spoly's difference.  Each product cancels across first,
+    # each difference divides by the gcd of the denominators, then by its
+    # gcd with the numerator (Knuth, TAOCP 4.5.1).  Returns c / div's bits.
     fn, fd = c
     if div:
         g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
@@ -305,8 +287,8 @@ def _sub_pairs(pk, work, heap, div, tail, quot, c) -> int:
     bits = fn.bit_length() + fd.bit_length()
     if bits > COEFF_BIT_CAP:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
-    cap, low, lex, push = pk.cap, pk.low, pk.lex, heapq.heappush
-    for tm, tn, td in tail:
+    low, lex, push = pk.low, pk.lex, heapq.heappush
+    for tm, (tn, td) in tail:
         mm = tm + quot
         if mm > cap:
             raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
@@ -334,12 +316,11 @@ def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
         if all((g[0] - h[0]) & pk.guard for h in minimal + G[i + 1:]):
             minimal.append(g)
     fld, out = ring.field, []
-    q = isinstance(fld, RationalField)
     for i, g in enumerate(minimal):
         # no other lead divides g's, so only the tail reduces, and the pivot is 1
-        work = {m: (n, d) for m, n, d in g[2]} if q else dict(g[2])
         pivots.append(fld.one)
-        out.append((g[0], _reduce(pk, work, minimal[:i] + minimal[i + 1:], fld)[0]))
+        rest = minimal[:i] + minimal[i + 1:]
+        out.append((g[0], _reduce(pk, dict(g[2]), rest, fld)[0]))
     out.sort(key=lambda row: pk.key(row[0]))
     return tuple(Polynomial(ring, pk.unpack([(g[0], fld.one), *g[1]])) for g in out)
 
@@ -357,7 +338,6 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     pairs (see normal_form), until the end.
     """
     ring, fld = pres.ring, pres.ring.field
-    q = isinstance(fld, RationalField)
     gens = [g for g in pres.generators if g]
     if not gens:
         return GroebnerBasis(())
@@ -399,7 +379,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
             continue
         if max(r)[0] > pk.cap:
             raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
-        pivots.append(Fraction(*r[0][1:]) if q else r[0][1])
+        pivots.append(pk.unpack(r[:1])[0][1])
         add(_row(r, fld))
 
     return GroebnerBasis(_reduce_basis(G, pk, ring, pivots), tuple(pivots))

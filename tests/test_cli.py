@@ -230,6 +230,22 @@ class TestPredicateCommands:
         assert code == 0
         assert json.loads(out)["basis"] == ["x", "y"]
 
+    @pytest.mark.parametrize("field, basis", [
+        ("Q", ["x - 1", "y - 1"]), ("F7", ["x + 6", "y + 6"]),
+    ])
+    def test_gb_s_polynomial_is_not_capped(self, capsys, field, basis):
+        # the S-polynomial of x*y - 1 and x - y^64 is 1 - y^65, past
+        # DEGREE_CAP: y^2 - 1 reduces it to 1 - y, and without y^2 - 1 it
+        # exits 2 only as a basis element past the cap
+        argv = ("gb", "--order", "lex", "--vars", "x,y", "--field", field)
+        code, out = run(capsys, *argv, "--ideal", "x*y - 1, x - y^64, y^2 - 1")
+        assert code == 0
+        assert json.loads(out)["basis"] == basis
+        assert main([*argv, "--ideal", "x*y - 1, x - y^64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: basis element degree passed the cap 64\n"
+
     def test_dim(self, capsys):
         code, out = run(capsys, "dim", "--vars", "x,y", "--ideal", "(x*y)")
         assert code == 0

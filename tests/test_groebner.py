@@ -25,8 +25,10 @@ from gbtransfer.polyarith import (
     LEX,
     Polynomial,
     PolyRing,
+    PrimeField,
     QQ,
     parse_polynomial,
+    reduce_coeffs_mod_p,
 )
 
 from corpus import NAMED_IDEALS, R1, R2, R3, P, mk
@@ -245,6 +247,25 @@ def _reduced_pair(v):
     )
 
 
+def _layout_spy(coeff, steps):
+    """A _reduce that asserts every coefficient it is given or returns
+    passes coeff, a work entry may also be a cancelled 0, and that records
+    each division's steps."""
+    reduce = groebner._reduce
+
+    def spy(pk, work, table, fld):
+        assert all(type(v) is int and v == 0 or coeff(v) for v in work.values())
+        for gm, div, tail in table:
+            assert type(gm) is int and (div is None or coeff(div))
+            assert all(type(m) is int and coeff(c) for m, c in tail)
+        out = reduce(pk, work, table, fld)
+        assert all(type(m) is int and coeff(c) for m, c in out[0])
+        steps.append(out[1])
+        return out
+
+    return spy
+
+
 class TestKernelPins:
     """What the packed kernel keeps: the costs _divide reports, which the
     probe's row table (predicates._Rows) reads, and the pivots of bases."""
@@ -273,25 +294,12 @@ class TestKernelPins:
                           "1ec20219ef40fed40fb44037c0ef0a69")),
     ])
     def test_pivots_over_q_pinned(self, name, pivots):
-        # and no Fraction enters the kernel: every value _reduce sees or
-        # returns is plain ints, work holding reduced pairs or 0, a row
-        # (lead, div, tail) div None or a reduced pair and (m, n, d) tail
-        # terms, and so a remainder
-        reduce, steps = groebner._reduce, []
-
-        def spy(pk, work, table, fld):
-            assert all(type(v) is int and v == 0 or _reduced_pair(v)
-                       for v in work.values())
-            for gm, div, tail in table:
-                assert type(gm) is int and (div is None or _reduced_pair(div))
-                assert all(type(t[0]) is int and _reduced_pair(t[1:]) for t in tail)
-            out = reduce(pk, work, table, fld)
-            assert all(_reduced_pair(t[1:]) for t in out[0])
-            steps.append(out[1])
-            return out
-
+        # and no Fraction enters the kernel: every coefficient _reduce sees
+        # or returns is a reduced int pair, in work also a cancelled 0, a
+        # row (lead, div, tail) div None or a pair and (m, (n, d)) tail terms
+        steps = []
         pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
-        with mock.patch.object(groebner, "_reduce", spy):
+        with mock.patch.object(groebner, "_reduce", _layout_spy(_reduced_pair, steps)):
             got = buchberger(pres).pivots
         assert sum(steps)
         # exceptional_primes reads the numerator and denominator of each
@@ -301,6 +309,28 @@ class TestKernelPins:
             assert hashlib.sha256(repr(got).encode()).hexdigest() == pivots[1]
         else:
             assert got == tuple(map(Fraction, pivots))
+
+    def test_pivots_over_fp_are_the_q_pivots_mod_p(self):
+        # the F_32003 twin: every coefficient is a residue, an int in
+        # 0..p-1, a row's div None or a residue; and katsura4 takes the
+        # same run as over Q, so its pivots are Q's reduced mod p
+        p, steps = 32003, []
+        pres = kernel_ideal("katsura4")
+        ring = pres.ring.with_field(PrimeField(p))
+        pres_p = IdealPresentation(
+            ring, tuple(reduce_coeffs_mod_p(g, ring) for g in pres.generators)
+        )
+
+        def residue(v):
+            return type(v) is int and 0 <= v < p
+
+        with mock.patch.object(groebner, "_reduce", _layout_spy(residue, steps)):
+            got = buchberger(pres_p).pivots
+        assert sum(steps)
+        assert got == tuple(
+            c.numerator * pow(c.denominator, -1, p) % p
+            for c in buchberger(pres).pivots
+        )
 
 
 class TestMembership:

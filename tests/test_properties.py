@@ -329,14 +329,26 @@ class TestPrimeFieldPolys:
 
 @st.composite
 def s_pairs(draw):
-    ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
-    polys = poly_strategy(ring, monomials3, max_terms=5).filter(bool)
-    return draw(polys), draw(polys)
+    """Pairs over Q, F_7 and F_32003; under lex half of them with exponents
+    in 60..70 too, so that their terms straddle DEGREE_CAP."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    order = draw(orders)
+    exps = st.integers(0, 4)
+    if order is LEX and draw(st.booleans()):
+        exps = exps | st.integers(60, 70)
+    ring = PolyRing(field, 3, order, ("x", "y", "z"))
+    polys = poly_strategy(ring, st.tuples(exps, exps, exps), max_terms=5)
+    return draw(polys.filter(bool)), draw(polys.filter(bool))
+
+
+R3_LEX = PolyRing(QQ, 3, LEX, ("x", "y", "z"))
+R3_F7 = PolyRing(PrimeField(7), 3, GREVLEX, ("x", "y", "z"))
 
 
 class TestSPolynomialMatchesReference:
-    """s_polynomial over Q makes both rows monic and merges them on reduced
-    int pairs; the reference multiplies and subtracts Fractions."""
+    """s_polynomial makes both rows monic and merges them on packed
+    coefficients, residues over F_p and reduced int pairs over Q; the
+    reference multiplies and subtracts Fractions or residues."""
 
     @given(s_pairs())
     # negative and non-unit leads with denominators that share factors,
@@ -346,9 +358,16 @@ class TestSPolynomialMatchesReference:
     @example((P3("1/5*x^2 + 1/7*y"), P3("1/3*x*y + 1/2*z")))
     # a monic and a non-monic row whose S-polynomial cancels to 0
     @example((P3("x^2 + x*z"), P3("-6*x*y - 6*y*z")))
+    # under lex the S-polynomial 1/3*y^65 - 1/2*z passes DEGREE_CAP uncapped
+    @example((parse_polynomial("x*y - 1/2*z", R3_LEX),
+              parse_polynomial("3*x - y^64", R3_LEX)))
+    # non-monic leads over F_7 whose tails cancel to 0 at x*y*z
+    @example((parse_polynomial("3*x^2 + 3*x*z + y", R3_F7),
+              parse_polynomial("5*x*y + 5*y*z + z^2", R3_F7)))
     @settings(max_examples=150, deadline=None)
     def test_same_polynomial(self, pair):
         f, g = pair
         got = s_polynomial(f, g)
         assert got == reference_s_polynomial(f, g)
-        assert all(isinstance(c, Fraction) for _, c in got.terms)
+        kind = Fraction if f.ring.field == QQ else int
+        assert all(type(c) is kind for _, c in got.terms)
