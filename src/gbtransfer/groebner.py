@@ -23,6 +23,8 @@ DEGREE_CAP = 64  # intermediate and basis-element total degree
 PAIR_CAP = 100_000  # S-pairs one basis computation examines
 STEP_CAP = 100_000  # reduction steps one division takes
 COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
+LAZY_BITS = 256  # a Q step with a factor this small adds without a gcd,
+LAZY_DEN = 1 << 1024  # first reducing a pending pair with a denominator this big
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -172,7 +174,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    return f.ring.from_dict(dict(pk.unpack(_spoly(pk, a, b, fld).items())))
+    return Polynomial(f.ring, pk.unpack(_reduce(pk, _spoly(pk, a, b, fld), [], fld)[0]))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -198,7 +200,11 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     Every term is one (m, c) pair over both fields: c is a residue over
     F_p and, over Q, a reduced (numerator, denominator) pair of ints, split
     once as the polynomials are packed; the loop works on plain ints and
-    the remainder leaves as Fractions again.
+    the remainder leaves as Fractions again.  A step over Q whose factor
+    has at most LAZY_BITS bits adds unreduced, with no gcd (a pending pair
+    past LAZY_DEN is reduced first); a pair is reduced by one gcd as its
+    monomial is popped, where alone it is read, so factors, remainders and
+    cap messages are those of Fraction arithmetic.
 
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
@@ -229,8 +235,8 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
 
 def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
     # _divide, packed: work divided in place by rows (lead, div, tail), div
-    # the lead coefficient or None for 1, every c as _packed builds it; the
-    # F_p step is inline, the Q one is _sub_pairs
+    # the lead coefficient or None for 1, c as _packed builds it or in work
+    # an unreduced Q list; the F_p step is inline, the Q one is _sub_pairs
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     q, push = isinstance(fld, RationalField), heapq.heappush
     p = None if q else fld.p
@@ -243,6 +249,8 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
         c = work.pop(m)
         if not c:
             continue
+        if type(c) is list:  # a Q pair written unreduced: reduced once, here
+            c = (c[0] // (g := gcd(*c)), c[1] // g)
         for gm, gc, gtail in table:
             quot = m - gm
             if quot & guard:
@@ -273,11 +281,13 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
 
 
 def _sub_pairs(pk, work, heap, div, tail, quot, c, cap) -> int:
-    # work -= c / div * x^quot * tail on reduced (numerator, denominator)
-    # int pairs, cancelled entries 0, no product past cap: _reduce's step
-    # over Q and _spoly's difference.  Each product cancels across first,
-    # each difference divides by the gcd of the denominators, then by its
-    # gcd with the numerator (Knuth, TAOCP 4.5.1).  Returns c / div's bits.
+    # work -= c / div * x^quot * tail on (numerator, denominator) int pairs,
+    # cancelled entries 0, no product past cap: _reduce's step over Q and
+    # _spoly's difference.  A factor of at most LAZY_BITS bits multiplies
+    # plainly and adds over a common denominator, an unreduced list (a pair
+    # past LAZY_DEN reduced first); else products cancel across and a
+    # difference divides by the denominators' gcd, then by its gcd with the
+    # numerator (Knuth, TAOCP 4.5.1), a list if prev was.  Returns the bits.
     fn, fd = c
     if div:
         g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
@@ -287,25 +297,35 @@ def _sub_pairs(pk, work, heap, div, tail, quot, c, cap) -> int:
     bits = fn.bit_length() + fd.bit_length()
     if bits > COEFF_BIT_CAP:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
-    low, lex, push = pk.low, pk.lex, heapq.heappush
+    low, lex, push, lazy = pk.low, pk.lex, heapq.heappush, bits <= LAZY_BITS
     for tm, (tn, td) in tail:
         mm = tm + quot
         if mm > cap:
             raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
-        g1, g2 = gcd(fn, td), gcd(tn, fd)
-        pn, pd = fn // g1 * (tn // g2), fd // g2 * (td // g1)
+        if lazy:
+            pn, pd = fn * tn, fd * td
+        else:
+            g1, g2 = gcd(fn, td), gcd(tn, fd)
+            pn, pd = fn // g1 * (tn // g2), fd // g2 * (td // g1)
         prev = work.get(mm)
         if not prev:
             if prev is None:
                 push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-            work[mm] = -pn, pd
+            work[mm] = [-pn, pd] if lazy else (-pn, pd)
             continue
         an, ad = prev
+        if lazy:  # over a common denominator, unreduced
+            if ad >= LAZY_DEN:  # a large pair is reduced before it grows on
+                an, ad = an // (g := gcd(an, ad)), ad // g
+            if ad != pd:
+                an, ad, pn = an * pd, ad * pd, pn * ad
+            work[mm] = [an - pn, ad] if an != pn else 0
+            continue
         g = gcd(ad, pd)
         s = ad // g
         t = an * (pd // g) - pn * s
         g2 = gcd(t, g)
-        work[mm] = (t // g2, s * (pd // g2)) if t else 0
+        work[mm] = type(prev)((t // g2, s * (pd // g2))) if t else 0
     return bits
 
 

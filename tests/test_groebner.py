@@ -240,21 +240,30 @@ class TestPairOrder:
         assert seen == S_PAIRS[name, kind]
 
 
-def _reduced_pair(v):
+def _int_pair(v, kind=tuple):
     return (
-        type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
-        and v[1] > 0 and gcd(*v) == 1
+        type(v) is kind and len(v) == 2 and all(type(x) is int for x in v)
+        and v[0] != 0 and v[1] > 0
     )
 
 
-def _layout_spy(coeff, steps):
+def _reduced_pair(v):
+    return _int_pair(v) and gcd(*v) == 1
+
+
+def _pending_pair(v):
+    # a pair written unreduced is a list, a tuple is reduced
+    return _int_pair(v, list) or _reduced_pair(v)
+
+
+def _layout_spy(coeff, steps, pending=None):
     """A _reduce that asserts every coefficient it is given or returns
-    passes coeff, a work entry may also be a cancelled 0, and that records
-    each division's steps."""
-    reduce = groebner._reduce
+    passes coeff, except that a work entry passes pending (coeff if None)
+    or is a cancelled 0, and that records each division's steps."""
+    reduce, pending = groebner._reduce, pending or coeff
 
     def spy(pk, work, table, fld):
-        assert all(type(v) is int and v == 0 or coeff(v) for v in work.values())
+        assert all(type(v) is int and v == 0 or pending(v) for v in work.values())
         for gm, div, tail in table:
             assert type(gm) is int and (div is None or coeff(div))
             assert all(type(m) is int and coeff(c) for m, c in tail)
@@ -294,12 +303,15 @@ class TestKernelPins:
                           "1ec20219ef40fed40fb44037c0ef0a69")),
     ])
     def test_pivots_over_q_pinned(self, name, pivots):
-        # and no Fraction enters the kernel: every coefficient _reduce sees
-        # or returns is a reduced int pair, in work also a cancelled 0, a
-        # row (lead, div, tail) div None or a pair and (m, (n, d)) tail terms
+        # and no Fraction enters the kernel: a work entry _reduce is given
+        # is a reduced int pair, an int list with a positive denominator (a
+        # small step writes it unreduced) or a cancelled 0; every other
+        # coefficient it sees or returns is a reduced int pair: a row
+        # (lead, div, tail) div None or a pair and (m, (n, d)) tail terms
         steps = []
         pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
-        with mock.patch.object(groebner, "_reduce", _layout_spy(_reduced_pair, steps)):
+        spy = _layout_spy(_reduced_pair, steps, pending=_pending_pair)
+        with mock.patch.object(groebner, "_reduce", spy):
             got = buchberger(pres).pivots
         assert sum(steps)
         # exceptional_primes reads the numerator and denominator of each
@@ -309,6 +321,39 @@ class TestKernelPins:
             assert hashlib.sha256(repr(got).encode()).hexdigest() == pivots[1]
         else:
             assert got == tuple(map(Fraction, pivots))
+
+    def test_lazy_pending_denominators_pass_the_gate_by_one_contribution(self):
+        # x^i*y^(20-i) reduced by x^i*y^(20-i) - 3^-(200+i)*z: 21 steps of
+        # factor 1 pile their products onto z.  Added unreduced the pending
+        # denominator of z grows past LAZY_DEN; the next step reduces the
+        # pair before it adds, so no denominator passes it by more than one
+        # product's.
+        k, z = 20, R3.variable(2)
+        leads = [P(f"x^{i}*y^{k - i}", R3) for i in range(k + 1)]
+        tails = [Fraction(1, 3 ** (200 + i)) for i in range(k + 1)]
+        divisors = [g - R3.constant(c) * z for g, c in zip(leads, tails)]
+        dens, sub = [], groebner._sub_pairs
+
+        def spy(pk, work, *args):
+            bits = sub(pk, work, *args)
+            dens.extend(v[1] for v in work.values() if v)
+            return bits
+
+        with mock.patch.object(groebner, "_sub_pairs", spy):
+            got = normal_form(sum(leads, R3.zero()), divisors)
+        assert got == R3.constant(sum(tails)) * z
+        assert groebner.LAZY_DEN <= max(dens) < groebner.LAZY_DEN * 3 ** (200 + k)
+
+    def test_a_lazy_step_past_lazy_den_writes_a_list(self):
+        # x by x - 1/3*z multiplies the factor 3 plainly, so -3/3 meets z's
+        # 1/(LAZY_DEN + 1), a reduced pair past LAZY_DEN: their difference
+        # keeps the 3, is a list and is reduced as z is popped
+        z, steps = R3.variable(2), []
+        c = Fraction(1, groebner.LAZY_DEN + 1)
+        spy = _layout_spy(_reduced_pair, steps, pending=_pending_pair)
+        with mock.patch.object(groebner, "_reduce", spy):
+            got = normal_form(P("3*x", R3) + R3.constant(c) * z, [P("x - 1/3*z", R3)])
+        assert got == R3.constant(1 + c) * z and steps == [1]
 
     def test_pivots_over_fp_are_the_q_pivots_mod_p(self):
         # the F_32003 twin: every coefficient is a residue, an int in

@@ -189,6 +189,38 @@ def _same_as_reference(f, divisors, step_cap, coeff_bit_cap):
     return ours == _division_outcome(reference_divide, f, divisors, *caps)
 
 
+@st.composite
+def lazy_gate_problems(draw):
+    """Divisions over Q whose step factors straddle groebner.LAZY_BITS:
+    numerators and denominators of 90 to 160 bits, so factors of about 200
+    to 300 bits, and f a sum of multiples of divisors whose tails share
+    four low monomials, so that several steps add into one pending pair."""
+    ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
+    size = st.integers(90, 160).flatmap(lambda b: st.integers(1 << b - 1, 1 << b))
+    sign = st.sampled_from([1, -1])
+    big = st.builds(lambda n, d, s: Fraction(s * n, d), size, size, sign)
+    coeffs = st.one_of(rationals.filter(bool), big)
+    low = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    lead = monomials3.filter(lambda m: sum(m) >= 2)
+    tail = st.lists(st.tuples(coeffs, low), min_size=1, max_size=3)
+    row = st.tuples(st.tuples(coeffs, lead), tail)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    divisors = [ring.from_terms([t, *rest]) for t, rest in rows]
+    f = draw(poly_strategy(ring, monomials3, coeffs, max_terms=2))
+    for g in divisors:
+        f = f + draw(poly_strategy(ring, monomials3, coeffs, max_terms=2)) * g
+    return f, divisors
+
+
+def _x_power_past_coeff_cap():
+    # x^45 + x^44 by (2^100 + 1)*x - 3^63: the first step, of factor 1,
+    # adds onto x^44 unreduced; then each factor is about 200 bits larger
+    # than the last, past COEFF_BIT_CAP after about 40 steps
+    x = RXY.variable(0)
+    g = RXY.constant(Fraction(2 ** 100 + 1)) * x - RXY.constant(Fraction(3 ** 63))
+    return x ** 45 + x ** 44, [g]
+
+
 # Divisions over Q whose denominators share factors: a negative divisor
 # lead, both cross-cancelling gcds of a product above 1, differences whose
 # denominator gcd and whose gcd with the numerator are above 1, and a z that
@@ -211,6 +243,16 @@ class TestHeapDivisionMatchesReference:
         # and the same steps and factor bits, or the same cap message
         f, divisors = problem
         assert _same_as_reference(f, divisors, step_cap=5000, coeff_bit_cap=512)
+
+    @given(lazy_gate_problems())
+    @example(_x_power_past_coeff_cap())
+    @settings(max_examples=100, deadline=None)
+    def test_same_remainder_across_the_lazy_gate(self, problem):
+        # pairs a small step added unreduced meet steps that cross-cancel
+        f, divisors = problem
+        assert _same_as_reference(
+            f, divisors, step_cap=5000, coeff_bit_cap=groebner.COEFF_BIT_CAP
+        )
 
     @given(division_problems())
     @example(SHARED_DENOMINATORS)
