@@ -128,27 +128,13 @@ class RadicalResult(NamedTuple):
     """Outcome of the bounded radical-equality check, with certificates.
 
     generator_power_not_found means "not proven within the cap", never a
-    disproof.  contents holds, for each generator in exponents, the
-    _content of NF(g^e) for every e below its exponent; a sweep reads it
-    over Q to build its exceptional set.  It takes no part in ==, hash or
-    as_dict.
+    disproof.
     """
 
     status: str
     exponents: tuple[tuple[Polynomial, int], ...] = ()
     failed_generator: Polynomial | None = None
     cap: int | None = None
-    contents: tuple[tuple[int, ...], ...] = ()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadicalResult):
-            return NotImplemented
-        return self[:4] == other[:4]
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
-
-    def __hash__(self) -> int:
-        return hash(self[:4])
 
     @property
     def equal(self) -> bool:
@@ -187,28 +173,22 @@ def radical_equals(
     if not ideal_contains(I, P):
         return RadicalResult(RADICAL_NOT_CONTAINED, cap=exponent_cap)
     budget = _ProductBudget(DegreeCapExceeded)
-    found, contents = [], []
+    found = []
     for g in P.generators:
         if not g:
             continue
         power = g
-        seen = []
         for e in range(1, exponent_cap + 1):
             if e > 1:
                 power = budget.mul(power, g)
-            nf = normal_form(power, I.basis)
-            if not nf:
+            if not normal_form(power, I.basis):
                 found.append((g, e))
-                contents.append(tuple(seen))
                 break
-            seen.append(_content(nf))
         else:
             return RadicalResult(
                 RADICAL_POWER_NOT_FOUND, tuple(found), g, exponent_cap
             )
-    return RadicalResult(
-        RADICAL_EQUAL, tuple(found), None, exponent_cap, tuple(contents)
-    )
+    return RadicalResult(RADICAL_EQUAL, tuple(found), None, exponent_cap)
 
 
 PROBE_NOT_PRIME = "not_prime"
@@ -296,11 +276,6 @@ def _product(f: tuple, g: tuple) -> tuple:
 def _polynomial(ring, terms) -> Polynomial:
     # terms: (monomial, integer or residue) pairs of a draw
     return ring.from_dict({m: ring.field.coerce(c) for m, c in terms})
-
-
-def _content(f: Polynomial) -> int:
-    # gcd of the coefficient numerators, 0 for the zero polynomial
-    return math.gcd(*(c.numerator for _, c in f.terms))
 
 
 class _Rows:

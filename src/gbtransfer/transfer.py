@@ -462,13 +462,12 @@ def exceptional_primes(
     char0 is the passing verification of the rational witness w; no
     candidate is bad for w (bad_primes).  A candidate is exceptional when
     it divides, in one product taken once: a numerator or denominator of a
-    pivot of the bases over Q of m, (x) + I and I (char0.ideals); a content
-    the radical search recorded; one top-degree coefficient numerator of
-    each witness polynomial.
+    pivot of the bases over Q of m, (x) + I and I (char0.ideals), or one
+    top-degree coefficient numerator of each witness polynomial.
 
     At any other prime p, every check a sweep runs on w mod p (all but the
-    probe) gives char0, with the generators of m mapped mod p (Traverso's
-    Groebner trace, Pauer's lucky ideals):
+    probe) gives what a sweep entry prints of char0 (Traverso's Groebner
+    trace, Pauer's lucky ideals):
     - no witness polynomial vanishes or drops degree, so no generator
       degenerates and the complexity is char0's;
     - buchberger runs at p in lockstep with its run over Q.  Each element
@@ -478,16 +477,19 @@ def exceptional_primes(
       criteria and leads agree, and each basis at p is the image of the
       basis over Q;
     - an image basis is monic, so NF_p of a p-integral image is the image
-      of NF_Q, zero exactly when p divides the content of NF_Q.  Every NF_Q
-      behind I in m, (x) + I in m, condition 2 and condition 3 is zero, so
-      those are char0's; the radical search stops at char0's exponents, p
-      dividing no recorded content; the heights read the same leads;
+      of NF_Q, zero where NF_Q is.  Every NF_Q behind I in m, (x) + I in m,
+      condition 2 and condition 3 is zero, so those are char0's, and the
+      heights read the same leads.  NF_Q(g^e) is zero at char0's exponent
+      e of each generator g of m, so the radical search at p stops at or
+      before e and condition 1 is equal, which is all an entry prints of
+      it.  An exponent at p is lower where p divides the content of an
+      earlier NF_Q(g^e);
     - no cap fires at p that the checks over Q passed.  A division at p
       uses the same lead table in the same order, so its steps and pushed
       monomials are a subset of those of the division over Q, and a factor
-      in F_p has no bit size.  A product at p has at most the terms it has
-      over Q, so the product budgets hold; the basis runs examine the same
-      pairs.
+      in F_p has no bit size.  The radical search at p takes no more powers
+      than over Q, each with at most the terms it has over Q, so the
+      product budgets hold; the basis runs examine the same pairs.
     """
     numbers = {
         n
@@ -495,7 +497,6 @@ def exceptional_primes(
         for c in J.groebner.pivots
         for n in (c.numerator, c.denominator)
     }
-    numbers.update(c for cs in char0.condition1.contents for c in cs)
     numbers.update(
         max(g.terms, key=lambda t: sum(t[0]))[1].numerator
         for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
@@ -522,8 +523,10 @@ def sweep(
     primality probe runs once, in the verification over Q, which the report
     prints; no prime's outcome prints it, so no prime runs it.  Each good
     prime outside exceptional_primes is answered from the
-    characteristic-zero verification, which is what running every other
-    check there gives, and every exceptional prime runs every other check.
+    characteristic-zero verification, which prints what running every
+    other check there prints (the radical exponents at p may be lower, and
+    no entry prints them), and every exceptional prime runs every other
+    check.
     """
     candidates = sorted({int(p) for p in primes})
     top = candidates[-1] if candidates else 0

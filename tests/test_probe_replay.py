@@ -3,6 +3,7 @@ prime, and its exceptional set against the per-prime luck test.  No prime
 runs the primality probe: it runs once, over Q."""
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gbtransfer import predicates, transfer
 from gbtransfer.cli import load_case, main
-from gbtransfer.groebner import DegreeCapExceeded, IdealPresentation
+from gbtransfer.groebner import DegreeCapExceeded, IdealPresentation, normal_form
 from gbtransfer.polyarith import (
     QQ, PrimeField, format_polynomial, parse_polynomial,
 )
@@ -84,9 +85,16 @@ CONTENT_SEVEN = _witness(("X1 - 7*Y1",), "X1", "X1 - 7*Y1", 1)
 # The basis over Q is X1^2 - 1/3*Y1, so the probe's rows have denominators
 # 3 (NF(X1^2) = Y1/3) and 9 (NF(X1^4) = Y1^2/9).
 THIRDS = _witness(("3*X1^2 - Y1",), "X1", "3*X1^2 - Y1", 1)
-# 5 is lucky, but NF(X1 + 5*Y1) = 5*Y1 modulo (X1, Y1^2) has content 5, so
-# the radical exponent of X1 + 5*Y1 is 1 at 5 and 2 over Q and elsewhere.
-LOWERED = _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1 + 5*Y1", "Y1"))
+
+
+def _lowered(k):
+    # NF(X1 + k*Y1) = k*Y1 modulo (X1, Y1^2) has content k, so the radical
+    # exponent of X1 + k*Y1 is 1 at each prime factor of k, 2 over Q
+    return _witness(("Y1^2",), "X1", "Y1^2", 1, (f"X1 + {k}*Y1", "Y1"))
+
+
+# 5 is lucky, and not exceptional: it divides only the content of NF(X1 + 5*Y1)
+LOWERED = _lowered(5)
 # m = (X1, Y1) over Q, but mod 5 it is (X1), which does not contain I:
 # unlucky for m alone.
 UNLUCKY_M = _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1", "X1 + 5*Y1"))
@@ -107,12 +115,14 @@ WITNESSES = {
 }
 
 
-# Each puts the factor 7 into one kind of exceptional-set member only.
+# Each puts the factor 7 into one kind of integer only: a pivot, a content
+# the radical search over Q passes, a top-degree coefficient.
 SEVENS = {
     # the S-pair remainder 7*Y1 of I is a pivot; I mod 7 is (X1)
     "pivot": _witness(("X1 + 7*Y1", "X1"), "X1", "X1 - Y1", 0),
-    # NF(X1 + 7*Y1) = 7*Y1 modulo (X1, Y1^2): the exponent is 1 at 7
-    "radical": _witness(("Y1^2",), "X1", "Y1^2", 1, ("X1 + 7*Y1", "Y1")),
+    # NF(X1 + 7*Y1) = 7*Y1 modulo (X1, Y1^2): the exponent is 1 at 7, which
+    # no entry prints, so 7 is not exceptional
+    "radical": _lowered(7),
     # y drops from degree 3 to 1 mod 7, and d from 3 to 2
     "top": _witness(("Y1",), "X1", "Y1", 1, y="7*Y1^3 + Y1"),
 }
@@ -127,12 +137,26 @@ def _members(w, char0):
             for c in J.groebner.pivots
             for n in (c.numerator, c.denominator)
         ],
-        "radical": [c for cs in char0.condition1.contents for c in cs],
         "top": [
             max(g.terms, key=lambda t: sum(t[0]))[1].numerator
             for g in (*w.i_gens, *w.m_gens, *w.x_images, *w.y_images)
         ],
     }
+
+
+def _contents(char0):
+    """The content (numerator gcd) of NF(g^k) modulo (x) + I for each
+    generator g of m and each k below its exponent over Q: the nonzero
+    normal forms the radical search over Q passed."""
+    basis = char0.ideals[1].basis
+    out = []
+    for g, e in char0.condition1.exponents:
+        power = g
+        for _ in range(1, e):
+            nf = normal_form(power, basis)
+            out.append(math.gcd(*(c.numerator for _, c in nf.terms)))
+            power = power * g
+    return out
 
 
 def test_witnesses_cover_all_cases():
@@ -177,10 +201,11 @@ def test_lucky_prime_lowers_a_radical_exponent(radical_fields):
     assert 5 not in bad_primes(w, [5])
     char0 = verify_witness(system, w, CAPS)
     assert [e for _, e in char0.condition1.exponents] == [2, 2]
-    assert char0.condition1.contents == ((5,), (1,))
+    assert _contents(char0) == [5, 1]
     report = sweep(system, w, [3, 5, 7], CAPS)
-    # 5 is exceptional through the content 5
-    assert radical_fields == [QQ, QQ, PrimeField(5)]
+    # the content 5 lowers an exponent at 5, which no entry prints: 5 is
+    # not exceptional, and the run over Q answers it
+    assert radical_fields == [QQ, QQ]
     exponents = {}
     for p in (3, 5, 7):
         res = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
@@ -318,13 +343,34 @@ def test_not_prime_pair_skipped_at_p_is_not_replayed(full_probe_primes):
 
 @pytest.mark.parametrize("kind", sorted(SEVENS))
 def test_a_factor_seven_makes_seven_exceptional(kind):
+    # in a pivot or a top-degree coefficient; in a content only, it does not
     system, w = SEVENS[kind]
     char0 = verify_witness(system, w, CAPS)
     assert char0.passed
     members = _members(w, char0)
-    assert [k for k in members if any(n % 7 == 0 for n in members[k])] == [kind]
+    sevens = [k for k in members if any(n % 7 == 0 for n in members[k])]
+    in_content = any(c % 7 == 0 for c in _contents(char0))
+    assert (sevens, in_content) == (([], True) if kind == "radical" else ([kind], False))
     assert 7 not in bad_primes(w, [7])
-    assert exceptional_primes(w, char0, [7]) == {7}
+    assert exceptional_primes(w, char0, [7]) == ({7} if sevens else set())
+    assert sweep(system, w, [7], CAPS).per_prime == (_run_prime(system, w, 7, CAPS),)
+
+
+@settings(max_examples=25, deadline=None)
+@example(k=5)
+@example(k=2 * 3 * 5 * 7 * 1999)
+@given(k=st.integers(min_value=-3000, max_value=3000).filter(lambda k: k not in (-1, 0, 1)))
+def test_a_content_prime_lowers_an_exponent_outside_the_exceptional_set(k):
+    system, w = _lowered(k)
+    factors = [p for p in PRIMES if k % p == 0]
+    char0 = verify_witness(system, w, CAPS)
+    assert char0.condition1.exponents[0][1] == 2
+    assert exceptional_primes(w, char0, factors) == set()
+    for p in factors:
+        full = verify_witness(system, reduce_witness_mod_p(w, p), CAPS)
+        assert full.condition1.exponents[0][1] == 1, p
+    report = sweep(system, w, factors, CAPS)
+    assert report.per_prime == tuple(_run_prime(system, w, p, CAPS) for p in factors)
 
 
 @pytest.mark.parametrize(
@@ -334,13 +380,15 @@ def test_every_good_prime_matches_the_full_path(name):
     # Outside the exceptional set every basis mod p is the image of the
     # basis over Q, and every check mod p but the probe, which no prime
     # runs, gives the result over Q mapped mod p: exponent images, residues
-    # and heights.  At every good prime the sweep's outcome is the full
-    # path's.
+    # and heights.  Only where p divides a content the radical search over
+    # Q passed may an exponent be lower, with the same generator image.  At
+    # every good prime the sweep's outcome is the full path's.
     system, w = WITNESSES.get(name) or SEVENS[name.removeprefix("seven:")]
     char0 = verify_witness(system, w, CAPS)
     bad = bad_primes(w, PRIMES)
     good = [p for p in PRIMES if p not in bad]
     exceptional = exceptional_primes(w, char0, good)
+    contents = _contents(char0)
     for p in good:
         if p not in exceptional:
             assert reference_lucky(char0.ideals, p), p
@@ -348,7 +396,15 @@ def test_every_good_prime_matches_the_full_path(name):
             full = verify_witness(
                 system, wp._replace(domain_claim=False), CAPS
             )
-            assert full == reference_read_off(char0, w.ring, p), p
+            expected = reference_read_off(char0, w.ring, p)
+            if any(c % p == 0 for c in contents):
+                got, want = full.condition1.exponents, expected.condition1.exponents
+                assert [g for g, _ in got] == [g for g, _ in want], p
+                assert all(a <= b for (_, a), (_, b) in zip(got, want)), p
+                expected = expected._replace(
+                    condition1=expected.condition1._replace(exponents=got)
+                )
+            assert full == expected, p
     report = sweep(system, w, PRIMES, CAPS)
     assert report.per_prime == tuple(_run_prime(system, w, p, CAPS) for p in good)
 
