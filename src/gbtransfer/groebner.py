@@ -20,7 +20,7 @@ from .polyarith import AmbientMismatch, Polynomial, PolyRing, RationalField
 
 # Kernel caps: every division and basis computation reads them as it runs.
 DEGREE_CAP = 64  # intermediate and basis-element total degree
-PAIR_CAP = 100_000  # S-pairs one basis computation examines
+PAIR_CAP = 100_000  # S-pairs one basis computation queues, and so examines
 STEP_CAP = 100_000  # reduction steps one division takes
 COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
 LAZY_BITS = 256  # a Q step with a factor this small adds without a gcd,
@@ -350,12 +350,15 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
 
     Pair selection is normal strategy: smallest lcm degree first, then the
     smallest lcm under the order (the largest rank), which makes runs
-    reproducible.  The product and chain criteria prune pairs.  The kernel
-    caps (PAIR_CAP, DEGREE_CAP on every new element, and the division caps)
-    convert pathological growth into a DegreeCapExceeded error rather than
-    an open-ended run.  Every call computes; ``pres.basis`` keeps the
-    result.  Monomials stay packed, and coefficients over Q reduced int
-    pairs (see normal_form), until the end.
+    reproducible.  The product and chain criteria prune pairs; the chain
+    criterion reads the set of popped pairs.  The kernel caps (PAIR_CAP,
+    DEGREE_CAP on every new element, and the division caps) convert
+    pathological growth into a DegreeCapExceeded error rather than an
+    open-ended run.  Pairs count against PAIR_CAP as they are queued: each
+    queued pair is examined before a run can end, so a run that would
+    examine more is refused once its queue shows it.  Every call computes;
+    ``pres.basis`` keeps the result.  Monomials stay packed, and
+    coefficients over Q reduced int pairs (see normal_form), until the end.
     """
     ring, fld = pres.ring, pres.ring.field
     gens = [g for g in pres.generators if g]
@@ -363,8 +366,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         return GroebnerBasis(())
     pivots = [g.leading_coeff() for g in pres.generators]
     pk, packed = _packed(ring, gens)
-    shift, guard, G, heap = pk.shift, pk.guard, [], []
-    pending: set[tuple[int, int]] = set()
+    shift, guard, G, heap, done = pk.shift, pk.guard, [], [], set()
 
     def add(row: tuple) -> None:
         # a basis row; its pairs go by lcm degree, then the larger lcm key
@@ -372,25 +374,19 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         t = len(G) - 1
         for i in range(t):
             lcm = pk.lcm(G[i][0], row[0])
-            heapq.heappush(heap, ((lcm >> shift << shift + 1) - pk.key(lcm), i, t))
-            pending.add((i, t))
+            heapq.heappush(heap, ((lcm >> shift << shift + 1) - pk.key(lcm), lcm, i, t))
+        if len(heap) + len(done) > PAIR_CAP:
+            raise DegreeCapExceeded(f"more than {PAIR_CAP} S-pairs examined")
 
     for t in packed:
         add(_row(t, fld))
-    handled = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        handled += 1
-        if handled > PAIR_CAP:
-            raise DegreeCapExceeded(f"more than {PAIR_CAP} S-pairs examined")
-        lcm = pk.lcm(G[i][0], G[j][0])
+        _, lcm, i, j = heapq.heappop(heap)
+        done.add((i, j))
         # Skip coprime leads, and (i, j) when a third lead divides their lcm
-        # and both linking pairs are settled (Buchberger's chain criterion).
+        # and both linking pairs were popped (Buchberger's chain criterion).
         if lcm == G[i][0] + G[j][0] or any(
-            k != i and k != j
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
+            (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
             for k, row in enumerate(G) if not (lcm - row[0]) & guard
         ):
             continue

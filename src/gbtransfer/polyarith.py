@@ -10,6 +10,7 @@ mathematical equality.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -212,12 +213,11 @@ def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
     if math.comb(nvars + max_degree, nvars) > TERM_CAP:
         raise ValueError(f"over {TERM_CAP} monomials of degree <= {max_degree}")
     # Lexicographic in the exponent vector: the first exponent varies slowest.
-    if nvars == 1:
-        return tuple((e,) for e in range(max_degree + 1))
+    # The exponents are the gaps before nvars bars among nvars + max_degree
+    # slots, and combinations lists the bars in that order.
     return tuple(
-        (e,) + rest
-        for e in range(max_degree + 1)
-        for rest in monomials_up_to(nvars - 1, max_degree - e)
+        tuple([b - a - 1 for a, b in zip((-1, *bars), bars)])
+        for bars in itertools.combinations(range(nvars + max_degree), nvars)
     )
 
 

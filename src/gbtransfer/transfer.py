@@ -181,7 +181,7 @@ CERT_NOT_CERTIFIED = "not_certified"
 class VerificationResult(NamedTuple):
     """The checks' outcomes.  ideals holds the presentations of m, (x) + I
     and I, with the bases they computed, which a sweep reads over Q to build
-    its exceptional set.  It takes no part in ==, hash or as_dict."""
+    its exceptional set.  It takes no part in as_dict."""
 
     condition1: RadicalResult
     condition2: tuple[bool, ...]
@@ -193,16 +193,6 @@ class VerificationResult(NamedTuple):
     complexity: ComplexityReport
     passed: bool
     ideals: tuple[IdealPresentation, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerificationResult):
-            return NotImplemented
-        return self[:9] == other[:9]
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
-
-    def __hash__(self) -> int:
-        return hash(self[:9])
 
     @property
     def height_ok(self) -> bool:

@@ -306,14 +306,21 @@ def reference_read_off(char0, ring, p: int):
     """The verification without the probe at a good prime p outside a
     sweep's exceptional set, read off the passing verification char0 over
     Q in ring: char0 without its probe, with the generators of m in the
-    radical exponents mapped mod p."""
+    radical exponents and the presentations of m, (x) + I and I mapped mod
+    p."""
     target = ring.with_field(PrimeField(p))
     q1 = char0.condition1
     exponents = tuple(
         (reduce_coeffs_mod_p(g, target), e) for g, e in q1.exponents
     )
     cond1 = RadicalResult(q1.status, exponents, None, q1.cap)
-    return char0._replace(condition1=cond1, prime_probe=None)
+    ideals = tuple(
+        IdealPresentation(
+            target, tuple(reduce_coeffs_mod_p(g, target) for g in J.generators)
+        )
+        for J in char0.ideals
+    )
+    return char0._replace(condition1=cond1, prime_probe=None, ideals=ideals)
 
 
 def reference_lucky(ideals, p: int) -> bool:

@@ -587,6 +587,16 @@ class TestInputBounds:
             capsys, "complexity", "--vars", names, "--ideal", "x0"
         )
 
+    def test_probe_on_the_most_variables_answers(self, capsys):
+        # the probe lists every monomial of degree <= 1 in NVARS_CAP variables
+        names = ",".join(f"x{i}" for i in range(NVARS_CAP))
+        code, out = run(
+            capsys, "prime-probe", "--vars", names, "--ideal", "x0*x1 - 1",
+            "--degree-bound", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "probably_prime"
+
     def test_huge_system_variable_count_refused(self, capsys, tmp_path):
         case = json.loads((CASES / "square_root.json").read_text())
         case["system"]["n"] = 10 ** 9

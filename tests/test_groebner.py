@@ -169,6 +169,40 @@ class TestBuchberger:
             with pytest.raises(DegreeCapExceeded):
                 buchberger(pres)
 
+    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("name, pairs", [("cyclic5", 1035), ("katsura5", 276)])
+    def test_pair_cap_boundary(self, name, pairs, p):
+        # every queued pair is examined, so a run answers at PAIR_CAP equal
+        # to its pair count and is refused one below, over Q and F_p alike
+        pres = kernel_ideal(name)
+        if p:
+            ring = pres.ring.with_field(PrimeField(p))
+            pres = IdealPresentation(
+                ring, tuple(reduce_coeffs_mod_p(g, ring) for g in pres.generators)
+            )
+        with mock.patch.object(groebner, "PAIR_CAP", pairs):
+            assert buchberger(pres).basis
+        with mock.patch.object(groebner, "PAIR_CAP", pairs - 1):
+            with pytest.raises(DegreeCapExceeded, match=f"than {pairs - 1} S-pairs"):
+                buchberger(pres)
+
+    def test_pair_cap_refuses_before_any_s_polynomial(self):
+        # three generators queue three pairs: past a cap of 2 at once
+        pres = mk(R3, "x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
+        calls, spoly = [], groebner._spoly
+
+        def spy(*args):
+            calls.append(args)
+            return spoly(*args)
+
+        with mock.patch.object(groebner, "_spoly", spy):
+            with mock.patch.object(groebner, "PAIR_CAP", 2):
+                with pytest.raises(DegreeCapExceeded, match="more than 2 S-pairs"):
+                    buchberger(pres)
+            assert calls == []
+            buchberger(pres)
+        assert calls
+
     def test_degree_cap_raises(self):
         # (x^3 - y, x*y - 1) produces x - y^3 along the way
         pres = mk(R2, "x^3 - y", "x*y - 1")

@@ -1,6 +1,8 @@
 """Coefficient fields, monomial orders, polynomial arithmetic, reduction."""
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from gbtransfer.polyarith import (
     PolyRing,
     PrimeField,
     QQ,
+    TERM_CAP,
     format_polynomial,
     is_prime,
     monomials_up_to,
@@ -320,3 +323,21 @@ def test_monomials_up_to_matches_product_filter():
                 if sum(m) <= d
             )
             assert monomials_up_to(n, d) == reference
+
+
+def test_monomials_up_to_matches_the_recursive_order():
+    @functools.lru_cache(maxsize=None)
+    def recursive(n, d):
+        # the former monomials_up_to, one call per variable
+        if n == 1:
+            return tuple((e,) for e in range(d + 1))
+        return tuple((e,) + rest for e in range(d + 1) for rest in recursive(n - 1, d - e))
+
+    # every shape of up to 60 variables and degree 60 within TERM_CAP
+    shapes = [
+        (n, d) for n in range(1, 61) for d in range(61)
+        if math.comb(n + d, n) <= TERM_CAP
+    ]
+    assert len(shapes) == 425
+    for n, d in shapes:
+        assert monomials_up_to(n, d) == recursive(n, d), (n, d)
