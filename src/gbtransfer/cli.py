@@ -11,7 +11,8 @@ import argparse
 import json
 import re
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter, mod
 from pathlib import Path
 
 from .encoding import (
@@ -57,11 +58,32 @@ class CaseFormatError(ValueError):
     """A case file does not match the expected schema."""
 
 
-def _emit(obj, *outs) -> None:
-    # indented JSON to every out (stdout when none is given), batch by
-    # batch: a large report is encoded once and never held as one string
-    chunks = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), "\n")
-    while batch := "".join(islice(chunks, 65536)):
+def _emit(obj) -> None:
+    _write(chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), "\n"), ())
+
+
+def _emit_sweep(report, *outs) -> None:
+    # what _emit(report.as_dict()) writes, to every out, each distinct entry
+    # but the last encoded once (_entry): indented JSON escapes line breaks
+    # in strings, so a line break and an indent can only mark a key
+    init, rest = report.per_prime[:-1], itemgetter(slice(1, None))
+    entries = {k: _entry(o) for k, o in dict(zip(map(rest, init), init)).items()}
+    texts = map(mod, map(entries.__getitem__, map(rest, init)), map(itemgetter(0), init))
+    last = report._replace(per_prime=report.per_prime[-1:]).as_dict()
+    text = json.dumps(last, indent=2, sort_keys=True)
+    head, sep, tail = text.partition('\n  "per_prime": [')
+    _write(chain((head, sep), texts, (tail, "\n")), outs)
+
+
+def _entry(o) -> str:
+    # o's entry in per_prime and a comma, as a %-template of its p
+    text = f"\n{json.dumps(o.as_dict(), indent=2, sort_keys=True)},".replace("%", "%%")
+    return text.replace("\n", "\n    ").replace(f'\n      "p": {o.p},', '\n      "p": %d,')
+
+
+def _write(chunks, outs) -> None:
+    # to every out (stdout when none is given) in batches, never one string
+    while batch := "".join(islice(chunks, 4096)):
         for out in outs or (sys.stdout,):
             out.write(batch)
 
@@ -333,9 +355,9 @@ def _cmd_sweep(args) -> int:
         return 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
-            _emit(report.as_dict(), out, sys.stdout)
+            _emit_sweep(report, out, sys.stdout)
     else:
-        _emit(report.as_dict())
+        _emit_sweep(report)
     return 0 if report.all_passed() else 1
 
 

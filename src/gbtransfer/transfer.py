@@ -16,8 +16,9 @@ never exceeds the characteristic-zero complexity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, product as _cartesian
+from itertools import compress, filterfalse, product as _cartesian, repeat
 from typing import NamedTuple, Sequence
 
 from .groebner import (
@@ -287,9 +288,10 @@ def verify_witness(
 
 def _dividing(numbers, candidates: Sequence[int]) -> set[int]:
     # the candidates dividing one of numbers: one product of the distinct
-    # nonzero absolute values, one remainder per candidate
+    # nonzero absolute values, one remainder per candidate up to it
     product = math.prod({abs(n) for n in numbers} - {0})
-    return {p for p in candidates if product % p == 0}
+    ordered = sorted(candidates)
+    return {p for p in ordered[: bisect_right(ordered, product)] if product % p == 0}
 
 
 def bad_primes(w: Witness, candidates: Sequence[int]) -> dict[int, tuple[str, ...]]:
@@ -301,8 +303,8 @@ def bad_primes(w: Witness, candidates: Sequence[int]) -> dict[int, tuple[str, ..
     mod p would collapse leading-term structure or drop degrees, silently
     distorting the uniform complexity claim.  A sound over-approximation,
     not a minimal set.  Each reason takes one product, of the denominators
-    or of the leading numerators, and one remainder per candidate
-    (_dividing), so huge coefficients cost no factoring.
+    or of the leading numerators, and one remainder per candidate up to
+    it (_dividing), so huge coefficients cost no factoring.
     """
     if not isinstance(w.ring.field, RationalField):
         raise AmbientMismatch("bad primes only make sense for rational witnesses")
@@ -508,48 +510,44 @@ def sweep(
     found by one sieve when no candidate exceeds PRIME_RANGE_CAP, then
     refuses to run unless the witness verifies in characteristic zero
     (CharZeroFailure carries the failing result).  Per-prime errors are
-    recorded in the report, never raised.  Primes run one after another in
-    ascending order, so the report is the same on every run.  The
-    primality probe runs once, in the verification over Q, which the report
-    prints; no prime's outcome prints it, so no prime runs it.  Each good
-    prime outside exceptional_primes is answered from the
-    characteristic-zero verification, which prints what running every
-    other check there prints (the radical exponents at p may be lower, and
-    no entry prints them), and every exceptional prime runs every other
-    check.
+    recorded, never raised.  The primality probe runs once, in the
+    verification over Q, which the report prints; no entry prints it.  A
+    good prime outside exceptional_primes costs builtin calls only: its
+    entry is char0's, with its p, which prints what every other check at p
+    prints (the radical exponents at p may be lower, and no entry prints
+    them).  The primes in S run every other check, one after another in
+    ascending order, so the report is the same on every run.
     """
-    candidates = sorted({int(p) for p in primes})
+    candidates = sorted(set(map(int, primes)))
+    if candidates and candidates[0] < 2:
+        raise ValueError(f"{candidates[0]} is not prime")
     top = candidates[-1] if candidates else 0
-    prime = _sieve(max(top, 0)).__getitem__ if top <= PRIME_RANGE_CAP else is_prime
-    for p in candidates:
-        if p < 2 or not prime(p):
-            raise ValueError(f"{p} is not prime")
+    prime = _sieve(top).__getitem__ if top <= PRIME_RANGE_CAP else is_prime
+    if not all(map(prime, candidates)):
+        raise ValueError(f"{next(filterfalse(prime, candidates))} is not prime")
     char0 = verify_witness(sys_, w, caps)
     if not char0.passed:
         raise CharZeroFailure(char0)
     bad = bad_primes(w, candidates)
-    good = [p for p in candidates if p not in bad]
+    good = [p for p in candidates if p not in bad] if bad else candidates
     if good:  # no F_p holds a good prime past the word bound: refuse it
         PrimeField(good[-1])
     exceptional = exceptional_primes(w, char0, good)
     char0_d = char0.complexity.complexity
-    outside = _conditions(char0)
-    outcomes = [
-        _run_prime(sys_, w, p, caps)
-        if p in exceptional
-        else PrimeOutcome(p, True, char0_d, None, False, outside)
-        for p in good
-    ]
-
-    ds = [o.d for o in outcomes if o.d is not None]
-    uniform_d = max(ds) if ds else None
+    # PrimeOutcome._make's tuple.__new__, with no Python frame per prime
+    rows = zip(good, *map(repeat, (True, char0_d, None, False, _conditions(char0))))
+    outcomes = list(map(tuple.__new__, repeat(PrimeOutcome), rows))
+    ran = [_run_prime(sys_, w, p, caps) for p in sorted(exceptional)]
+    for o in ran:
+        outcomes[bisect_left(good, o.p)] = o
+    ds = [o.d for o in ran if o.d is not None] + [char0_d] * (len(ran) < len(good))
     if prime_range is None and candidates:
         prime_range = (candidates[0], candidates[-1])
     return SweepReport(
         prime_range=prime_range,
         bad_primes=tuple(bad.items()),
         per_prime=tuple(outcomes),
-        uniform_d=uniform_d,
+        uniform_d=max(ds, default=None),
         char0_d=char0_d,
         char0_result=char0,
     )

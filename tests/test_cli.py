@@ -1,23 +1,38 @@
 """End-to-end CLI coverage: exit codes, JSON schemas, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbtransfer import predicates
 from gbtransfer.cli import (
-    CaseFormatError, _build_parser, _caps_from_args, main, parse_case,
+    CaseFormatError, _build_parser, _caps_from_args, load_case, main, parse_case,
 )
 from gbtransfer.encoding import CODE_CELL_CAP, ComplexityExceeded
 from gbtransfer.polyarith import NVARS_CAP, AmbientMismatch, BadPrime
 from gbtransfer.predicates import NotContained, UnitIdeal
-from gbtransfer.transfer import Caps, DegenerateGenerator
+from gbtransfer.transfer import (
+    CERT_FAILED,
+    CERT_NOT_CERTIFIED,
+    CERT_PASSED,
+    Caps,
+    DegenerateGenerator,
+    PrimeOutcome,
+    SweepReport,
+    primes_in_range,
+    sweep,
+    verify_witness,
+)
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 SRC = CASES.parent / "src"
@@ -145,7 +160,9 @@ class TestSweepCommand:
         assert json.loads(out)["passed"] is False
 
     def test_output_file(self, capsys, tmp_path):
-        # 2..20000 encodes to over 65536 chunks: two batches to each out
+        # 2..50000 writes over 4096 chunks, two batches to each out; the
+        # encoder runs once for the report around per_prime and once for
+        # the one distinct entry, however many outs there are
         target = tmp_path / "report.json"
         original = json.JSONEncoder.iterencode
         with mock.patch.object(
@@ -156,15 +173,15 @@ class TestSweepCommand:
                 "sweep",
                 str(CASES / "square_root.json"),
                 "--primes",
-                "2..20000",
+                "2..50000",
                 "--output",
                 str(target),
             )
-        assert code == 0 and spy.call_count == 1
+        assert code == 0 and spy.call_count == 2
         assert json.loads(target.read_text())["char0_d"] == 2
         assert target.read_bytes() == out.encode()
         _, plain = run(
-            capsys, "sweep", str(CASES / "square_root.json"), "--primes", "2..20000"
+            capsys, "sweep", str(CASES / "square_root.json"), "--primes", "2..50000"
         )
         assert plain == out
 
@@ -206,6 +223,114 @@ class TestSweepCommand:
             capsys, "sweep", str(CASES / "square_root.json"), "--primes", "4,5"
         )
         assert code == 2
+
+
+def _sweep_bytes(report):
+    """What `sweep` writes to stdout and to --output when sweep() returns
+    report, as two byte strings."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch(
+        "gbtransfer.cli.sweep", return_value=report
+    ), contextlib.redirect_stdout(out):
+        target = Path(tmp) / "report.json"
+        argv = ["sweep", str(CASES / "hyperbola.json"), "--primes", "2"]
+        code = main([*argv, "--output", str(target)])
+        written = target.read_bytes()
+    assert code == (0 if report.all_passed() else 1)
+    return out.getvalue().encode(), written
+
+
+def _reference_bytes(report):
+    return (json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+HYPERBOLA_CHAR0 = verify_witness(*load_case(str(CASES / "hyperbola.json")))
+SHARED = (True, 2, None, False, ("equal", (True,), CERT_PASSED, True))
+# text an entry may carry: quotes, backslashes, line breaks, "%" and the
+# lines the writer splits on, which JSON escapes inside a string
+TRICKY = st.lists(
+    st.sampled_from([
+        '"p": 0,', '\n      "p": 0,', '\n  "per_prime": [', '"', "\\", "\n",
+        "%d", "%s", "%%", "\u00e9", " ", "x",
+    ]) | st.text(max_size=4),
+    max_size=6,
+).map("".join)
+CONDITIONS = st.tuples(
+    st.sampled_from(["equal", "not_equal", "not_contained_in_p"]) | TRICKY,
+    st.lists(st.booleans(), max_size=3).map(tuple),
+    st.sampled_from([CERT_PASSED, CERT_FAILED, CERT_NOT_CERTIFIED]),
+    st.booleans(),
+)
+REASONS = st.lists(
+    st.sampled_from(["denominator", "leading-coeff"]), min_size=1, max_size=2
+).map(tuple)
+
+
+@st.composite
+def sweep_reports(draw):
+    """A SweepReport around hyperbola's run over Q: entries are the shared
+    passing outcome, or errors, unresolved or failing outcomes as the
+    primes in S give them; bad primes and an empty per_prime are drawn."""
+    rest = st.one_of(
+        st.just(SHARED),
+        st.tuples(st.none(), st.none(), TRICKY, st.just(False), st.none()),
+        st.tuples(
+            st.just(False), st.integers(0, 9), st.none(), st.just(True), CONDITIONS
+        ),
+        st.tuples(
+            st.booleans(), st.integers(0, 9), st.none(), st.booleans(), CONDITIONS
+        ),
+    )
+    ps = sorted(draw(st.sets(st.integers(2, 10**6), max_size=30)))
+    bad = draw(st.lists(st.tuples(st.integers(2, 10**6), REASONS), max_size=3))
+    span = st.tuples(st.integers(0, 99), st.integers(0, 10**6))
+    return SweepReport(
+        prime_range=draw(st.none() | span),
+        bad_primes=tuple(sorted(bad)),
+        per_prime=tuple(PrimeOutcome(p, *draw(rest)) for p in ps),
+        uniform_d=draw(st.none() | st.integers(0, 9)),
+        char0_d=2,
+        char0_result=HYPERBOLA_CHAR0,
+    )
+
+
+class TestSweepWriter:
+    """The sweep's writer, which encodes each distinct entry once, against
+    json.dumps of the whole report."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_reports())
+    def test_drawn_reports(self, report):
+        want = _reference_bytes(report)
+        assert _sweep_bytes(report) == (want, want)
+
+    def test_many_entries_over_several_batches(self):
+        # 9000 entries, one in seven an error whose text holds the lines
+        # the writer splits on; the shared outcome repeats between them
+        error = '"%d"\n  "p": 0,\n      "p": 0,\\'
+        per_prime = tuple(
+            PrimeOutcome(p, None, None, error, False, None)
+            if p % 7 == 0 else PrimeOutcome(p, *SHARED)
+            for p in range(2, 9002)
+        )
+        report = SweepReport(None, (), per_prime, 2, 2, HYPERBOLA_CHAR0)
+        want = _reference_bytes(report)
+        assert _sweep_bytes(report) == (want, want)
+
+    @pytest.mark.parametrize("case", [
+        "cusp.json", "hyperbola.json", "plane_origin.json", "shifted_square.json",
+        "sixth_scaled.json", "square_root.json", "tenth_scaled.json",
+    ])
+    def test_bundled_cases(self, capsys, tmp_path, case):
+        system, w = load_case(str(CASES / case))
+        report = sweep(system, w, primes_in_range(2, 2000), Caps(), (2, 2000))
+        target = tmp_path / "report.json"
+        code, out = run(
+            capsys, "sweep", str(CASES / case), "--primes", "2..2000",
+            "--output", str(target),
+        )
+        want = _reference_bytes(report)
+        assert code == 0 and out.encode() == want and target.read_bytes() == want
 
 
 class TestPredicateCommands:

@@ -20,7 +20,9 @@ from gbtransfer.predicates import PROBE_TRIAL_CAP
 from gbtransfer.transfer import (
     Caps,
     DiophantineSystem,
+    PrimeOutcome,
     Witness,
+    _conditions,
     _run_prime,
     bad_primes,
     exceptional_primes,
@@ -221,6 +223,52 @@ def test_prime_unlucky_for_m_alone_is_not_contained():
     assert 5 not in bad_primes(w, [5])
     five = sweep(system, w, [5], CAPS).per_prime[0]
     assert five.error == "NotContained: I is not contained in m"
+
+
+@pytest.mark.parametrize("name, candidates", [
+    ("hyperbola.json", PRIMES[:80]),
+    ("unlucky", PRIMES[:80]),
+    ("unlucky", [5]),
+    ("unlucky_m", PRIMES[:80]),
+    ("unlucky_m", [5]),
+    ("top", PRIMES[:80]),
+    ("top", [7]),
+    ("sixth_scaled.json", [3, 2]),
+])
+def test_report_holds_one_constructed_outcome_per_good_prime(name, candidates):
+    # per_prime is a tuple built in sweep, not a view: each entry equals
+    # the PrimeOutcome the constructor gives, the run at p in S and char0's
+    # entry with its p elsewhere; uniform_d is the largest d among them
+    system, w = {**WITNESSES, "top": SEVENS["top"]}[name]
+    report = sweep(system, w, candidates, CAPS)
+    char0 = verify_witness(system, w, CAPS)
+    bad = bad_primes(w, candidates)
+    good = [p for p in candidates if p not in bad]
+    exceptional = exceptional_primes(w, char0, good)
+    d = char0.complexity.complexity
+    want = tuple(
+        _run_prime(system, w, p, CAPS) if p in exceptional
+        else PrimeOutcome(p, True, d, None, False, _conditions(char0))
+        for p in good
+    )
+    assert type(report.per_prime) is tuple
+    assert all(type(o) is PrimeOutcome for o in report.per_prime)
+    assert report.per_prime == want
+    ds = [o.d for o in want if o.d is not None]
+    assert report.uniform_d == (max(ds) if ds else None)
+
+
+@pytest.mark.parametrize("k", [1, 6, 7, 35, 97, 2 * 3 * 5 * 7 * 11 * 13])
+def test_exceptional_primes_of_unsorted_candidates(k):
+    # the pivot k of I puts the product below, on and above the candidates
+    system, w = _witness((f"X1 + {k}*Y1", "X1"), "X1", "X1 - Y1", 0)
+    char0 = verify_witness(system, w, CAPS)
+    numbers = [n for kind in _members(w, char0).values() for n in kind if n]
+    for candidates in (
+        PRIMES[:40], PRIMES[:40][::-1], [97, 7, 2, 7, 101, 3, 13, 11, 30047, 5],
+    ):
+        want = {p for p in candidates if any(n % p == 0 for n in numbers)}
+        assert exceptional_primes(w, char0, candidates) == want
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))

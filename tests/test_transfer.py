@@ -251,7 +251,8 @@ class TestBadPrimesMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(
         rational_witnesses(),
-        st.lists(st.sampled_from(primes_in_range(2, 60)), max_size=24),
+        st.lists(st.sampled_from(primes_in_range(2, 60)), max_size=24)
+        | st.lists(st.sampled_from(primes_in_range(2, 5000)), max_size=24),
     )
     def test_same_primes_reasons_and_order(self, drawn, candidates):
         w, integral = drawn
@@ -259,6 +260,19 @@ class TestBadPrimesMatchesReference:
         assert list(bad.items()) == list(reference_bad_primes(w, candidates).items())
         if integral:
             assert all(reasons == ("leading-coeff",) for reasons in bad.values())
+
+    @pytest.mark.parametrize("scale", [
+        Fraction(1), Fraction(7), Fraction(1, 7), Fraction(35, 6), Fraction(97, 101),
+        Fraction(1, 2 * 3 * 5 * 7 * 11 * 13), Fraction(-13, 30030),
+    ])
+    def test_products_below_on_and_above_unsorted_candidates(self, scale):
+        # each product (of the denominators, of the leading numerators)
+        # falls below some candidates, on one or above the rest
+        w = square_root_witness(x1=(T * T).scale(scale))
+        candidates = [97, 7, 2, 7, 101, 3, 13, 11, 5, 30047, 2]
+        assert list(bad_primes(w, candidates).items()) == list(
+            reference_bad_primes(w, candidates).items()
+        )
 
     def test_one_prime_with_both_reasons(self):
         # 3 divides the denominator of -1/3 and the leading numerator 3
@@ -403,6 +417,27 @@ class TestSweep:
             with pytest.raises(ValueError, match=f"^{want} is not prime$"):
                 sweep(SQUARE_SYS, square_root_witness(), candidates, CAPS)
         assert spy.call_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.integers(-5, 60) | st.integers(CAP - 40, CAP + 40), max_size=8
+    ))
+    def test_refusal_matches_is_prime_one_by_one(self, candidates):
+        # unsorted, with duplicates, 0, 1, negatives, composites and values
+        # on both sides of the cap: the refusal names the first candidate
+        # in ascending order that is_prime rejects, before the run over Q
+        want = next(
+            (p for p in sorted(set(candidates)) if not polyarith.is_prime(p)), None
+        )
+        with mock.patch.object(
+            transfer, "verify_witness", wraps=transfer.verify_witness
+        ) as spy:
+            if want is None:
+                sweep(SQUARE_SYS, square_root_witness(), candidates, CAPS)
+            else:
+                with pytest.raises(ValueError, match=f"^{want} is not prime$"):
+                    sweep(SQUARE_SYS, square_root_witness(), candidates, CAPS)
+        assert spy.call_count == (want is None)
 
     def test_a_sparse_list_up_to_the_cap_answers(self):
         report = sweep(SQUARE_SYS, square_root_witness(), [999983, 2], CAPS)
