@@ -148,8 +148,8 @@ def _row(terms: list, fld) -> tuple:
                 out.append((m, (tn // g1 * (d // g2), td // g2 * (n // g1))))
             terms = out
     elif lead != 1:
-        inv = fld.inv(lead)
-        terms = [(m, fld.mul(inv, c)) for m, c in terms]
+        inv, p = fld.inv(lead), fld.p
+        terms = [(m, inv * c % p) for m, c in terms]
     return terms[0][0], None, terms[1:]
 
 
@@ -162,9 +162,10 @@ def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
     if isinstance(fld, RationalField):
         _sub_pairs(pk, out, [], None, b[2], qb, (1, 1), inf)
         return out
+    p = fld.p
     for m, c in b[2]:
         m += qb
-        out[m] = fld.sub(out.get(m, 0), c)
+        out[m] = (out.get(m, 0) - c) % p
     return out
 
 
@@ -262,7 +263,7 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
                 bits = _sub_pairs(pk, work, heap, gc, gtail, quot, c, cap)
                 top_bits = max(top_bits, bits)
                 break
-            factor = c if gc is None else fld.div(c, gc)
+            factor = c if gc is None else c * fld.inv(gc) % p
             for tm, tc in gtail:
                 mm = tm + quot
                 if mm > cap:

@@ -1,11 +1,14 @@
 """Exact multivariate polynomial arithmetic over Q and prime fields.
 
 Coefficients are exact everywhere: rationals are `fractions.Fraction`
-values in lowest terms, prime-field residues are plain ints in 0..p-1
-interpreted through their field object.  A polynomial is an immutable term
-list kept strictly descending under its ring's monomial order, with no
-zero coefficients and no duplicate monomials, so structural equality is
-mathematical equality.
+values in lowest terms, prime-field residues are plain ints in 0..p-1.
+A field only reads (`coerce`, `parse`), inverts (`inv`), raises to
+powers (`pow`, modular over F_p) and reduces values (`reduce`: the
+identity over Q, `a % p` over F_p); polynomials compute with Python's
+operators and reduce each output coefficient once.  A polynomial is an
+immutable term list kept strictly descending under its ring's monomial
+order, with no zero coefficients and no duplicate monomials, so
+structural equality is mathematical equality.
 """
 
 from __future__ import annotations
@@ -98,26 +101,14 @@ class RationalField:
             raise ValueError(f"not an exact rational literal: {text!r}")
         return Fraction(text)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return Fraction(a.denominator, a.numerator)
 
-    def div(self, a, b):
-        return a / b
-
     def pow(self, a, e: int):
         return a ** e
+
+    def reduce(self, a):
+        return a
 
     def __repr__(self) -> str:
         return "QQ"
@@ -166,28 +157,16 @@ class PrimeField(_PrimeField):
             raise ValueError(f"not an exact coefficient literal: {text!r}")
         return self.from_rational(Fraction(text))
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def pow(self, a, e: int):
         return pow(a, e, self.p)
+
+    def reduce(self, a):
+        return a % self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -202,6 +181,18 @@ Mono = tuple[int, ...]
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
+
+
+def term_products(f: Iterable[tuple], g: Sequence[tuple]) -> dict:
+    """Two term lists' product as {monomial: coefficient}, unreduced, zeros kept."""
+    acc: dict = {}
+    for m1, c1 in f:
+        for m2, c2 in g:
+            m = mono_mul(m1, m2)
+            v = c1 * c2
+            prev = acc.get(m)
+            acc[m] = v if prev is None else prev + v
+    return acc
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
@@ -333,8 +324,8 @@ class PolyRing:
                 raise ValueError("negative exponent")
             c = self.field.coerce(coeff)
             prev = acc.get(exps)
-            acc[exps] = c if prev is None else self.field.add(prev, c)
-        return self.from_dict(acc)
+            acc[exps] = c if prev is None else prev + c
+        return self.from_dict({m: self.field.reduce(c) for m, c in acc.items()})
 
     def with_field(self, field: Field) -> "PolyRing":
         return PolyRing(field, self.nvars, self.order, self.names)
@@ -391,7 +382,7 @@ class Polynomial:
             return self
         inv = fld.inv(lc)
         return Polynomial(
-            self.ring, tuple((m, fld.mul(inv, c)) for m, c in self.terms)
+            self.ring, tuple((m, fld.reduce(inv * c)) for m, c in self.terms)
         )
 
     def scale(self, value) -> "Polynomial":
@@ -400,7 +391,7 @@ class Polynomial:
         if not c or not self.terms:
             return self.ring.zero()
         return Polynomial(
-            self.ring, tuple((m, fld.mul(c, tc)) for m, tc in self.terms)
+            self.ring, tuple((m, fld.reduce(c * tc)) for m, tc in self.terms)
         )
 
     def __add__(self, other) -> "Polynomial":
@@ -408,11 +399,11 @@ class Polynomial:
             return NotImplemented
         if other.ring != self.ring:
             raise AmbientMismatch("polynomials from different rings")
-        fld = self.ring.field
+        reduce = self.ring.field.reduce
         acc = dict(self.terms)
         for m, c in other.terms:
             prev = acc.get(m)
-            nv = c if prev is None else fld.add(prev, c)
+            nv = c if prev is None else reduce(prev + c)
             if nv:
                 acc[m] = nv
             elif m in acc:
@@ -420,9 +411,9 @@ class Polynomial:
         return self.ring.from_dict(acc)
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field
+        reduce = self.ring.field.reduce
         return Polynomial(
-            self.ring, tuple((m, fld.neg(c)) for m, c in self.terms)
+            self.ring, tuple((m, reduce(-c)) for m, c in self.terms)
         )
 
     def __sub__(self, other) -> "Polynomial":
@@ -435,14 +426,10 @@ class Polynomial:
             return NotImplemented
         if other.ring != self.ring:
             raise AmbientMismatch("polynomials from different rings")
-        fld = self.ring.field
-        acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                v = fld.mul(c1, c2)
-                prev = acc.get(m)
-                acc[m] = v if prev is None else fld.add(prev, v)
+        reduce = self.ring.field.reduce
+        acc = term_products(self.terms, other.terms)
+        for m, c in acc.items():
+            acc[m] = reduce(c)
         return self.ring.from_dict(acc)
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -461,9 +448,9 @@ class Polynomial:
             v = c
             for i, e in enumerate(mono):
                 if e:
-                    v = fld.mul(v, fld.pow(vals[i], e))
-            acc = fld.add(acc, v)
-        return acc
+                    v = v * fld.pow(vals[i], e)
+            acc += v
+        return fld.reduce(acc)
 
     def __repr__(self) -> str:
         return format_polynomial(self)

@@ -21,11 +21,10 @@ from .polyarith import (
     AmbientMismatch,
     Polynomial,
     PrimeField,
-    RationalField,
     _ProductBudget,
     format_polynomial,
-    mono_mul,
     monomials_up_to,
+    term_products,
 )
 
 
@@ -217,17 +216,12 @@ class ProbeResult(NamedTuple):
         }
 
 
-_SAMPLE = (1, -1, 2, -2)
-
-
 def _sample_coefficients(fld) -> tuple:
-    # The draws' coefficients: these integers over Q, their distinct
-    # nonzero residues over F_p.
-    if isinstance(fld, RationalField):
-        return _SAMPLE
+    # The draws' coefficients: the distinct nonzero values of 1, -1, 2, -2
+    # as the field reduces them (the integers themselves over Q).
     out = []
-    for v in _SAMPLE:
-        r = v % fld.p
+    for v in (1, -1, 2, -2):
+        r = fld.reduce(v)
         if r and r not in out:
             out.append(r)
     return tuple(out)
@@ -261,16 +255,6 @@ def _draw(bits, monos: Sequence, coeffs: Sequence) -> tuple:
     if 0 in acc.values():  # two picks of one monomial cancelled
         terms = tuple(t for t in terms if t[1])
     return terms
-
-
-def _product(f: tuple, g: tuple) -> tuple:
-    # zero coefficients may stay; they add nothing to a normal form
-    acc: dict = {}
-    for m1, c1 in f:
-        for m2, c2 in g:
-            m = mono_mul(m1, m2)
-            acc[m] = acc.get(m, 0) + c1 * c2
-    return tuple(acc.items())
 
 
 def _polynomial(ring, terms) -> Polynomial:
@@ -379,10 +363,9 @@ def prime_probe(
 
     Whether a trial's normal forms are zero is read off memoized monomial
     rows (_Rows) where the rows prove that dividing the trial stays within
-    every kernel cap; elsewhere normal_form divides it.  Each distinct
-    terms tuple is decided once per call, and its answer is kept only once
-    given.  So the verdicts, and any DegreeCapExceeded with its message,
-    are those of dividing every trial.  Picks are choice's (see _draw).
+    every kernel cap; elsewhere normal_form divides it.  So the verdicts,
+    and any DegreeCapExceeded with its message, are those of dividing
+    every trial.  Picks are choice's (see _draw).
 
     The zero ideal, past every refusal, is answered without drawing: in a
     domain no product of nonzero draws is zero, and no basis means no cap.
@@ -400,21 +383,18 @@ def prime_probe(
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
     rows = _Rows(ring, P.basis)
-    seen: dict = {}  # terms -> whether NF(terms) is zero, this call only
 
     def zero(terms: tuple) -> bool:
-        z = seen.get(terms)
+        z = rows.zero(terms)
         if z is None:
-            z = rows.zero(terms)
-            if z is None:
-                z = not normal_form(_polynomial(ring, terms), P.basis)
-            seen[terms] = z
+            z = not normal_form(_polynomial(ring, terms), P.basis)
         return z
 
     for _ in range(trials):
         f = _draw(bits, monos, coeffs)
         g = _draw(bits, monos, coeffs)
-        if not zero(f) and not zero(g) and zero(_product(f, g)):
+        # zero coefficients of the product add nothing to a normal form
+        if not zero(f) and not zero(g) and zero(tuple(term_products(f, g).items())):
             pair = _polynomial(ring, f), _polynomial(ring, g)
             return ProbeResult(PROBE_NOT_PRIME, trials, *pair)
     return ProbeResult(PROBE_PROBABLY_PRIME, trials)

@@ -116,7 +116,7 @@ def random_poly(
         m = rng.choice(monos)
         c = fld.coerce(rng.choice(coeff_pool))
         prev = acc.get(m)
-        acc[m] = c if prev is None else fld.add(prev, c)
+        acc[m] = c if prev is None else fld.reduce(prev + c)
     return ring.from_dict(acc)
 
 
@@ -137,7 +137,7 @@ def random_query(
         m = rng.choice(monos)
         c = fld.coerce(rng.choice(coeff_pool))
         prev = acc.get(m)
-        acc[m] = c if prev is None else fld.add(prev, c)
+        acc[m] = c if prev is None else fld.reduce(prev + c)
     return ring.from_dict(acc)
 
 

@@ -116,7 +116,7 @@ def reference_divide(
                     raise DegreeCapExceeded(
                         f"division passed {step_cap} reduction steps"
                     )
-                factor = fld.div(c, gc)
+                factor = fld.reduce(c * fld.inv(gc))
                 if isinstance(factor, Fraction):
                     bits = (
                         factor.numerator.bit_length()
@@ -134,7 +134,7 @@ def reference_divide(
                         raise DegreeCapExceeded(
                             f"division intermediate degree passed {degree_cap}"
                         )
-                    nv = fld.sub(work.get(mm, zero), fld.mul(factor, tc))
+                    nv = fld.reduce(work.get(mm, zero) - factor * tc)
                     if nv:
                         work[mm] = nv
                     elif mm in work:
@@ -152,8 +152,8 @@ def reference_s_polynomial(f, g):
     ring, fld = f.ring, f.ring.field
     fm, gm = f.leading_monomial(), g.leading_monomial()
     lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-    a = ring.from_dict({_mono_div(lcm, fm): fld.div(fld.one, f.leading_coeff())})
-    b = ring.from_dict({_mono_div(lcm, gm): fld.div(fld.one, g.leading_coeff())})
+    a = ring.from_dict({_mono_div(lcm, fm): fld.inv(f.leading_coeff())})
+    b = ring.from_dict({_mono_div(lcm, gm): fld.inv(g.leading_coeff())})
     return a * f - b * g
 
 
@@ -250,7 +250,7 @@ def _random_bounded_poly(ring, rng, monos, coeffs) -> Polynomial:
         m = rng.choice(monos)
         c = rng.choice(coeffs)
         prev = acc.get(m)
-        acc[m] = c if prev is None else fld.add(prev, c)
+        acc[m] = c if prev is None else fld.reduce(prev + c)
     return ring.from_dict(acc)
 
 

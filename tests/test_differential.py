@@ -1,14 +1,19 @@
-"""Differential check of the Groebner engine against sympy, when available.
+"""Differential check of the Groebner engine and of polynomial arithmetic
+against sympy, when available.
 
 Bases are compared after monic normalization under the matching order;
 sympy prefers integer-primitive scaling where we keep leading coefficient
-one, and over F_p it writes symmetric residues where we keep 0..p-1.
-Skipped cleanly when sympy is not installed.
+one, and over F_p it writes symmetric residues where we keep 0..p-1, so
+its coefficients are compared as canonical residues.  Skipped cleanly when
+sympy is not installed.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
@@ -19,6 +24,7 @@ from gbtransfer.polyarith import (
     PolyRing,
     PrimeField,
     QQ,
+    RationalField,
     format_polynomial,
     parse_polynomial,
 )
@@ -127,3 +133,73 @@ def test_reduced_bases_agree_with_sympy_mod_p(kind):
             ).exprs
         }
         assert mine == reference, f"{gens} under {kind} mod {P}"
+
+
+# Polynomial arithmetic against sympy Poly: +, -, *, **, monic and
+# evaluate over Q and over F_2, F_3 and F_32003, on term lists with
+# repeated monomials and with integer coefficients far outside 0..p-1.
+ARITH_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(P)]
+
+
+def _sympy_number(c):
+    """An int or Fraction as a sympy Rational."""
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def _sympy_value(value, fld):
+    """A sympy number as this package's canonical field element."""
+    if isinstance(fld, RationalField):
+        value = sp.Rational(value)
+        return Fraction(int(value.p), int(value.q))
+    return int(value) % fld.p
+
+
+def _expected(poly, ring):
+    """The Polynomial with a sympy Poly's terms, coefficients canonical."""
+    terms = {m: _sympy_value(c, ring.field) for m, c in poly.terms()}
+    return ring.from_dict(terms)
+
+
+def _coefficients(fld):
+    if isinstance(fld, RationalField):
+        return st.fractions(-9, 9, max_denominator=6)
+    return st.integers(-(10**12), 10**12)
+
+
+@st.composite
+def _arith_problem(draw, fld):
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    ring = PolyRing(fld, nvars, order, ("x", "y", "z")[:nvars])
+    syms = SYMS[:nvars]
+    domain = sp.QQ if isinstance(fld, RationalField) else sp.GF(fld.p)
+    term = st.tuples(_coefficients(fld), st.tuples(*[st.integers(0, 3)] * nvars))
+
+    def poly():
+        pairs = draw(st.lists(term, max_size=5))
+        expr = sum(
+            _sympy_number(c) * sp.Mul(*[x**e for x, e in zip(syms, m)])
+            for c, m in pairs
+        )
+        return ring.from_terms(pairs), sp.Poly(expr, *syms, domain=domain)
+
+    point = draw(st.lists(_coefficients(fld), min_size=nvars, max_size=nvars))
+    return ring, poly(), poly(), draw(st.integers(0, 4)), point
+
+
+@pytest.mark.parametrize("fld", ARITH_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_polynomial_arithmetic_agrees_with_sympy(fld, data):
+    ring, (f, F), (g, G), e, point = data.draw(_arith_problem(fld))
+    assert f.terms == _expected(F, ring).terms
+    assert (f + g).terms == _expected(F + G, ring).terms
+    assert (f - g).terms == _expected(F - G, ring).terms
+    assert (-f).terms == _expected(-F, ring).terms
+    assert (f * g).terms == _expected(F * G, ring).terms
+    assert (f ** e).terms == _expected(F ** e, ring).terms
+    if f:
+        lc = F.LC(order=ring.order.kind)
+        assert f.monic().terms == _expected(F.quo_ground(lc), ring).terms
+    value = F(*[_sympy_number(c) for c in point])
+    assert f.evaluate(point) == _sympy_value(value, fld)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,25 @@ class TestFields:
             QQ.inv(Fraction(0))
         with pytest.raises(ZeroDivisionError):
             PrimeField(7).inv(0)
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, (1 << 61) - 1])
+    def test_prime_field_reduce_gives_canonical_residues(self, p):
+        fld = PrimeField(p)
+        for a in (-1, -p, -p - 1, -(p**2) - 5, 0, p - 1, p, p**2 + 1, 7 * p**3 + 2):
+            r = fld.reduce(a)
+            assert 0 <= r < p and (r - a) % p == 0
+
+    def test_rational_reduce_is_the_identity(self):
+        for a in (Fraction(0), Fraction(-7, 3), Fraction(10**40, 3), 5):
+            assert QQ.reduce(a) is a
+
+    def test_evaluate_huge_power_is_modular(self):
+        # pow over F_p is modular: 3^(10^8) is never formed as an integer
+        ring = PolyRing(PrimeField(5), 1, GREVLEX, ("x",))
+        f = ring.from_dict({(100_000_000,): 1})
+        start = time.perf_counter()
+        assert f.evaluate([3]) == pow(3, 100_000_000, 5) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMonomialOrder:

@@ -217,6 +217,11 @@ class TestPrimeProbe:
         with pytest.raises(UnitIdeal):
             prime_probe(mk(R2, "x", "x - 1"), 2, 10, seed=0)
 
+    @pytest.mark.parametrize("fld, coeffs", [
+        (PrimeField(2), (1,)), (PrimeField(3), (1, 2)), (QQ, (1, -1, 2, -2)),
+    ])
+    def test_sample_coefficients_are_the_distinct_nonzero_values(self, fld, coeffs):
+        assert predicates._sample_coefficients(fld) == coeffs
 
     def test_probe_reads_rows_and_divides_no_trial(self, monkeypatch):
         # I = (T1*T2 - 1): every draw has degree <= 2, every product <= 4,
@@ -245,10 +250,9 @@ class TestPrimeProbe:
         monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(asked))
         res = prime_probe(I, 2, 200, seed=0)
         assert res.probably_prime and len(draws) == 2 * 200
-        # every trial asks about its f; each distinct terms tuple reaches
-        # the rows once, so a repeated f is answered without them
+        # every trial asks the rows about its f; a repeated f divides no
+        # new row
         assert set(draws[::2]) <= set(asked)
-        assert len(asked) == len(set(asked))
         assert len(set(draws[::2])) < 200
         assert all(len(f.terms) == 1 for f in rows)
         assert len(rows) == len(set(rows)) <= 15
@@ -384,8 +388,8 @@ class TestProbeMatchesReference:
             ours = _probe_outcome(prime_probe, pres, args)
             assert ours == _probe_outcome(reference_prime_probe, pres, args)
 
-    # Both raise after the memo has answered repeated draws: at trial 24
-    # after 5 repeated f, and at trial 14 after 5.
+    # Both raise after repeated draws: at trial 24 after 5 repeated f, and
+    # at trial 14 after 5.
     @pytest.mark.parametrize("problem", [
         _problem(["x^2 - y", "y^2 - x"], args=(2, 200, 5), STEP_CAP=3),
         _problem(["2*x - 1", "3*y - 1"], args=(1, 200, 15), COEFF_BIT_CAP=4),
