@@ -101,12 +101,8 @@ def _expect_keys(obj, required, optional=(), where="object"):
 
 
 def _coeff_string(value, where):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise CaseFormatError(f"{where}: coefficients must be exact strings")
-    if isinstance(value, int):
+    if isinstance(value, str) or type(value) is int:  # not bool, not float
         return str(value)
-    if isinstance(value, str):
-        return value
     raise CaseFormatError(f"{where}: coefficients must be exact strings")
 
 
@@ -267,13 +263,6 @@ def _ring_from_args(args) -> PolyRing:
     return PolyRing(field, len(names), order_from_json(args.order), names)
 
 
-def _parse_poly_arg(text: str, ring: PolyRing):
-    try:
-        return parse_polynomial(_read_operand(text), ring)
-    except ValueError as exc:
-        raise CaseFormatError(str(exc)) from exc
-
-
 def _parse_ideal_arg(text: str, ring: PolyRing) -> IdealPresentation:
     body = _read_operand(text).strip()
     if body.startswith("("):  # strip one pair only if it encloses everything
@@ -294,16 +283,14 @@ def _parse_ideal_arg(text: str, ring: PolyRing) -> IdealPresentation:
             parts.append(body[start:k])
             start = k + 1
     parts.append(body[start:])
-    gens = tuple(
-        _parse_poly_arg(part, ring) for part in parts if part.strip()
-    )
+    gens = tuple(parse_polynomial(part, ring) for part in parts if part.strip())
     if not gens:
         raise CaseFormatError("empty ideal operand")
     return IdealPresentation(ring, gens)
 
 
 def _parse_point_arg(text: str, ring: PolyRing) -> tuple:
-    coords = [c.strip() for c in text.split(",")]
+    coords = [c.strip() for c in _read_operand(text).split(",")]
     try:
         return tuple(ring.field.parse(c) for c in coords)
     except ValueError as exc:
@@ -366,7 +353,8 @@ def _run_gb(pres, args):
 
 
 def _run_member(pres, args):
-    residue = normal_form(_parse_poly_arg(args.f, pres.ring), pres.basis)
+    f = parse_polynomial(_read_operand(args.f), pres.ring)
+    residue = normal_form(f, pres.basis)
     payload = {"member": not residue, "normal_form": format_polynomial(residue)}
     return payload, 1 if residue else 0
 

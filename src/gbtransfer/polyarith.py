@@ -334,14 +334,13 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical term list over a fixed ambient ring."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: tuple) -> None:
         # terms must already be canonical; go through PolyRing.from_dict
         # when that is not guaranteed.
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -352,9 +351,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
-        return self._hash
+        return hash((self.ring, self.terms))
 
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""

@@ -290,7 +290,7 @@ class _Rows:
       |sum c_m * a_m * prod_{k != m} b_k| is below C * 2^T and the
       denominator prod b_m below 2^T.  Reducing the fraction only shrinks
       both, so f's factor at t has at most 2*T + C.bit_length() bits.
-    zero() answers only when these bounds are within STEP_CAP and
+    zero() reads the rows only where these bounds are within STEP_CAP and
     COEFF_BIT_CAP, so the division it stands in for stays within every cap.
     """
 
@@ -324,9 +324,9 @@ class _Rows:
         rows[m] = (vec, steps, bits)
         return rows[m]
 
-    def zero(self, terms: tuple) -> bool | None:
-        """Whether NF(terms) is zero, or None unless the rows prove that
-        the direct division of terms stays within every kernel cap."""
+    def zero(self, terms: tuple) -> bool:
+        """Whether NF(terms) is zero: off the rows where they keep its
+        division within every kernel cap, else by normal_form."""
         rows = self.rows
         den = self.den
         steps = bits = size = 0
@@ -334,22 +334,23 @@ class _Rows:
         for m, c in terms:
             row = rows[m] if m in rows else self._add(m)
             if row is None:
-                return None
+                break
             vec, s, b = row
             steps += s
             bits += b
             size += abs(c)
             for t, v in vec:
                 acc[t] = acc.get(t, 0) + c * v
-        if self.den != den:  # a new row raised the shared denominator
-            return self.zero(terms)
-        if steps > groebner.STEP_CAP or (
-            bits and 2 * bits + size.bit_length() > groebner.COEFF_BIT_CAP
-        ):
-            return None
-        if self.p is not None:
-            return not any(v % self.p for v in acc.values())
-        return not any(acc.values())
+        else:
+            if self.den != den:  # a new row raised the shared denominator
+                return self.zero(terms)
+            if steps <= groebner.STEP_CAP and (
+                not bits or 2 * bits + size.bit_length() <= groebner.COEFF_BIT_CAP
+            ):
+                if self.p is not None:
+                    return not any(v % self.p for v in acc.values())
+                return not any(acc.values())
+        return not normal_form(_polynomial(self.ring, terms), self.basis)
 
 
 def prime_probe(
@@ -382,14 +383,7 @@ def prime_probe(
         return ProbeResult(PROBE_PROBABLY_PRIME, trials)
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
-    rows = _Rows(ring, P.basis)
-
-    def zero(terms: tuple) -> bool:
-        z = rows.zero(terms)
-        if z is None:
-            z = not normal_form(_polynomial(ring, terms), P.basis)
-        return z
-
+    zero = _Rows(ring, P.basis).zero
     for _ in range(trials):
         f = _draw(bits, monos, coeffs)
         g = _draw(bits, monos, coeffs)

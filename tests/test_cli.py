@@ -512,6 +512,50 @@ class TestOperandForms:
         assert json.loads(out)["basis"] == basis
 
 
+class TestOperandFiles:
+    """"@file" reads an operand flag's value from a file, once and whole."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("member", "--vars", "x,y", "--ideal", "(x)"), "--f", "x^2\n"),
+            (("gb", "--vars", "x,y"), "--ideal", "(x^2 - y,\n x)\n"),
+            (("radical-eq", "--vars", "x,y", "--ideal", "(x^2, y)"),
+             "--radical", "(x, y)\n"),
+            (("maximal", "--vars", "x,y", "--ideal", "(x - 1, y + 2)"),
+             "--point", "1, -2\n"),
+        ],
+        ids=["f", "ideal", "radical", "point"],
+    )
+    def test_operand_read_from_a_file(self, capsys, tmp_path, argv, flag, text):
+        path = tmp_path / "operand.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out = run(capsys, *argv, flag, "@" + str(path))
+        assert code == 0
+        assert run(capsys, *argv, flag, text.strip()) == (0, out)
+
+    def test_unreadable_operand_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        code = main(["gb", "--vars", "x", "--ideal", "@" + str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: cannot read operand file: [Errno 2] No such file or "
+            f"directory: {str(path)!r}\n"
+        )
+
+    @pytest.mark.parametrize("operand", ["x,@f", "x, @f", "(x,@f)"])
+    def test_generator_in_an_ideal_list_is_not_a_file(
+        self, capsys, monkeypatch, tmp_path, operand
+    ):
+        (tmp_path / "f").write_text("y", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main(["gb", "--vars", "x,y", "--ideal", operand])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: bad character '@' in polynomial text\n"
+
+
 class TestDashOperands:
     """An operand that starts with "-" needs no "--flag=value" form."""
 
@@ -828,6 +872,103 @@ class TestErrorTypes:
             UnitIdeal, ComplexityExceeded, DegenerateGenerator,
         ):
             assert issubclass(exc, ValueError), exc
+
+
+def _edited_case(tmp_path, keys, value) -> str:
+    """square_root.json with the entry under keys set to value, as a file."""
+    case = json.loads((CASES / "square_root.json").read_text())
+    obj = case
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(case), encoding="utf-8")
+    return str(path)
+
+
+COEFF = ("system", "equations", 0, 0, "coeff")
+NO_COEFF = "system.equations[0][0]: coefficients must be exact strings"
+
+
+class TestRefusals:
+    """Each input check the CLI reaches: its exit code and exact stderr.
+
+    With an edit, argv[1] is square_root.json with (keys, value) applied.
+    """
+
+    @pytest.mark.parametrize("argv, edit, code, err", [
+        (("verify",), (("ring",), []), 2, "ring must be a JSON object"),
+        # an integer coefficient reads as its string
+        (("verify",), (COEFF, 1), 0, None),
+        (("verify",), (COEFF, True), 2, NO_COEFF),
+        (("verify",), (COEFF, 1.0), 2, NO_COEFF),
+        (("verify",), (COEFF, None), 2, NO_COEFF),
+        (("verify",), (COEFF, ["1"]), 2, NO_COEFF),
+        (("verify",), (COEFF[:3], {}), 2,
+         "system.equations[0] must be a list of terms"),
+        (("verify",), (COEFF, "abc"), 2,
+         "system.equations[0][0]: not an exact rational literal: 'abc'"),
+        (("verify",), (("system", "n"), "1"), 2,
+         "system.n and system.r must be non-negative ints"),
+        (("verify",), (("system", "equations"), {}), 2,
+         "system.equations must be a list"),
+        (("verify",), (COEFF, "1/2"), 2,
+         "system: system coefficients must be integers"),
+        (("verify",), (("witness", "I"), {}), 2,
+         "witness.I must be a list of polynomials"),
+        (("verify",), (("witness", "b"), "0"), 2,
+         "witness.b must be null or a coordinate list"),
+        (("verify",), (("witness", "b"), ["abc"]), 2,
+         "witness.b: not an exact rational literal: 'abc'"),
+        (("verify",), (("witness", "domain_claim"), 1), 2,
+         "witness.domain_claim must be a boolean"),
+        (("verify",), (("ring", "order"), "deglex"), 2,
+         "unknown monomial order 'deglex'"),
+        (("verify", "--prime", "3"), (("witness", "m", 0, 0, "coeff"), "3"), 2,
+         "generator 3*T vanishes mod 3"),
+        (("gb", "--vars", ",", "--ideal", "x"), None, 2,
+         "--vars needs a comma-separated name list"),
+        (("gb", "--vars", "x", "--ideal", "( , )"), None, 2,
+         "empty ideal operand"),
+        (("maximal", "--vars", "x", "--ideal", "x", "--point", "abc"), None, 2,
+         "bad point: not an exact rational literal: 'abc'"),
+        (("maximal", "--vars", "x,y", "--ideal", "x", "--point", "1"), None, 2,
+         "point length does not match --vars"),
+        (("sweep", str(CASES / "square_root.json"), "--primes", "a,b"), None, 2,
+         '--primes takes "LO..HI" or a comma-separated list'),
+        (("member", "--vars", "x", "--ideal", "x", "--f", "x)"), None, 2,
+         "unexpected ')' in polynomial text"),
+        (("member", "--vars", "x,y", "--ideal", "x", "--f", "x^y"), None, 2,
+         "exponent must be a non-negative integer"),
+        (("member", "--vars", "x", "--ideal", "x", "--f", "1/x"), None, 2,
+         "denominator must be an integer"),
+        (("member", "--vars", "x", "--ideal", "x", "--f", "(x"), None, 2,
+         "unbalanced parenthesis"),
+        (("member", "--vars", "x", "--ideal", "x", "--f", "*x"), None, 2,
+         "unexpected token '*' in polynomial text"),
+        (("decode", "--code", json.dumps({
+            "complexity": 0, "field": "Q", "nvars": 0, "order": "grevlex",
+            "rows": [],
+        })), None, 2, "need at least one variable"),
+        (("encode", "--vars", "x,y", "--ideal", "x", "--d", "1"), None, 2,
+         "complexity bound 1 exceeded: 2 variables force complexity >= 2"),
+        (("decode", "--code", json.dumps({
+            "complexity": 1, "field": "Q", "nvars": 1, "order": "deglex",
+            "rows": [],
+        })), None, 2, "unknown monomial order 'deglex'"),
+        (("decode", "--code", '{"rows": []}'), None, 2, "malformed code object"),
+    ])
+    def test_exit_code_and_message(self, capsys, tmp_path, argv, edit, code, err):
+        if edit is not None:
+            argv = (argv[0], _edited_case(tmp_path, *edit), *argv[1:])
+        got = main(list(argv))
+        captured = capsys.readouterr()
+        if err is None:
+            assert (got, captured.err) == (code, "")
+            plain = argv[0], str(CASES / "square_root.json"), *argv[2:]
+            assert run(capsys, *plain) == (code, captured.out)
+        else:
+            assert (got, captured.out, captured.err) == (code, "", f"error: {err}\n")
 
 
 class TestParseCase:

@@ -323,21 +323,20 @@ def _probe_outcome(probe, pres, args):
 
 
 def _checked_zero(asked):
-    """_Rows.zero, checked: every answer it gives (not None) must be
-    whether normal_form, within every cap, reduces the same terms to zero;
-    the terms of each call are appended to asked."""
+    """_Rows.zero, checked: every answer it gives must be a bool, whether
+    normal_form, within every cap, reduces the same terms to zero; the
+    terms of each call are appended to asked."""
     real = predicates._Rows.zero
 
     def zero(rows, terms):
         asked.append(terms)
         z = real(rows, terms)
-        if z is not None:
-            f = predicates._polynomial(rows.ring, terms)
-            try:
-                nf = groebner.normal_form(f, rows.basis)
-            except DegreeCapExceeded as exc:
-                raise AssertionError(f"rows answered past a cap: {exc}")
-            assert z == (not nf), terms
+        f = predicates._polynomial(rows.ring, terms)
+        try:
+            nf = groebner.normal_form(f, rows.basis)
+        except DegreeCapExceeded as exc:
+            raise AssertionError(f"rows answered past a cap: {exc}")
+        assert z is (not nf), terms
         return z
 
     return zero
@@ -360,8 +359,8 @@ class TestProbeMatchesReference:
 
     @given(probe_problems())
     @settings(max_examples=200, deadline=None)
-    # NF(x) = y/2 and NF(x^2) = y^2/4: a product can raise the shared
-    # denominator from 2 to 4.
+    # NF(x) = y/2 and NF(x^2) = y^2/4: a product's new row raises the
+    # shared denominator from 2 to 4, and zero() reads the product again.
     @example(_problem(["2*x - y"], args=(1, 60, 0)))
     # Two rows of 2 steps each; a two-term draw takes up to 4 steps.
     @example(_problem(["x^2 - y", "y^2 - x"], STEP_CAP=3))
@@ -415,6 +414,32 @@ class TestProbeMatchesReference:
         assert got[0] is DegreeCapExceeded and got == want
         assert len(ours) == len(theirs) < 2 * args[1]
         assert len(set(ours[::2])) <= len(ours) // 2 - 5
+
+
+class TestRowsZero:
+    """_Rows.zero answers every call with a bool, from normal_form where
+    the rows cannot bound the division."""
+
+    X2, XY, Y = (2, 0), (1, 1), (0, 1)
+
+    # Under STEP_CAP 1 the row of x^2 (x^2 -> x*y -> y^2) passes the cap,
+    # yet x^2 - x*y divides in one step.  Under STEP_CAP 2 every row
+    # divides, but the rows of x^2 and x*y take 3 steps in all.
+    @pytest.mark.parametrize("step_cap, capped", [(1, True), (2, False)])
+    @pytest.mark.parametrize("terms", [
+        ((X2, 1), (XY, -1)),
+        ((X2, 1), (XY, -1), (Y, 1)),
+    ])
+    def test_answers_past_the_rows_bounds(self, step_cap, capped, terms):
+        basis = mk(R2, "x - y").basis
+        rows = predicates._Rows(R2, basis)
+        with mock.patch.object(groebner, "STEP_CAP", step_cap):
+            z = rows.zero(terms)
+            nf = groebner.normal_form(predicates._polynomial(R2, terms), basis)
+        assert z is (not nf)
+        assert (rows.rows[self.X2] is None) is capped
+        if not capped:
+            assert sum(rows.rows[m][1] for m, _ in terms[:2]) > step_cap
 
 
 def _no_draws(*args):
