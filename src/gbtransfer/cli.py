@@ -193,11 +193,9 @@ def parse_case(obj) -> tuple[DiophantineSystem, Witness]:
     if b_obj is not None:
         if not isinstance(b_obj, list):
             raise CaseFormatError("witness.b must be null or a coordinate list")
+        coords = [_coeff_string(c, f"witness.b[{k}]") for k, c in enumerate(b_obj)]
         try:
-            point_b = tuple(
-                ring.field.parse(_coeff_string(c, f"witness.b[{k}]"))
-                for k, c in enumerate(b_obj)
-            )
+            point_b = tuple(ring.field.parse(c) for c in coords)
         except ValueError as exc:
             raise CaseFormatError(f"witness.b: {exc}") from exc
 

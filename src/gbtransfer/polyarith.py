@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 NEG_INF = float("-inf")  # degree of the zero polynomial
 TERM_CAP = 10_000  # most terms the parser expands to or monomials_up_to lists
 PRODUCT_BUDGET = 10 * TERM_CAP  # term pairs one parse or substitute may multiply
+POWER_BIT_CAP = 8192  # bound on e * (coefficient bits - 2) of one power over Q
 NEST_CAP = 100  # parentheses and unary minus signs one parse may nest
 NVARS_CAP = 1024  # most variables one ring may have
 
@@ -136,15 +137,9 @@ class PrimeField(_PrimeField):
     one = 1
 
     def coerce(self, value) -> int:
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field element")
-        if isinstance(value, int):
+        if type(value) is int:  # not bool, which QQ.coerce refuses
             return value % self.p
-        if isinstance(value, Fraction):
-            return self.from_rational(value)
-        if isinstance(value, str):
-            return self.parse(value)
-        raise TypeError(f"cannot interpret {value!r} as an F_{self.p} element")
+        return self.from_rational(QQ.coerce(value))
 
     def from_rational(self, q: Fraction) -> int:
         if q.denominator % self.p == 0:
@@ -152,10 +147,7 @@ class PrimeField(_PrimeField):
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def parse(self, text: str) -> int:
-        text = text.strip()
-        if not _EXACT_LITERAL.match(text):
-            raise ValueError(f"not an exact coefficient literal: {text!r}")
-        return self.from_rational(Fraction(text))
+        return self.from_rational(QQ.parse(text))
 
     def inv(self, a):
         if a % self.p == 0:
@@ -400,11 +392,7 @@ class Polynomial:
         acc = dict(self.terms)
         for m, c in other.terms:
             prev = acc.get(m)
-            nv = c if prev is None else reduce(prev + c)
-            if nv:
-                acc[m] = nv
-            elif m in acc:
-                del acc[m]
+            acc[m] = c if prev is None else reduce(prev + c)
         return self.ring.from_dict(acc)
 
     def __neg__(self) -> "Polynomial":
@@ -454,7 +442,16 @@ class Polynomial:
 
 
 def _power(base: Polynomial, e: int, mul) -> Polynomial:
-    """base ** e by square-and-multiply, forming every product with mul."""
+    """base ** e by square-and-multiply, forming every product with mul.
+
+    Over Q a one-term base costs one term pair per squaring while its
+    coefficient doubles in size, so the coefficient size is bounded first.
+    """
+    if isinstance(base.ring.field, RationalField):
+        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for _, c in base.terms), default=2)
+        if e * (bits - 2) > POWER_BIT_CAP:
+            raise ValueError(f"power coefficients could pass {POWER_BIT_CAP} bits")
     result = base.ring.one()
     while e:
         if e & 1:
@@ -494,8 +491,6 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
         raise AmbientMismatch(
             f"expected {f.ring.nvars} images, got {len(images)}"
         )
-    if not images:
-        raise AmbientMismatch("substitution needs at least one image")
     target = images[0].ring
     for g in images[1:]:
         if g.ring != target:
@@ -561,23 +556,20 @@ def format_polynomial(f: Polynomial) -> str:
     return " ".join(parts)
 
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()])|(\s+)|(.)")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/^()])|\s+|(.)")
 
 
-def _tokenize(text: str) -> list[tuple]:
+def _tokenize(text: str) -> list:
+    """An int per number, a str per name or operator ("**" read as "^"), then None."""
     out = []
-    for number, name, op, space, junk in _TOKEN.findall(text):
+    for number, word, junk in _TOKEN.findall(text):
         if junk:
             raise ValueError(f"bad character {junk!r} in polynomial text")
-        if space:
-            continue
         if number:
-            out.append(("num", int(number)))
-        elif name:
-            out.append(("name", name))
-        else:
-            out.append(("op", "^" if op == "**" else op))
-    out.append(("end", None))
+            out.append(int(number))
+        elif word:
+            out.append("^" if word == "**" else word)
+    out.append(None)
     return out
 
 
@@ -612,54 +604,45 @@ class _PolyParser:
 
     def parse(self) -> Polynomial:
         p = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ValueError(f"unexpected {val!r} in polynomial text")
+        tok = self.peek()
+        if tok is not None:
+            raise ValueError(f"unexpected {tok!r} in polynomial text")
         return p
 
     def expr(self) -> Polynomial:
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
+        sign = self.peek()
+        if sign in ("+", "-"):
             self.take()
-            negate = val == "-"
         p = self.term()
-        if negate:
+        if sign == "-":
             p = -p
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            q = self.term()
+            p = p - q if op == "-" else p + q
+        return p
 
     def term(self) -> Polynomial:
         p = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                q = self.factor()
-                _check_terms(len(p.terms) * len(q.terms))
-                p = self.budget.mul(p, q)
-            else:
-                return p
+        while self.peek() == "*":
+            self.take()
+            q = self.factor()
+            _check_terms(len(p.terms) * len(q.terms))
+            p = self.budget.mul(p, q)
+        return p
 
     def factor(self) -> Polynomial:
-        if self.peek() == ("op", "-"):  # negate after "^": x*-y^2 is -(x*y^2)
+        if self.peek() == "-":  # negate after "^": x*-y^2 is -(x*y^2)
             self.take()
             self.nest()
             p = -self.factor()
             self.depth -= 1
             return p
         p = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek() == "^":
             self.take()
-            k, v = self.take()
-            if k != "num":
+            v = self.take()
+            if not isinstance(v, int):
                 raise ValueError("exponent must be a non-negative integer")
             # (t terms)^v has at most C(t + v - 1, v) terms, and >= v + 1 if t > 1
             t = len(p.terms)
@@ -669,31 +652,30 @@ class _PolyParser:
         return p
 
     def atom(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "num":
-            k, v = self.peek()
-            if k == "op" and v == "/":
+        tok = self.take()
+        if isinstance(tok, int):
+            if self.peek() == "/":
                 self.take()
-                k2, v2 = self.take()
-                if k2 != "num":
+                den = self.take()
+                if not isinstance(den, int):
                     raise ValueError("denominator must be an integer")
-                if not v2:
+                if not den:
                     raise ValueError("zero denominator in polynomial text")
-                return self.ring.constant(Fraction(val, v2))
-            return self.ring.constant(val)
-        if kind == "name":
-            if val not in self.index:
+                return self.ring.constant(Fraction(tok, den))
+            return self.ring.constant(tok)
+        if isinstance(tok, str) and tok.isidentifier():
+            if tok not in self.index:
                 known = ", ".join(self.ring.names)
-                raise ValueError(f"unknown variable {val!r}; ring has {known}")
-            return self.ring.variable(self.index[val])
-        if kind == "op" and val == "(":
+                raise ValueError(f"unknown variable {tok!r}; ring has {known}")
+            return self.ring.variable(self.index[tok])
+        if tok == "(":
             self.nest()
             p = self.expr()
-            if self.take() != ("op", ")"):
+            if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
             self.depth -= 1
             return p
-        raise ValueError(f"unexpected token {val!r} in polynomial text")
+        raise ValueError(f"unexpected token {tok!r} in polynomial text")
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

@@ -19,7 +19,7 @@ from gbtransfer.cli import (
     CaseFormatError, _build_parser, _caps_from_args, load_case, main, parse_case,
 )
 from gbtransfer.encoding import CODE_CELL_CAP, ComplexityExceeded
-from gbtransfer.polyarith import NVARS_CAP, AmbientMismatch, BadPrime
+from gbtransfer.polyarith import NVARS_CAP, POWER_BIT_CAP, AmbientMismatch, BadPrime
 from gbtransfer.predicates import NotContained, UnitIdeal
 from gbtransfer.transfer import (
     CERT_FAILED,
@@ -627,6 +627,19 @@ class TestInputBounds:
         path.write_text(json.dumps(case), encoding="utf-8")
         self._refused(capsys, "verify", str(path), "--char0")
 
+    def test_power_coefficients_through_substitution_refused(self, capsys, tmp_path):
+        # (2*T)^3000000000 doubles a coefficient's size on every squaring
+        case = json.loads((CASES / "square_root.json").read_text())
+        case["system"]["equations"] = [[{"coeff": "1", "exps": [3000000000, 0]}]]
+        case["witness"]["x"] = [[{"coeff": "2", "exps": [1]}]]
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        t0 = time.monotonic()
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: power coefficients could pass {POWER_BIT_CAP} bits\n"
+        assert time.monotonic() - t0 < 2
+
     def test_moderate_power_answers(self, capsys):
         code, out = run(
             capsys, "complexity", "--vars", "a,b,c,d", "--ideal", "((a+b+c+d)^20)"
@@ -957,6 +970,8 @@ class TestRefusals:
             "rows": [],
         })), None, 2, "unknown monomial order 'deglex'"),
         (("decode", "--code", '{"rows": []}'), None, 2, "malformed code object"),
+        (("verify",), (("witness", "b"), [0.5]), 2,
+         "witness.b[0]: coefficients must be exact strings"),
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, edit, code, err):
         if edit is not None:

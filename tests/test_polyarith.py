@@ -16,6 +16,7 @@ from gbtransfer.polyarith import (
     MonomialOrder,
     NEG_INF,
     NEST_CAP,
+    POWER_BIT_CAP,
     PolyRing,
     PrimeField,
     QQ,
@@ -316,6 +317,16 @@ class TestParseFormat:
             P("(" * (k + 1) + "x" + ")" * (k + 1))
         with pytest.raises(ValueError, match=f"nests deeper than {k}"):
             P("x*" + "-" * (k + 1) + "y")
+
+    def test_power_coefficients_bounded_over_q(self):
+        # squaring 2 thirty times would build a billion-bit coefficient
+        with pytest.raises(ValueError) as exc:
+            P("2^1000000000")
+        assert str(exc.value) == f"power coefficients could pass {POWER_BIT_CAP} bits"
+        assert P(f"2^{POWER_BIT_CAP}") == RXY.constant(2 ** POWER_BIT_CAP)
+        assert P("(-x)^100000000") == P("x^100000000")  # a coefficient of -1 adds no bits
+        r7 = PolyRing(PrimeField(7), 1, GREVLEX, ("T",))
+        assert parse_polynomial("2^1000000000", r7) == r7.constant(pow(2, 10**9, 7))
 
     def test_prime_field_literals(self):
         r5 = PolyRing(PrimeField(5), 1, GREVLEX, ("T",))
