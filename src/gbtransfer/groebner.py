@@ -99,8 +99,8 @@ class _Packing:
         s = self.shift
         self.offsets = range(s - w, -1, -w) if self.lex else range(0, s, w)
         self.mults = [(1 << o) + (1 << s) for o in self.offsets]
-        self.ones = ((1 << s) - 1) // ((1 << w) - 1)  # a 1 in every field
-        self.guard, self.low = self.ones << (w - 1), (1 << s) - 1
+        ones = ((1 << s) - 1) // ((1 << w) - 1)  # a 1 in every field
+        self.guard, self.low = ones << (w - 1), (1 << s) - 1
         self.cap = ((cap + 1) << s) - 1
 
     def unpack(self, terms) -> tuple:
@@ -110,12 +110,12 @@ class _Packing:
                        Fraction(*c) if type(c) is tuple else c) for m, c in terms])
 
     def lcm(self, a: int, b: int) -> int:
-        # field by field the larger exponent; their sum tops low * ones
-        w, s = self.w, self.shift
+        # field by field the larger exponent; their sum (< 2^(w-1)) is low mod 2^w - 1
+        w = self.w
         ge = ((a | self.guard) - b) & self.guard  # fields where a >= b
         ge -= ge >> (w - 1)
         low = (a & ge | b & ~ge) & self.low
-        return low | (low * self.ones >> s - w & (1 << w) - 1) << s
+        return low | low % ((1 << w) - 1) << self.shift
 
     def key(self, m: int) -> int:
         return -(m & self.low) if self.lex else ((m & self.low) << 1) - m
@@ -228,10 +228,14 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     if not (f and any(divisors)):
         return f, 0, 0
     pk, (work, *packed) = _packed(ring, (f, *divisors))
-    table = [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:])
-             for t in packed if t]
-    rem, steps, bits = _reduce(pk, dict(work), table, ring.field)
+    rem, steps, bits = _reduce(pk, dict(work), _table(packed), ring.field)
     return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
+
+
+def _table(packed: list) -> list:
+    # packed divisors as _reduce's rows (lead, div, tail), div None for a 1
+    return [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:])
+            for t in packed if t]
 
 
 def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:

@@ -175,18 +175,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
 
 
-def term_products(f: Iterable[tuple], g: Sequence[tuple]) -> dict:
-    """Two term lists' product as {monomial: coefficient}, unreduced, zeros kept."""
-    acc: dict = {}
-    for m1, c1 in f:
-        for m2, c2 in g:
-            m = mono_mul(m1, m2)
-            v = c1 * c2
-            prev = acc.get(m)
-            acc[m] = v if prev is None else prev + v
-    return acc
-
-
 def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
     """Every exponent vector with total degree <= max_degree (at most TERM_CAP)."""
     if nvars < 1:
@@ -412,7 +400,13 @@ class Polynomial:
         if other.ring != self.ring:
             raise AmbientMismatch("polynomials from different rings")
         reduce = self.ring.field.reduce
-        acc = term_products(self.terms, other.terms)
+        acc: dict = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                m = mono_mul(m1, m2)
+                v = c1 * c2
+                prev = acc.get(m)
+                acc[m] = v if prev is None else prev + v
         for m, c in acc.items():
             acc[m] = reduce(c)
         return self.ring.from_dict(acc)
@@ -447,11 +441,8 @@ def _power(base: Polynomial, e: int, mul) -> Polynomial:
     Over Q a one-term base costs one term pair per squaring while its
     coefficient doubles in size, so the coefficient size is bounded first.
     """
-    if isinstance(base.ring.field, RationalField):
-        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                    for _, c in base.terms), default=2)
-        if e * (bits - 2) > POWER_BIT_CAP:
-            raise ValueError(f"power coefficients could pass {POWER_BIT_CAP} bits")
+    if e * _coeff_bits(base) > POWER_BIT_CAP:
+        raise ValueError(f"power coefficients could pass {POWER_BIT_CAP} bits")
     result = base.ring.one()
     while e:
         if e & 1:
@@ -460,6 +451,14 @@ def _power(base: Polynomial, e: int, mul) -> Polynomial:
         if e:
             base = mul(base, base)
     return result
+
+
+def _coeff_bits(p: Polynomial) -> int:
+    # numerator plus denominator bits past 2 of p's largest coefficient over Q
+    if not isinstance(p.ring.field, RationalField):
+        return 0
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for _, c in p.terms), default=2) - 2
 
 
 class _ProductBudget:
@@ -624,10 +623,14 @@ class _PolyParser:
 
     def term(self) -> Polynomial:
         p = self.factor()
+        bits = _coeff_bits(p)  # bounded over the factors as _power bounds e of them
         while self.peek() == "*":
             self.take()
             q = self.factor()
             _check_terms(len(p.terms) * len(q.terms))
+            bits += _coeff_bits(q)
+            if bits > POWER_BIT_CAP:
+                raise ValueError(f"product coefficients could pass {POWER_BIT_CAP} bits")
             p = self.budget.mul(p, q)
         return p
 

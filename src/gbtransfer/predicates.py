@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import groebner
 from .groebner import (
-    DegreeCapExceeded, IdealPresentation, _divide, ideal, ideal_contains,
-    normal_form,
+    DegreeCapExceeded, IdealPresentation, _packed, _reduce, _table, ideal,
+    ideal_contains, normal_form,
 )
 from .polyarith import (
     AmbientMismatch,
@@ -24,7 +25,6 @@ from .polyarith import (
     _ProductBudget,
     format_polynomial,
     monomials_up_to,
-    term_products,
 )
 
 
@@ -219,12 +219,7 @@ class ProbeResult(NamedTuple):
 def _sample_coefficients(fld) -> tuple:
     # The draws' coefficients: the distinct nonzero values of 1, -1, 2, -2
     # as the field reduces them (the integers themselves over Q).
-    out = []
-    for v in (1, -1, 2, -2):
-        r = fld.reduce(v)
-        if r and r not in out:
-            out.append(r)
-    return tuple(out)
+    return tuple(dict.fromkeys(r for v in (1, -1, 2, -2) if (r := fld.reduce(v))))
 
 
 def _draw(bits, monos: Sequence, coeffs: Sequence) -> tuple:
@@ -238,11 +233,11 @@ def _draw(bits, monos: Sequence, coeffs: Sequence) -> tuple:
     """
     nm, km = len(monos), len(monos).bit_length()
     nc, kc = len(coeffs), len(coeffs).bit_length()
-    r = bits(3)  # the pick count, from the 6 of the loop below
-    while r >= 6:
-        r = bits(3)
+    n = bits(3)  # the pick count, from the 6 of the loop below
+    while n >= 6:
+        n = bits(3)
     acc: dict = {}
-    for _ in range((1, 1, 1, 2, 2, 3)[r]):
+    for _ in range((1, 1, 1, 2, 2, 3)[n]):
         r = bits(km)
         while r >= nm:
             r = bits(km)
@@ -250,6 +245,8 @@ def _draw(bits, monos: Sequence, coeffs: Sequence) -> tuple:
         r = bits(kc)
         while r >= nc:
             r = bits(kc)
+        if n < 3:  # one pick
+            return ((m, coeffs[r]),)
         acc[m] = acc.get(m, 0) + coeffs[r]
     terms = tuple(acc.items())
     if 0 in acc.values():  # two picks of one monomial cancelled
@@ -265,12 +262,13 @@ def _polynomial(ring, terms) -> Polynomial:
 class _Rows:
     """Whether draws reduce to zero modulo a basis, read off memoized rows.
 
-    A row is the normal form of one monomial.  It is divided on first use
-    by normal_form's own loop (groebner._divide) and kept with that
-    division's step count and largest factor bit size, or as None when the
-    division passed a cap.  A row holds integers over den, one denominator
-    shared by every row, raised to the lcm (and the rows rescaled) when a
-    new row needs it; over F_p the integers are residues and den is 1.
+    A row is the normal form of one packed monomial.  It is divided on first
+    use by normal_form's loop (groebner._reduce) over the basis, packed once
+    wide enough for degree, and kept with the division's step count and
+    largest factor bit size, or as None when the division passed a cap.  A
+    row holds integers over den, one denominator shared by every row,
+    raised to the lcm (and the rows rescaled) when a new row needs it; over
+    F_p the integers are residues and den is 1.
 
     The division of f = sum c_m * m by a fixed divisor table is linear.
     Monomials are popped in descending order, every term a step adds is
@@ -294,40 +292,42 @@ class _Rows:
     COEFF_BIT_CAP, so the division it stands in for stays within every cap.
     """
 
-    def __init__(self, ring, basis: Sequence[Polynomial]) -> None:
-        self.ring = ring
-        self.basis = basis
-        fld = ring.field
-        self.p = fld.p if isinstance(fld, PrimeField) else None
-        self.den = 1
-        self.rows: dict = {}
+    def __init__(self, ring, basis: Sequence[Polynomial], degree: int) -> None:
+        self.ring, self.basis, self.den, self.rows = ring, basis, 1, {}
+        self.fld = fld = ring.field
+        self.p, self.one = (fld.p, 1) if isinstance(fld, PrimeField) else (None, (1, 1))
+        degree = max([degree, *(g.degree() for g in basis)])  # an empty basis too
+        self.pk, packed = _packed(ring, basis, degree)
+        self.table = _table(packed)
 
-    def _add(self, m):
-        rows = self.rows
-        one = Polynomial(self.ring, ((m, self.ring.field.one),))
+    def _add(self, m: int):
+        rows, q = self.rows, self.p is None
         try:
-            nf, steps, bits = _divide(one, self.basis)
+            nf, steps, bits = _reduce(self.pk, {m: self.one}, self.table, self.fld)
         except DegreeCapExceeded:
             rows[m] = None
             return None
-        # residues over F_p are ints, with denominator 1
-        d = math.lcm(*(c.denominator for _, c in nf.terms))
+        d = math.lcm(*(c[1] for _, c in nf)) if q else 1  # c over Q is (n, d)
         if self.den % d:
             scale = d // math.gcd(self.den, d)
             self.den *= scale
             for k, r in rows.items():
                 if r is not None:
-                    vec = tuple((t, v * scale) for t, v in r[0])
-                    rows[k] = (vec, r[1], r[2])
-        den = self.den
-        vec = tuple((t, c.numerator * den // c.denominator) for t, c in nf.terms)
+                    rows[k] = (tuple((t, v * scale) for t, v in r[0]), *r[1:])
+        vec = tuple((t, n * self.den // d) for t, (n, d) in nf) if q else tuple(nf)
         rows[m] = (vec, steps, bits)
         return rows[m]
 
-    def zero(self, terms: tuple) -> bool:
+    def zero(self, terms) -> bool:
         """Whether NF(terms) is zero: off the rows where they keep its
         division within every kernel cap, else by normal_form."""
         rows = self.rows
+        if len(terms) == 1:  # c * NF(m): no sum to form, the same bounds
+            (m, c), = terms
+            row = rows[m] if m in rows else self._add(m)
+            if row and row[1] <= groebner.STEP_CAP and not (
+                    row[2] and 2 * row[2] + abs(c).bit_length() > groebner.COEFF_BIT_CAP):
+                return not (row[0] and (self.p is None or c % self.p))
         den = self.den
         steps = bits = size = 0
         acc: dict = {}
@@ -335,11 +335,8 @@ class _Rows:
             row = rows[m] if m in rows else self._add(m)
             if row is None:
                 break
-            vec, s, b = row
-            steps += s
-            bits += b
-            size += abs(c)
-            for t, v in vec:
+            steps, bits, size = steps + row[1], bits + row[2], size + abs(c)
+            for t, v in row[0]:
                 acc[t] = acc.get(t, 0) + c * v
         else:
             if self.den != den:  # a new row raised the shared denominator
@@ -350,7 +347,7 @@ class _Rows:
                 if self.p is not None:
                     return not any(v % self.p for v in acc.values())
                 return not any(acc.values())
-        return not normal_form(_polynomial(self.ring, terms), self.basis)
+        return not normal_form(_polynomial(self.ring, self.pk.unpack(terms)), self.basis)
 
 
 def prime_probe(
@@ -383,13 +380,19 @@ def prime_probe(
         return ProbeResult(PROBE_PROBABLY_PRIME, trials)
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
-    zero = _Rows(ring, P.basis).zero
+    rows = _Rows(ring, P.basis, 2 * degree_bound)
+    zero, monos = rows.zero, [sum(map(mul, m, rows.pk.mults)) for m in monos]
     for _ in range(trials):
         f = _draw(bits, monos, coeffs)
         g = _draw(bits, monos, coeffs)
-        # zero coefficients of the product add nothing to a normal form
-        if not zero(f) and not zero(g) and zero(tuple(term_products(f, g).items())):
-            pair = _polynomial(ring, f), _polynomial(ring, g)
+        if zero(f) or zero(g):
+            continue
+        fg: dict = {}  # zero coefficients add nothing to a normal form
+        for m1, c1 in f:
+            for m2, c2 in g:
+                fg[m1 + m2] = fg.get(m1 + m2, 0) + c1 * c2
+        if zero(fg.items()):
+            pair = (_polynomial(ring, rows.pk.unpack(t)) for t in (f, g))
             return ProbeResult(PROBE_NOT_PRIME, trials, *pair)
     return ProbeResult(PROBE_PROBABLY_PRIME, trials)
 

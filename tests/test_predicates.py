@@ -230,22 +230,22 @@ class TestPrimeProbe:
         I = w.ideal_i()
         I.basis
         draws, rows, trials, asked = [], [], [], []
-        real_draw = predicates._draw
+        real_draw, real_add = predicates._draw, predicates._Rows._add
 
         def draw(*args):
             draws.append(real_draw(*args))
             return draws[-1]
 
-        def row(f, divisors):
-            rows.append(f)
-            return groebner._divide(f, divisors)
+        def row(self, m):
+            rows.append(self.pk.unpack([(m, 1)])[0][0])
+            return real_add(self, m)
 
         def whole(f, divisors):
             trials.append(f)
             return groebner.normal_form(f, divisors)
 
         monkeypatch.setattr(predicates, "_draw", draw)
-        monkeypatch.setattr(predicates, "_divide", row)
+        monkeypatch.setattr(predicates._Rows, "_add", row)
         monkeypatch.setattr(predicates, "normal_form", whole)
         monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(asked))
         res = prime_probe(I, 2, 200, seed=0)
@@ -254,7 +254,7 @@ class TestPrimeProbe:
         # new row
         assert set(draws[::2]) <= set(asked)
         assert len(set(draws[::2])) < 200
-        assert all(len(f.terms) == 1 for f in rows)
+        assert all(sum(m) <= 4 for m in rows)
         assert len(rows) == len(set(rows)) <= 15
         assert trials == []
 
@@ -323,15 +323,16 @@ def _probe_outcome(probe, pres, args):
 
 
 def _checked_zero(asked):
-    """_Rows.zero, checked: every answer it gives must be a bool, whether
-    normal_form, within every cap, reduces the same terms to zero; the
-    terms of each call are appended to asked."""
+    """_Rows.zero, checked: every answer it gives, on a draw or a product,
+    must be a bool, whether normal_form, within every cap, reduces the same
+    terms, unpacked, to zero; the packed terms of each call are appended to
+    asked as a tuple."""
     real = predicates._Rows.zero
 
     def zero(rows, terms):
-        asked.append(terms)
+        asked.append(tuple(terms))
         z = real(rows, terms)
-        f = predicates._polynomial(rows.ring, terms)
+        f = predicates._polynomial(rows.ring, rows.pk.unpack(terms))
         try:
             nf = groebner.normal_form(f, rows.basis)
         except DegreeCapExceeded as exc:
@@ -375,6 +376,14 @@ class TestProbeMatchesReference:
     @example(_problem(["x^2 - 2"], args=(3, 60, 1), ring=R1))
     @example(_problem(["x^2 + 1"], args=(3, 60, 2), ring=PolyRing(
         PrimeField(2), 1, GREVLEX, ("x",))))
+    # Under lex the tail y^3 outweighs the lead x: the rows of x^k are
+    # y^(3k), of higher degree than any product of two draws, and the
+    # basis packs at its own degree, not its lead's.
+    @example(_problem(["x - y^3"], ring=PolyRing(QQ, 2, LEX, ("x", "y"))))
+    # The row of x (x -> y/2, factor 1) has 2 bits, so the one-term draw
+    # -2*x is bounded by 2*2 + 2 = 6 bits, past COEFF_BIT_CAP 5, and
+    # normal_form divides it: its one factor, -2, has 3 bits.
+    @example(_problem(["2*x - y"], args=(1, 60, 0), COEFF_BIT_CAP=5))
     def test_same_verdict_and_errors(self, problem):
         pres, args, caps = problem
         try:
@@ -432,14 +441,37 @@ class TestRowsZero:
     ])
     def test_answers_past_the_rows_bounds(self, step_cap, capped, terms):
         basis = mk(R2, "x - y").basis
-        rows = predicates._Rows(R2, basis)
+        rows = predicates._Rows(R2, basis, 2)
+        packed = tuple((_pack(rows, m), c) for m, c in terms)
         with mock.patch.object(groebner, "STEP_CAP", step_cap):
-            z = rows.zero(terms)
+            z = rows.zero(packed)
             nf = groebner.normal_form(predicates._polynomial(R2, terms), basis)
         assert z is (not nf)
-        assert (rows.rows[self.X2] is None) is capped
+        assert (rows.rows[_pack(rows, self.X2)] is None) is capped
         if not capped:
-            assert sum(rows.rows[m][1] for m, _ in terms[:2]) > step_cap
+            assert sum(rows.rows[m][1] for m, _ in packed[:2]) > step_cap
+
+    # The row of x (x -> y/2, factor 1) has 2 bits, so the one term -2*x
+    # is bounded by 2*2 + 2 = 6 bits: under COEFF_BIT_CAP 5 normal_form
+    # divides it, under 6 the row answers.
+    @pytest.mark.parametrize("bit_cap, divided", [(5, True), (6, False)])
+    def test_one_term_reads_the_same_bounds(self, bit_cap, divided, monkeypatch):
+        basis = mk(R2, "2*x - y").basis
+        rows, whole = predicates._Rows(R2, basis, 2), []
+
+        def normal_form(f, divisors):
+            whole.append(f)
+            return groebner.normal_form(f, divisors)
+
+        monkeypatch.setattr(predicates, "normal_form", normal_form)
+        with mock.patch.object(groebner, "COEFF_BIT_CAP", bit_cap):
+            assert rows.zero(((_pack(rows, (1, 0)), -2),)) is False
+        assert whole == ([P("-2*x")] if divided else [])
+
+
+def _pack(rows, m):
+    """Exponent vector m as the packed int the rows key it by."""
+    return sum(e * k for e, k in zip(m, rows.pk.mults))
 
 
 def _no_draws(*args):

@@ -16,6 +16,7 @@ from gbtransfer.groebner import (
 from gbtransfer.polyarith import (
     GREVLEX,
     LEX,
+    Polynomial,
     PolyRing,
     PrimeField,
     QQ,
@@ -367,6 +368,51 @@ class TestPrimeFieldPolys:
     @settings(max_examples=40)
     def test_distributivity_mod_p(self, f, g):
         assert (f + g) * f == f * f + g * f
+
+
+@st.composite
+def lcm_problems(draw):
+    """Two monomials of a ring of 1, 7 or 1000 variables, each of total
+    degree at most DEGREE_CAP or at most 300, past it, so that _packed
+    packs them wider."""
+    n = draw(st.sampled_from((1, 7, 1000)))
+    degree = draw(st.sampled_from((groebner.DEGREE_CAP, 300)))
+
+    def monomial():
+        m, left = [0] * n, degree
+        picks = st.tuples(st.integers(0, n - 1), st.integers(0, degree))
+        for i, e in draw(st.lists(picks, max_size=8)):
+            e = min(e, left)
+            m[i], left = m[i] + e, left - e
+        return tuple(m)
+
+    return PolyRing(QQ, n, draw(orders)), monomial(), monomial()
+
+
+def _exps(*positions, n=1000, e=300):
+    """An n-variable exponent vector: e at the given positions, else 0."""
+    return tuple(e if i in positions else 0 for i in range(n))
+
+
+class TestPackedLcm:
+    """_Packing.lcm reads the lcm's degree off the exponent fields as a
+    remainder; it must equal the field-wise max, degree field included."""
+
+    @given(lcm_problems())
+    @settings(max_examples=100, deadline=None)
+    @example((PolyRing(QQ, 1, GREVLEX), (300,), (120,)))
+    @example((PolyRing(QQ, 7, LEX), _exps(0, n=7), _exps(6, n=7, e=64)))
+    @example((PolyRing(QQ, 1000, GREVLEX), _exps(999), _exps(0, e=64)))
+    @example((PolyRing(QQ, 1000, LEX), _exps(0, e=1), _exps(1, e=1)))
+    def test_field_wise_max(self, problem):
+        ring, a, b = problem
+        pk, ((ta,), (tb,)) = groebner._packed(
+            ring, [Polynomial(ring, ((m, QQ.one),)) for m in (a, b)]
+        )
+        # the width _packed picks keeps any lcm's degree below 2^(w-1)
+        assert sum(a) + sum(b) < 1 << pk.w - 1
+        want = tuple(map(max, a, b))
+        assert pk.lcm(ta[0], tb[0]) == sum(e * k for e, k in zip(want, pk.mults))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Library refusals reachable through the public API: exception type and text."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from gbtransfer.polyarith import (
     PrimeField,
     QQ,
     monomials_up_to,
+    parse_polynomial,
     substitute,
 )
 from gbtransfer.predicates import (
@@ -77,6 +79,9 @@ X, XY, X7 = RX.variable(0), RXY.variable(0), RX7.variable(0)
                  "point length does not match the ring", id="evaluate-short-point"),
     pytest.param(lambda: substitute(XY, (X, X7)), AmbientMismatch,
                  "images live in different rings", id="substitute-two-rings"),
+    # each factor passes POWER_BIT_CAP alone, as 2^16384 would not
+    pytest.param(lambda: parse_polynomial("2^8192*2^8192", RX), ValueError,
+                 "product coefficients could pass 8192 bits", id="product-of-big-constants"),
     # predicates
     pytest.param(lambda: radical_equals(ideal(X), ideal(X), 0), ValueError,
                  "exponent cap must be at least 1", id="radical-cap-0"),
@@ -103,9 +108,20 @@ def test_library_refusal(call, error, message):
     assert (type(exc.value), str(exc.value)) == (error, message)
 
 
+def test_written_out_product_refused_before_it_grows():
+    # 2000 factors of 2^8192 are refused at the second, before any product
+    # is formed; multiplied out one by one they took seconds
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="product coefficients could pass 8192 bits"):
+        parse_polynomial("*".join(["2^8192"] * 2000), RX)
+    assert time.monotonic() - t0 < 0.2
+
+
 def test_library_edge_answers():
     # the branches beside those refusals that answer instead
     assert F7.coerce("3/2") == 5 and F7.coerce(Fraction(3, 2)) == 5
+    assert parse_polynomial("2^4096*2^4096*x", RX) == RX.constant(2 ** 8192) * X
+    assert parse_polynomial("2^8192*2^8192", RX7) == RX7.constant(2 ** 16384)
     assert (RX == 3) is False
     assert RX.zero().monic() == RX.zero()
     assert (X + RX.one()).scale(0) == RX.zero()
