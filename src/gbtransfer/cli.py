@@ -122,7 +122,7 @@ def _poly_from_json(obj, ring: PolyRing, where: str):
             )
         coeff = _coeff_string(term["coeff"], f"{where}[{k}]")
         try:
-            pairs.append((ring.field.parse(coeff), tuple(exps)))
+            pairs.append((ring.field.coerce(coeff), tuple(exps)))
         except ValueError as exc:
             raise CaseFormatError(f"{where}[{k}]: {exc}") from exc
     try:
@@ -195,7 +195,7 @@ def parse_case(obj) -> tuple[DiophantineSystem, Witness]:
             raise CaseFormatError("witness.b must be null or a coordinate list")
         coords = [_coeff_string(c, f"witness.b[{k}]") for k, c in enumerate(b_obj)]
         try:
-            point_b = tuple(ring.field.parse(c) for c in coords)
+            point_b = tuple(ring.field.coerce(c) for c in coords)
         except ValueError as exc:
             raise CaseFormatError(f"witness.b: {exc}") from exc
 
@@ -290,7 +290,7 @@ def _parse_ideal_arg(text: str, ring: PolyRing) -> IdealPresentation:
 def _parse_point_arg(text: str, ring: PolyRing) -> tuple:
     coords = [c.strip() for c in _read_operand(text).split(",")]
     try:
-        return tuple(ring.field.parse(c) for c in coords)
+        return tuple(ring.field.coerce(c) for c in coords)
     except ValueError as exc:
         raise CaseFormatError(f"bad point: {exc}") from exc
 

@@ -92,10 +92,7 @@ def normalize_generators(I: IdealPresentation) -> IdealPresentation:
         key=lambda g: _poly_sort_key(g, order),
     )
     by_lm: dict = {}
-    idx = 0
-    while idx < len(queue):
-        f = queue[idx]
-        idx += 1
+    for f in queue:  # also reaches the differences appended below
         lm = f.leading_monomial()
         kept = by_lm.get(lm)
         if kept is None:
@@ -224,5 +221,5 @@ def code_from_json(text: str) -> IdealCode:
         obj["complexity"],
         order_from_json(obj["order"]),
         fld,
-        tuple(tuple(fld.parse(entry) for entry in row) for row in rows),
+        tuple(tuple(fld.coerce(entry) for entry in row) for row in rows),
     )

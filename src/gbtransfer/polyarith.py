@@ -2,13 +2,14 @@
 
 Coefficients are exact everywhere: rationals are `fractions.Fraction`
 values in lowest terms, prime-field residues are plain ints in 0..p-1.
-A field only reads (`coerce`, `parse`), inverts (`inv`), raises to
-powers (`pow`, modular over F_p) and reduces values (`reduce`: the
-identity over Q, `a % p` over F_p); polynomials compute with Python's
-operators and reduce each output coefficient once.  A polynomial is an
-immutable term list kept strictly descending under its ring's monomial
-order, with no zero coefficients and no duplicate monomials, so
-structural equality is mathematical equality.
+A field reads every value through `coerce` (an int, a Fraction or an
+exact literal such as "-3/4"), inverts (`inv`), raises to powers (`pow`,
+modular over F_p) and reduces values (`reduce`: the identity over Q,
+`a % p` over F_p); polynomials compute with Python's operators and
+reduce each output coefficient once.  A polynomial is an immutable term
+list kept strictly descending under its ring's monomial order, with no
+zero coefficients and no duplicate monomials, so structural equality is
+mathematical equality.
 """
 
 from __future__ import annotations
@@ -93,14 +94,11 @@ class RationalField:
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return self.parse(value)
+            text = value.strip()
+            if not _EXACT_LITERAL.match(text):
+                raise ValueError(f"not an exact rational literal: {text!r}")
+            return Fraction(text)
         raise TypeError(f"cannot interpret {value!r} as a rational")
-
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        if not _EXACT_LITERAL.match(text):
-            raise ValueError(f"not an exact rational literal: {text!r}")
-        return Fraction(text)
 
     def inv(self, a):
         return Fraction(a.denominator, a.numerator)
@@ -139,15 +137,11 @@ class PrimeField(_PrimeField):
     def coerce(self, value) -> int:
         if type(value) is int:  # not bool, which QQ.coerce refuses
             return value % self.p
-        return self.from_rational(QQ.coerce(value))
-
-    def from_rational(self, q: Fraction) -> int:
+        # a Fraction, as reduce_coeffs_mod_p passes every one, is read as is
+        q = value if type(value) is Fraction else QQ.coerce(value)
         if q.denominator % self.p == 0:
             raise BadPrime(self.p, f"denominator of {q} vanishes")
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def parse(self, text: str) -> int:
-        return self.from_rational(QQ.parse(text))
 
     def inv(self, a):
         if a % self.p == 0:
@@ -521,7 +515,7 @@ def reduce_coeffs_mod_p(f: Polynomial, target: PolyRing) -> Polynomial:
     # vanish mod p keeps a canonical term list canonical: no re-sort.
     return Polynomial(
         target,
-        tuple((m, v) for m, c in f.terms if (v := fp.from_rational(c))),
+        tuple((m, v) for m, c in f.terms if (v := fp.coerce(c))),
     )
 
 

@@ -381,7 +381,9 @@ def prime_probe(
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
     rows = _Rows(ring, P.basis, 2 * degree_bound)
-    zero, monos = rows.zero, [sum(map(mul, m, rows.pk.mults)) for m in monos]
+    zero, mults, compress = rows.zero, rows.pk.mults, itertools.compress
+    # packed from the nonzero exponents only: in many variables most are 0
+    monos = [sum(map(mul, compress(m, m), compress(mults, m))) for m in monos]
     for _ in range(trials):
         f = _draw(bits, monos, coeffs)
         g = _draw(bits, monos, coeffs)

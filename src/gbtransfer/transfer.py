@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import compress, filterfalse, product as _cartesian, repeat
 from typing import NamedTuple, Sequence
 
@@ -356,7 +355,7 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     x2 = reduce_many(w.x_images, True)
     y2 = reduce_many(w.y_images, False)
     b2 = (
-        tuple(fp.from_rational(Fraction(c)) for c in w.point_b)
+        tuple(fp.coerce(c) for c in w.point_b)
         if w.point_b is not None
         else None
     )

@@ -69,14 +69,14 @@ class TestPrimality:
 
 class TestFields:
     def test_rational_parse_exact(self):
-        assert QQ.parse("-3/6") == Fraction(-1, 2)
+        assert QQ.coerce("-3/6") == Fraction(-1, 2)
         with pytest.raises(ValueError):
-            QQ.parse("1.5")
+            QQ.coerce("1.5")
 
     def test_prime_field_residues(self):
         f5 = PrimeField(5)
         assert f5.coerce(-1) == 4
-        assert f5.parse("1/2") == 3  # 2^-1 = 3 mod 5
+        assert f5.coerce("1/2") == 3  # 2^-1 = 3 mod 5
         assert f5.inv(2) == 3
 
     def test_prime_field_rejects_composite_modulus(self):
@@ -85,7 +85,7 @@ class TestFields:
 
     def test_prime_field_denominator_hit(self):
         with pytest.raises(BadPrime):
-            PrimeField(3).from_rational(Fraction(1, 6))
+            PrimeField(3).coerce(Fraction(1, 6))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

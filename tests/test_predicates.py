@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from gbtransfer.polyarith import (
     Polynomial,
     PrimeField,
     QQ,
+    monomials_up_to,
     parse_polynomial,
 )
 from gbtransfer.predicates import (
@@ -472,6 +474,50 @@ class TestRowsZero:
 def _pack(rows, m):
     """Exponent vector m as the packed int the rows key it by."""
     return sum(e * k for e, k in zip(m, rows.pk.mults))
+
+
+class _Drawn(Exception):
+    """Stops a probe at its first draw."""
+
+
+@st.composite
+def packing_problems(draw):
+    """A probe's ring of 1, 7 or 1024 variables and its degree bound; in
+    one variable up to 100, so that products of two draws (degree up to
+    200) pack wider than DEGREE_CAP's fields."""
+    n = draw(st.sampled_from((1, 7, 1024)))
+    fld, order = draw(st.sampled_from(FIELDS)), draw(st.sampled_from((GREVLEX, LEX)))
+    return PolyRing(fld, n, order), draw(st.integers(1, {1: 100, 7: 3, 1024: 1}[n]))
+
+
+class TestProbePacking:
+    """prime_probe packs its monomials from their nonzero exponents only:
+    each must equal the dense sum _packed takes over every exponent, and
+    unpack to its monomial."""
+
+    @given(packing_problems())
+    @settings(max_examples=10, deadline=None)
+    @example((PolyRing(QQ, 1, LEX), 100))
+    @example((PolyRing(PrimeField(7), 7, GREVLEX), 3))
+    @example((PolyRing(QQ, 1024, GREVLEX), 1))
+    def test_sparse_equals_dense(self, problem):
+        ring, bound = problem
+        x = ring.variable
+        pres = IdealPresentation(ring, (x(0) * x(ring.nvars - 1) - ring.one(),))
+        drawn = []
+
+        def first_draw(bits, monos, coeffs):
+            drawn.append(monos)
+            raise _Drawn
+
+        with mock.patch.object(predicates, "_draw", first_draw), pytest.raises(_Drawn):
+            prime_probe(pres, bound, 1, 0)
+        pk = predicates._Rows(ring, pres.basis, 2 * bound).pk
+        monos = monomials_up_to(ring.nvars, bound)
+        assert drawn[0] == [sum(map(mul, m, pk.mults)) for m in monos]
+        assert [m for m, _ in pk.unpack((t, 1) for t in drawn[0])] == list(monos)
+        if bound == 100:  # repacked: wider than the fields DEGREE_CAP sets
+            assert pk.w > groebner._packed(ring, ())[0].w
 
 
 def _no_draws(*args):

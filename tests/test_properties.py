@@ -1,6 +1,7 @@
-"""Property tests: order laws, ring axioms, reduction homomorphism,
-canonical-form and normal-form idempotence, and heap-ordered division and
-packed S-polynomials against their plain references."""
+"""Property tests: order laws, ring axioms, reduction homomorphism, the
+field reader, canonical-form and normal-form idempotence, and
+heap-ordered division and packed S-polynomials against their plain
+references."""
 
 from fractions import Fraction
 from functools import cmp_to_key, partial
@@ -14,6 +15,7 @@ from gbtransfer.groebner import (
     DegreeCapExceeded, ideal, ideal_member, normal_form, s_polynomial,
 )
 from gbtransfer.polyarith import (
+    BadPrime,
     GREVLEX,
     LEX,
     Polynomial,
@@ -368,6 +370,53 @@ class TestPrimeFieldPolys:
     @settings(max_examples=40)
     def test_distributivity_mod_p(self, f, g):
         assert (f + g) * f == f * f + g * f
+
+
+READER_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003))
+
+
+def _read(fld, value):
+    """fld.coerce(value), or the message of the BadPrime it raises."""
+    try:
+        return fld.coerce(value)
+    except BadPrime as exc:
+        return ("BadPrime", str(exc))
+
+
+def _reference_read(fld, q: Fraction):
+    """q in fld from its numerator and denominator alone."""
+    if fld == QQ:
+        return q
+    if q.denominator % fld.p == 0:
+        return ("BadPrime", f"bad prime {fld.p}: denominator of {q} vanishes")
+    return q.numerator * pow(q.denominator, -1, fld.p) % fld.p
+
+
+class TestFieldReader:
+    """coerce is the one reader of a field value: a Fraction, its literal
+    and the literal padded with spaces read the same, over Q and F_p."""
+
+    @given(
+        st.sampled_from(READER_FIELDS),
+        st.integers(-(10**12), 10**12),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=300)
+    @example(PrimeField(32003), -5, 32003 * 7)
+    @example(PrimeField(7), 3, 49)
+    @example(QQ, -4, 1)
+    def test_values_and_literals_agree(self, fld, num, den):
+        q = Fraction(num, den)
+        reads = [_read(fld, v) for v in (q, str(q), f" {q} ")]
+        if q.denominator == 1:
+            reads.append(_read(fld, q.numerator))
+        assert reads == [_reference_read(fld, q)] * len(reads)
+        for text in ("1.5", "1/0", "1/-2", "", "x"):
+            with pytest.raises(ValueError) as exc:
+                fld.coerce(text)
+            assert str(exc.value) == f"not an exact rational literal: {text!r}"
+        with pytest.raises(TypeError, match="bool is not a field element"):
+            fld.coerce(True)
 
 
 @st.composite
