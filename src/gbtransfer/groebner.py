@@ -136,7 +136,7 @@ def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tup
 
 
 def _row(terms: list, fld) -> tuple:
-    # the monic row (lead, None, tail) of packed terms
+    # the monic row (lead, None, tail, top) of packed terms
     lead = terms[0][1]
     if isinstance(fld, RationalField):
         n, d = lead
@@ -150,7 +150,8 @@ def _row(terms: list, fld) -> tuple:
     elif lead != 1:
         inv, p = fld.inv(lead), fld.p
         terms = [(m, inv * c % p) for m, c in terms]
-    return terms[0][0], None, terms[1:]
+    tail = terms[1:]  # its monomials differ: max compares no coefficients
+    return terms[0][0], None, tail, max(tail)[0] if tail else None
 
 
 def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
@@ -160,7 +161,7 @@ def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
     qa, qb = lcm - a[0], lcm - b[0]
     out = {m + qa: c for m, c in a[2]}
     if isinstance(fld, RationalField):
-        _sub_pairs(pk, out, [], None, b[2], qb, (1, 1), inf)
+        _sub_pairs(pk, out, [], b, qb, (1, 1), inf)
         return out
     p = fld.p
     for m, c in b[2]:
@@ -175,7 +176,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    return Polynomial(f.ring, pk.unpack(_reduce(pk, _spoly(pk, a, b, fld), [], fld)[0]))
+    rem = _reduce(pk, _spoly(pk, a, b, fld), [], fld, {})[0]
+    return Polynomial(f.ring, pk.unpack(rem))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -190,10 +192,15 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     guard, and the total degree in the field above (lex puts a_1 in the top
     exponent field, grevlex a_n).  A product is one ``+``; b divides a
     exactly when ``(a - b) & guard`` is 0, the lowest field where b is
-    larger borrowing into its guard; the degree cap is one compare.  With
-    d the largest degree of f and the divisors, w = (2 * max(DEGREE_CAP,
-    d)).bit_length() + 1 fits any S-polynomial term below the guards, and a
-    product past the cap overflows only upwards, so the compare catches it.
+    larger borrowing into its guard.  With d the largest degree of f and
+    the divisors, w = (2 * max(DEGREE_CAP, d)).bit_length() + 1 fits any
+    S-polynomial term below the guards, and a product past the cap
+    overflows only upwards, so the degree cap is one compare per step: the
+    divisor's largest tail monomial times the quotient against the cap.
+    Each monomial's first divisor is found once and kept in a memo (see
+    _reduce), which cannot change a step: in a list that only grows, as
+    buchberger's does, the first divisor of a monomial never changes, and
+    a monomial no divisor divided is tested again from where it stopped.
     Pending terms sit in a dict, each pushed once onto a heap as its key
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
@@ -228,20 +235,22 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     if not (f and any(divisors)):
         return f, 0, 0
     pk, (work, *packed) = _packed(ring, (f, *divisors))
-    rem, steps, bits = _reduce(pk, dict(work), _table(packed), ring.field)
+    rem, steps, bits = _reduce(pk, dict(work), _table(packed), ring.field, {})
     return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
 
 
 def _table(packed: list) -> list:
-    # packed divisors as _reduce's rows (lead, div, tail), div None for a 1
-    return [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:])
-            for t in packed if t]
+    # packed divisors as _reduce's rows (lead, div, tail, top), div None for a 1
+    return [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:],
+             max(t[1:])[0] if len(t) > 1 else None) for t in packed if t]
 
 
-def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
-    # _divide, packed: work divided in place by rows (lead, div, tail), div
-    # the lead coefficient or None for 1, c as _packed builds it or in work
-    # an unreduced Q list; the F_p step is inline, the Q one is _sub_pairs
+def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
+    # _divide, packed: work divided in place by rows (lead, div, tail, top),
+    # div the lead coefficient or None for 1, top the largest tail monomial
+    # or None, c as _packed builds it or in work an unreduced Q list; memo
+    # maps a monomial to its first divisor row or, if none divides it, to the
+    # count of rows tested.  The F_p step is inline, the Q one is _sub_pairs
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     q, push = isinstance(fld, RationalField), heapq.heappush
     p = None if q else fld.p
@@ -256,44 +265,47 @@ def _reduce(pk: _Packing, work: dict, table: list, fld) -> tuple:
             continue
         if type(c) is list:  # a Q pair written unreduced: reduced once, here
             c = (c[0] // (g := gcd(*c)), c[1] // g)
-        for gm, gc, gtail in table:
-            quot = m - gm
-            if quot & guard:
+        row = memo.get(m, 0)
+        if type(row) is int:  # no row before the row-th divides m
+            for row in table[row:] if row else table:
+                if not (m - row[0]) & guard:
+                    memo[m] = row
+                    break
+            else:
+                memo[m] = len(table)
+                rem.append((m, c))
                 continue
-            steps += 1
-            if steps > STEP_CAP:
-                raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
-            if q:
-                bits = _sub_pairs(pk, work, heap, gc, gtail, quot, c, cap)
-                top_bits = max(top_bits, bits)
-                break
-            factor = c if gc is None else c * fld.inv(gc) % p
-            for tm, tc in gtail:
-                mm = tm + quot
-                if mm > cap:
-                    raise DegreeCapExceeded(
-                        f"division intermediate degree passed {DEGREE_CAP}"
-                    )
-                prev = work.get(mm)
-                if prev is None:
-                    push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-                    prev = 0
-                work[mm] = (prev - factor * tc) % p
-            break
-        else:
-            rem.append((m, c))
+        gm, gc, gtail, top = row
+        quot = m - gm
+        steps += 1
+        if steps > STEP_CAP:
+            raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
+        if q:
+            top_bits = max(top_bits, _sub_pairs(pk, work, heap, row, quot, c, cap))
+            continue
+        if top is not None and top + quot > cap:
+            raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
+        factor = c if gc is None else c * fld.inv(gc) % p
+        for tm, tc in gtail:
+            mm = tm + quot
+            prev = work.get(mm)
+            if prev is None:
+                push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
+                prev = 0
+            work[mm] = (prev - factor * tc) % p
     return rem, steps, top_bits
 
 
-def _sub_pairs(pk, work, heap, div, tail, quot, c, cap) -> int:
-    # work -= c / div * x^quot * tail on (numerator, denominator) int pairs,
-    # cancelled entries 0, no product past cap: _reduce's step over Q and
-    # _spoly's difference.  A factor of at most LAZY_BITS bits multiplies
-    # plainly and adds over a common denominator, an unreduced list (a pair
-    # past LAZY_DEN reduced first); else products cancel across and a
-    # difference divides by the denominators' gcd, then by its gcd with the
-    # numerator (Knuth, TAOCP 4.5.1), a list if prev was.  Returns the bits.
+def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
+    # work -= c / div * x^quot * tail on (n, d) int pairs, row (lead, div,
+    # tail, top), cancelled entries 0, no product past cap (top + quot is the
+    # largest): _reduce's Q step and _spoly's difference.  A factor of at most
+    # LAZY_BITS bits multiplies plainly and adds over a common denominator, an
+    # unreduced list (a pair past LAZY_DEN reduced first); else products cancel
+    # across and a difference divides by the denominators' gcd, then by its
+    # gcd with the numerator (Knuth, TAOCP 4.5.1), a list if prev was; returns bits
     fn, fd = c
+    _, div, tail, top = row
     if div:
         g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
         fn, fd = fn // g1 * (div[1] // g2), fd // g2 * (div[0] // g1)
@@ -302,11 +314,11 @@ def _sub_pairs(pk, work, heap, div, tail, quot, c, cap) -> int:
     bits = fn.bit_length() + fd.bit_length()
     if bits > COEFF_BIT_CAP:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
+    if top is not None and top + quot > cap:
+        raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
     low, lex, push, lazy = pk.low, pk.lex, heapq.heappush, bits <= LAZY_BITS
     for tm, (tn, td) in tail:
         mm = tm + quot
-        if mm > cap:
-            raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
         if lazy:
             pn, pd = fn * tn, fd * td
         else:
@@ -340,12 +352,12 @@ def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
     for i, g in enumerate(G):
         if all((g[0] - h[0]) & pk.guard for h in minimal + G[i + 1:]):
             minimal.append(g)
-    fld, out = ring.field, []
-    for i, g in enumerate(minimal):
-        # no other lead divides g's, so only the tail reduces, and the pivot is 1
+    fld, out, memo = ring.field, [], {}
+    for g in minimal:
+        # no other lead divides g's, so only the tail reduces, and the pivot is
+        # 1; g's lead divides no monomial below it, so minimal serves as table
         pivots.append(fld.one)
-        rest = minimal[:i] + minimal[i + 1:]
-        out.append((g[0], _reduce(pk, dict(g[2]), rest, fld)[0]))
+        out.append((g[0], _reduce(pk, dict(g[2]), minimal, fld, memo)[0]))
     out.sort(key=lambda row: pk.key(row[0]))
     return tuple(Polynomial(ring, pk.unpack([(g[0], fld.one), *g[1]])) for g in out)
 
@@ -363,7 +375,8 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     queued pair is examined before a run can end, so a run that would
     examine more is refused once its queue shows it.  Every call computes;
     ``pres.basis`` keeps the result.  Monomials stay packed, and
-    coefficients over Q reduced int pairs (see normal_form), until the end.
+    coefficients over Q reduced int pairs (see normal_form), until the end;
+    one first-divisor memo serves every S-pair reduction by the growing G.
     """
     ring, fld = pres.ring, pres.ring.field
     gens = [g for g in pres.generators if g]
@@ -371,7 +384,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         return GroebnerBasis(())
     pivots = [g.leading_coeff() for g in pres.generators]
     pk, packed = _packed(ring, gens)
-    shift, guard, G, heap, done = pk.shift, pk.guard, [], [], set()
+    shift, guard, G, heap, done, memo = pk.shift, pk.guard, [], [], set(), {}
 
     def add(row: tuple) -> None:
         # a basis row; its pairs go by lcm degree, then the larger lcm key
@@ -395,7 +408,7 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
             for k, row in enumerate(G) if not (lcm - row[0]) & guard
         ):
             continue
-        r = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld)[0]
+        r = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld, memo)[0]
         if not r:
             continue
         if max(r)[0] > pk.cap:

@@ -89,6 +89,8 @@ class RationalField:
         return hash(())
 
     def coerce(self, value) -> Fraction:
+        if type(value) is Fraction:  # immutable and reduced: no copy
+            return value
         if isinstance(value, bool):
             raise TypeError("bool is not a field element")
         if isinstance(value, (int, Fraction)):

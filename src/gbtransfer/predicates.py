@@ -298,12 +298,12 @@ class _Rows:
         self.p, self.one = (fld.p, 1) if isinstance(fld, PrimeField) else (None, (1, 1))
         degree = max([degree, *(g.degree() for g in basis)])  # an empty basis too
         self.pk, packed = _packed(ring, basis, degree)
-        self.table = _table(packed)
+        self.table, self.memo = _table(packed), {}
 
     def _add(self, m: int):
         rows, q = self.rows, self.p is None
         try:
-            nf, steps, bits = _reduce(self.pk, {m: self.one}, self.table, self.fld)
+            nf, steps, bits = _reduce(self.pk, {m: self.one}, self.table, self.fld, self.memo)
         except DegreeCapExceeded:
             rows[m] = None
             return None

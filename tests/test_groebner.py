@@ -296,12 +296,13 @@ def _layout_spy(coeff, steps, pending=None):
     or is a cancelled 0, and that records each division's steps."""
     reduce, pending = groebner._reduce, pending or coeff
 
-    def spy(pk, work, table, fld):
+    def spy(pk, work, table, fld, memo):
         assert all(type(v) is int and v == 0 or pending(v) for v in work.values())
-        for gm, div, tail in table:
+        for gm, div, tail, top in table:
             assert type(gm) is int and (div is None or coeff(div))
             assert all(type(m) is int and coeff(c) for m, c in tail)
-        out = reduce(pk, work, table, fld)
+            assert top == max([m for m, _ in tail], default=None)
+        out = reduce(pk, work, table, fld, memo)
         assert all(type(m) is int and coeff(c) for m, c in out[0])
         steps.append(out[1])
         return out

@@ -319,6 +319,149 @@ class TestPackedDivisionMatchesReference:
         assert _same_as_reference_under(f, divisors, groebner.DEGREE_CAP)
 
 
+@st.composite
+def growing_table_problems(draw):
+    """A divisor table over Q or F_32003, grevlex or lex, and rounds of
+    (dividend, row appended after its division), on small monomials of
+    three variables, so that later dividends meet monomials earlier ones
+    popped and later rows divide monomials no earlier row did."""
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    ring = PolyRing(field, 3, draw(orders), ("x", "y", "z"))
+    monos = st.tuples(*[st.integers(0, 2)] * 3)
+    polys = poly_strategy(ring, monos, max_terms=4)
+    rows = poly_strategy(ring, monos, max_terms=3).filter(bool)
+    table = draw(st.lists(rows, max_size=2))
+    return ring, table, draw(st.lists(st.tuples(polys, rows), min_size=1, max_size=4))
+
+
+def _divide_in_turn(ring, table, rounds):
+    """Each dividend's (remainder, steps, bits) or cap message, divided by
+    groebner._reduce with one memo shared across rounds, and by
+    reference_divide, over the table as it stands at that round."""
+    divisors = list(table)
+    pk, packed = groebner._packed(ring, [*table, *(p for r in rounds for p in r)])
+    rows, memo, ours, refs = groebner._table(packed[:len(table)]), {}, [], []
+    packed = packed[len(table):]
+    caps = (groebner.DEGREE_CAP, 300, 512)
+    for (f, new), work, row in zip(rounds, packed[::2], packed[1::2]):
+        with mock.patch.object(groebner, "STEP_CAP", 300), mock.patch.object(
+            groebner, "COEFF_BIT_CAP", 512
+        ):
+            try:
+                rem, steps, bits = groebner._reduce(
+                    pk, dict(work), rows, ring.field, memo
+                )
+                ours.append((Polynomial(ring, pk.unpack(rem)).terms, steps, bits))
+            except DegreeCapExceeded as exc:
+                ours.append(str(exc))
+        refs.append(_division_outcome(reference_divide, f, divisors, *caps))
+        rows += groebner._table([row])
+        divisors.append(new)
+    return ours, refs, pk, rows, memo
+
+
+def _memo_is_first_divisor(pk, rows, memo):
+    # a row: the first row dividing m; a count: no row before it divides m
+    def divides(row, m):
+        return not (m - row[0]) & pk.guard
+
+    for m, hit in memo.items():
+        tested = rows[:hit] if type(hit) is int else rows[:rows.index(hit)]
+        assert not any(divides(row, m) for row in tested)
+        assert type(hit) is int or divides(hit, m)
+
+
+RXY_F = PolyRing(PrimeField(32003), 2, GREVLEX, ("x", "y"))
+
+
+class TestSharedMemo:
+    """One memo serves every division by a table that only grows, as
+    buchberger shares one across its S-pair reductions: the first row
+    dividing a monomial never changes, and a monomial no row divided is
+    tested again from where its last search stopped."""
+
+    @given(growing_table_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_each_division_matches_the_reference_over_the_table_so_far(self, problem):
+        ours, refs, pk, rows, memo = _divide_in_turn(*problem)
+        assert ours == refs
+        _memo_is_first_divisor(pk, rows, memo)
+
+    @pytest.mark.parametrize("ring", [RXY, RXY_F])
+    def test_an_irreducible_monomial_resumes_at_an_appended_row(self, ring):
+        # x*y is irreducible by x^2 - y; then x*y - 1 is appended, whose
+        # lead x*y reduces it in the second division
+        def p(text):
+            return parse_polynomial(text, ring)
+
+        rounds = [(p("x*y + x^2"), p("x*y - 1")), (p("x*y"), p("y"))]
+        ours, refs, pk, rows, memo = _divide_in_turn(ring, [p("x^2 - y")], rounds)
+        assert ours == refs
+        assert ours[0] == (p("x*y + y").terms, 1, 0 if ring is RXY_F else 2)
+        assert ours[1] == (p("1").terms, 1, 0 if ring is RXY_F else 2)
+        assert memo[sum(pk.mults)] is rows[1]  # x*y packed
+        _memo_is_first_divisor(pk, rows, memo)
+
+
+RXYZ_LEX = PolyRing(QQ, 3, LEX, ("x", "y", "z"))
+RXYZ_LEX_F = PolyRing(PrimeField(32003), 3, LEX, ("x", "y", "z"))
+
+
+def _capped(
+    f, divisors, step_cap=groebner.STEP_CAP, coeff_bit_cap=groebner.COEFF_BIT_CAP
+):
+    # _divide's outcome under the patched caps, asserted to be the reference's
+    caps = (groebner.DEGREE_CAP, step_cap, coeff_bit_cap)
+    with mock.patch.object(groebner, "STEP_CAP", step_cap), mock.patch.object(
+        groebner, "COEFF_BIT_CAP", coeff_bit_cap
+    ):
+        ours = _division_outcome(groebner._divide, f, divisors)
+    assert ours == _division_outcome(reference_divide, f, divisors, *caps)
+    return ours
+
+
+DEGREE_MESSAGE = f"division intermediate degree passed {groebner.DEGREE_CAP}"
+
+
+class TestCapOrder:
+    """A step checks the step cap, then over Q the factor's bits, then the
+    degree of its largest product, which the row's largest tail monomial
+    decides; which cap a step passes first decides the message."""
+
+    @pytest.mark.parametrize("ring", [RXY, RXY_F])
+    def test_the_step_cap_wins_over_the_degree_cap(self, ring):
+        # x^65 by x - y: the first step writes x^64*y, degree 65
+        f, g = (parse_polynomial(t, ring) for t in ("x^65", "x - y"))
+        assert _capped(f, [g]) == DEGREE_MESSAGE
+        assert _capped(f, [g], step_cap=0) == "division passed 0 reduction steps"
+
+    def test_the_coefficient_cap_wins_over_the_degree_cap(self):
+        # x^65 by 1000*x - y over Q: the factor 1/1000 has 11 bits
+        f, g = (parse_polynomial(t, RXY) for t in ("x^65", "1000*x - y"))
+        assert _capped(f, [g]) == DEGREE_MESSAGE
+        assert _capped(f, [g], coeff_bit_cap=10) == "division coefficient passed 10 bits"
+        assert _capped(f, [g], coeff_bit_cap=11) == DEGREE_MESSAGE
+
+    @pytest.mark.parametrize("ring", [RXY, RXY_F])
+    def test_a_constant_tail_is_degree_capped(self, ring):
+        # x - 1's only tail monomial packs to 0: x^65 steps down to 1, the
+        # first step of x^66 writes x^65
+        f, g = parse_polynomial("x^65", ring), parse_polynomial("x - 1", ring)
+        bits = 0 if ring is RXY_F else 2  # each factor is 1
+        assert _capped(f, [g]) == (ring.one().terms, 65, bits)
+        assert _capped(f * parse_polynomial("x", ring), [g]) == DEGREE_MESSAGE
+
+    @pytest.mark.parametrize("ring", [RXYZ_LEX, RXYZ_LEX_F])
+    def test_a_lex_tail_whose_largest_degree_comes_last(self, ring):
+        # under lex x*z - y - z^3 has the tail y, z^3: only z^3 passes the
+        # cap, from x*z^63 on
+        g = parse_polynomial("x*z - y - z^3", ring)
+        below = _capped(parse_polynomial("x*z^62", ring), [g])
+        assert below[0] == parse_polynomial("y*z^61 + z^64", ring).terms
+        assert below[1] == 1
+        assert _capped(parse_polynomial("x*z^63", ring), [g]) == DEGREE_MESSAGE
+
+
 # A draw whose basis over Q passes COEFF_BIT_CAP: ideal_equal raises on it.
 CAPPED_GENS = [
     parse_polynomial(text, RXY)
