@@ -21,11 +21,11 @@ from .encoding import (
     decode_ideal,
     encode_ideal,
     field_from_json,
-    order_from_json,
 )
 from .groebner import DegreeCapExceeded, IdealPresentation, normal_form
 from .polyarith import (
     AmbientMismatch,
+    MonomialOrder,
     PolyRing,
     PrimeField,
     QQ,
@@ -139,7 +139,7 @@ def parse_case(obj) -> tuple[DiophantineSystem, Witness]:
     _expect_keys(ring_obj, ("field", "vars", "order"), where="ring")
     try:
         field = field_from_json(ring_obj["field"])
-        order = order_from_json(ring_obj["order"])
+        order = MonomialOrder(ring_obj["order"])
     except ValueError as exc:
         raise CaseFormatError(str(exc)) from exc
     names = ring_obj["vars"]
@@ -258,7 +258,7 @@ def _ring_from_args(args) -> PolyRing:
         if not m:
             raise CaseFormatError('--field must be "Q" or "F<p>"')
         field = PrimeField(int(m.group(1)))
-    return PolyRing(field, len(names), order_from_json(args.order), names)
+    return PolyRing(field, len(names), MonomialOrder(args.order), names)
 
 
 def _parse_ideal_arg(text: str, ring: PolyRing) -> IdealPresentation:

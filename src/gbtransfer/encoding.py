@@ -17,8 +17,6 @@ from typing import NamedTuple
 from .groebner import IdealPresentation
 from .polyarith import (
     Field,
-    GREVLEX,
-    LEX,
     Mono,
     MonomialOrder,
     PolyRing,
@@ -175,14 +173,6 @@ def field_from_json(obj) -> Field:
     raise ValueError(f"unknown field descriptor {obj!r}")
 
 
-def order_from_json(text) -> MonomialOrder:
-    if text == "grevlex":
-        return GREVLEX
-    if text == "lex":
-        return LEX
-    raise ValueError(f"unknown monomial order {text!r}")
-
-
 def code_to_json(code: IdealCode) -> str:
     """Serialize with exact coefficient strings; byte-stable output."""
     obj = {
@@ -219,7 +209,7 @@ def code_from_json(text: str) -> IdealCode:
     return IdealCode(
         obj["nvars"],
         obj["complexity"],
-        order_from_json(obj["order"]),
+        MonomialOrder(obj["order"]),
         fld,
         tuple(tuple(fld.coerce(entry) for entry in row) for row in rows),
     )

@@ -136,7 +136,7 @@ def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tup
 
 
 def _row(terms: list, fld) -> tuple:
-    # the monic row (lead, None, tail, top) of packed terms
+    # the monic row of packed terms, built by _table (so div is None)
     lead = terms[0][1]
     if isinstance(fld, RationalField):
         n, d = lead
@@ -150,8 +150,7 @@ def _row(terms: list, fld) -> tuple:
     elif lead != 1:
         inv, p = fld.inv(lead), fld.p
         terms = [(m, inv * c % p) for m, c in terms]
-    tail = terms[1:]  # its monomials differ: max compares no coefficients
-    return terms[0][0], None, tail, max(tail)[0] if tail else None
+    return _table([terms])[0]
 
 
 def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
@@ -240,7 +239,8 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
 
 
 def _table(packed: list) -> list:
-    # packed divisors as _reduce's rows (lead, div, tail, top), div None for a 1
+    # the only row builder: packed divisors as _reduce's rows (lead, div,
+    # tail, top), div None for a 1; max reads no coefficient (monos differ)
     return [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:],
              max(t[1:])[0] if len(t) > 1 else None) for t in packed if t]
 

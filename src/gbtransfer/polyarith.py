@@ -291,7 +291,9 @@ class PolyRing:
         """Build from (coefficient, exponents) pairs; duplicates accumulate."""
         acc: dict = {}
         for coeff, exps in pairs:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            if not all(type(e) is int for e in exps):  # no float, bool or str
+                raise TypeError(f"exponents must be ints: {exps!r}")
             if len(exps) != self.nvars:
                 raise AmbientMismatch(
                     f"exponent vector length {len(exps)} != {self.nvars}"
@@ -347,16 +349,10 @@ class Polynomial:
         return self.leading_term()[1]
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
         fld = self.ring.field
-        lc = self.terms[0][1]
-        if lc == fld.one:
+        if not self.terms or self.terms[0][1] == fld.one:
             return self
-        inv = fld.inv(lc)
-        return Polynomial(
-            self.ring, tuple((m, fld.reduce(inv * c)) for m, c in self.terms)
-        )
+        return self.scale(fld.inv(self.terms[0][1]))
 
     def scale(self, value) -> "Polynomial":
         fld = self.ring.field
@@ -380,10 +376,7 @@ class Polynomial:
         return self.ring.from_dict(acc)
 
     def __neg__(self) -> "Polynomial":
-        reduce = self.ring.field.reduce
-        return Polynomial(
-            self.ring, tuple((m, reduce(-c)) for m, c in self.terms)
-        )
+        return self.scale(-1)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):

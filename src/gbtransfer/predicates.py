@@ -66,15 +66,6 @@ def complexity(I: IdealPresentation) -> ComplexityReport:
     return complexity_of(I.ring.nvars, I.generators)
 
 
-def _lead_supports(I: IdealPresentation) -> list[frozenset[int]]:
-    if any(g.degree() == 0 for g in I.basis):
-        raise UnitIdeal("the presented ideal is the whole ring")
-    return [
-        frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-        for g in I.basis
-    ]
-
-
 SUBSET_BUDGET = 1 << 20  # variable subsets one dimension search tests
 
 
@@ -86,20 +77,24 @@ def dimension(I: IdealPresentation) -> int:
     Subsets are tested from the largest size down; testing more than
     SUBSET_BUDGET of them raises DegreeCapExceeded.
     """
-    supports = _lead_supports(I)
+    if any(g.degree() == 0 for g in I.basis):
+        raise UnitIdeal("the presented ideal is the whole ring")
+    supports = [
+        frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+        for g in I.basis
+    ]
     n = I.ring.nvars
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(n), size) for size in range(n, -1, -1)
     )
-    for k, subset in enumerate(subsets):
-        if k == SUBSET_BUDGET:
-            raise DegreeCapExceeded(
-                f"dimension search passed {SUBSET_BUDGET} variable subsets"
-            )
+    # the empty subset meets no support, so only the budget ends the loop
+    for subset in itertools.islice(subsets, SUBSET_BUDGET):
         u = frozenset(subset)
         if not any(s <= u for s in supports):
             return len(u)
-    raise AssertionError("unreachable: the empty subset is always independent")
+    raise DegreeCapExceeded(
+        f"dimension search passed {SUBSET_BUDGET} variable subsets"
+    )
 
 
 class HeightResult(NamedTuple):
@@ -167,8 +162,6 @@ def radical_equals(
     """
     if exponent_cap < 1:
         raise ValueError("exponent cap must be at least 1")
-    if I.ring != P.ring:
-        raise AmbientMismatch("ideals from different rings")
     if not ideal_contains(I, P):
         return RadicalResult(RADICAL_NOT_CONTAINED, cap=exponent_cap)
     budget = _ProductBudget(DegreeCapExceeded)

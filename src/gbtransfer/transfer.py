@@ -325,14 +325,13 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     """Coefficient-reduce every witness component into F_p.
 
     Structure (variable counts, order, claimed height, domain claim) is
-    preserved.  Raises BadPrime on denominator hits and
-    DegenerateGenerator when a generator of I, m or (x) collapses to zero
-    or to a nonzero constant.
+    preserved; Witness reads the point b into F_p.  Raises BadPrime on
+    denominator hits and DegenerateGenerator when a generator of I, m or
+    (x) collapses to zero or to a nonzero constant.
     """
     if not isinstance(w.ring.field, RationalField):
         raise AmbientMismatch("the witness already has positive characteristic")
-    fp = PrimeField(p)
-    target = w.ring.with_field(fp)
+    target = w.ring.with_field(PrimeField(p))
 
     def reduce_many(gens, structural: bool) -> tuple[Polynomial, ...]:
         out = []
@@ -354,12 +353,7 @@ def reduce_witness_mod_p(w: Witness, p: int) -> Witness:
     m2 = reduce_many(w.m_gens, True)
     x2 = reduce_many(w.x_images, True)
     y2 = reduce_many(w.y_images, False)
-    b2 = (
-        tuple(fp.coerce(c) for c in w.point_b)
-        if w.point_b is not None
-        else None
-    )
-    return Witness(target, i2, m2, b2, x2, y2, w.claimed_n, w.domain_claim)
+    return Witness(target, i2, m2, w.point_b, x2, y2, w.claimed_n, w.domain_claim)
 
 
 def _conditions(res: VerificationResult) -> tuple:

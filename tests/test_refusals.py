@@ -71,6 +71,14 @@ X, XY, X7 = RX.variable(0), RXY.variable(0), RX7.variable(0)
                  "variable index 5 out of range", id="variable-index"),
     pytest.param(lambda: RX.from_terms([(1, (-1,))]), ValueError,
                  "negative exponent", id="negative-exponent"),
+    pytest.param(lambda: RX.from_terms([(1, (1.5,))]), TypeError,
+                 "exponents must be ints: (1.5,)", id="float-exponent"),
+    pytest.param(lambda: RX.from_terms([(1, (True,))]), TypeError,
+                 "exponents must be ints: (True,)", id="bool-exponent"),
+    pytest.param(lambda: RX.from_terms([(1, ("2",))]), TypeError,
+                 "exponents must be ints: ('2',)", id="str-exponent"),
+    pytest.param(lambda: RXY.from_terms([(1, "12")]), TypeError,
+                 "exponents must be ints: ('1', '2')", id="str-exponent-vector"),
     pytest.param(lambda: RX.zero().leading_term(), ValueError,
                  "the zero polynomial has no leading term", id="zero-leading-term"),
     pytest.param(lambda: X ** -1, ValueError,

@@ -1,5 +1,6 @@
 """Witness verification, bad primes, reduction, sweep, point search."""
 
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbtransfer import polyarith, transfer
-from gbtransfer.cli import load_case
+from gbtransfer.cli import load_case, main
 from gbtransfer.encoding import IdealCode
 from gbtransfer.groebner import GroebnerBasis, IdealPresentation, ideal
 from gbtransfer.polyarith import (
@@ -339,6 +340,22 @@ class TestReduceWitness:
         ) as spy:
             reduce_witness_mod_p(w, 7)
         assert spy.call_count == 1
+
+    def test_point_denominator_is_a_bad_prime(self, tmp_path, capsys):
+        # Witness reads b into F_p: a point coordinate 1/5 alone makes 5 bad
+        case = json.loads((CASES / "hyperbola.json").read_text())
+        case["witness"]["b"] = ["1/5", "5"]
+        path = tmp_path / "hyperbola_b5.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        _, w = load_case(str(path))
+        with pytest.raises(BadPrime) as exc:
+            reduce_witness_mod_p(w, 5)
+        assert str(exc.value) == "bad prime 5: denominator of 1/5 vanishes"
+        assert reduce_witness_mod_p(w, 7).point_b == (3, 5)
+        assert main(["verify", str(path), "--prime", "5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: bad prime 5: denominator of 1/5 vanishes\n")
 
     def test_degenerate_generator(self):
         w = Witness(
