@@ -937,10 +937,6 @@ class TestRefusals:
          "witness.domain_claim must be a boolean"),
         (("verify",), (("ring", "order"), "deglex"), 2,
          "unknown monomial order 'deglex'"),
-        (("verify",), (("ring", "order"), ["lex"]), 2,
-         "unknown monomial order ['lex']"),
-        (("verify",), (("ring", "order"), None), 2,
-         "unknown monomial order None"),
         (("verify", "--prime", "3"), (("witness", "m", 0, 0, "coeff"), "3"), 2,
          "generator 3*T vanishes mod 3"),
         (("gb", "--vars", ",", "--ideal", "x"), None, 2,
@@ -973,13 +969,17 @@ class TestRefusals:
             "complexity": 1, "field": "Q", "nvars": 1, "order": "deglex",
             "rows": [],
         })), None, 2, "unknown monomial order 'deglex'"),
+        (("decode", "--code", '{"rows": []}'), None, 2, "malformed code object"),
+        (("verify",), (("witness", "b"), [0.5]), 2,
+         "witness.b[0]: coefficients must be exact strings"),
+        (("verify",), (("ring", "order"), ["lex"]), 2,
+         "unknown monomial order ['lex']"),
+        (("verify",), (("ring", "order"), None), 2,
+         "unknown monomial order None"),
         (("decode", "--code", json.dumps({
             "complexity": 1, "field": "Q", "nvars": 1, "order": ["lex"],
             "rows": [],
         })), None, 2, "unknown monomial order ['lex']"),
-        (("decode", "--code", '{"rows": []}'), None, 2, "malformed code object"),
-        (("verify",), (("witness", "b"), [0.5]), 2,
-         "witness.b[0]: coefficients must be exact strings"),
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, edit, code, err):
         if edit is not None:
