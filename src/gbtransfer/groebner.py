@@ -20,7 +20,7 @@ from .polyarith import AmbientMismatch, Polynomial, PolyRing, RationalField
 
 # Kernel caps: every division and basis computation reads them as it runs.
 DEGREE_CAP = 64  # intermediate and basis-element total degree
-PAIR_CAP = 100_000  # S-pairs one basis computation queues, and so examines
+WORK_CAP = 10**8  # tail-term operations and pair tests of one basis computation
 STEP_CAP = 100_000  # reduction steps one division takes
 COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
 LAZY_BITS = 256  # a Q step with a factor this small adds without a gcd,
@@ -83,11 +83,12 @@ class GroebnerBasis(NamedTuple):
 
     pivots are the leading coefficients buchberger divided out, in order:
     one per input generator, one per new remainder and one per remainder
-    of the final reduction.
+    of the final reduction.  work is what the run charged to WORK_CAP.
     """
 
     basis: tuple[Polynomial, ...]
     pivots: tuple = ()
+    work: int = 0
 
 
 @lru_cache(maxsize=64)  # a packing never changes, so one per shape serves all
@@ -234,7 +235,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
     if not (f and any(divisors)):
         return f, 0, 0
     pk, (work, *packed) = _packed(ring, (f, *divisors))
-    rem, steps, bits = _reduce(pk, dict(work), _table(packed), ring.field, {})
+    rem, steps, bits, _ = _reduce(pk, dict(work), _table(packed), ring.field, {})
     return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
 
 
@@ -250,13 +251,13 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
     # div the lead coefficient or None for 1, top the largest tail monomial
     # or None, c as _packed builds it or in work an unreduced Q list; memo
     # maps a monomial to its first divisor row or, if none divides it, to the
-    # count of rows tested.  The F_p step is inline, the Q one is _sub_pairs
+    # count of rows tested; ops sums step tail lengths (over Q times 16-bit units)
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     q, push = isinstance(fld, RationalField), heapq.heappush
     p = None if q else fld.p
     # work holds every monomial on the heap, cancelled ones with coefficient 0
     heap = sorted(map(pk.key, work))
-    rem, steps, top_bits = [], 0, 0
+    rem, steps, top_bits, ops = [], 0, 0, 0
     while heap:
         m = heapq.heappop(heap)
         m = pk.lcm(-m, 0) if lex else m - (m >> shift << shift + 1)
@@ -281,8 +282,10 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
         if steps > STEP_CAP:
             raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
         if q:
-            top_bits = max(top_bits, _sub_pairs(pk, work, heap, row, quot, c, cap))
+            bits = _sub_pairs(pk, work, heap, row, quot, c, cap)
+            top_bits, ops = max(top_bits, bits), ops + len(gtail) * (bits >> 4 or 1)
             continue
+        ops += len(gtail)
         if top is not None and top + quot > cap:
             raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
         factor = c if gc is None else c * fld.inv(gc) % p
@@ -293,7 +296,7 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
                 push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
                 prev = 0
             work[mm] = (prev - factor * tc) % p
-    return rem, steps, top_bits
+    return rem, steps, top_bits, ops
 
 
 def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
@@ -346,11 +349,11 @@ def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
     return bits
 
 
-def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
-    # drop each row whose lead a later row's, or a kept earlier row's, divides
+def _reduce_basis(G: list, live: dict, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
+    # of the live rows (no lead divides an earlier one's) drop those a kept one's divides
     minimal: list = []
-    for i, g in enumerate(G):
-        if all((g[0] - h[0]) & pk.guard for h in minimal + G[i + 1:]):
+    for g in map(G.__getitem__, live):
+        if all((g[0] - h[0]) & pk.guard for h in minimal):
             minimal.append(g)
     fld, out, memo = ring.field, [], {}
     for g in minimal:
@@ -365,18 +368,18 @@ def _reduce_basis(G: list, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the presented ideal.
 
-    Pair selection is normal strategy: smallest lcm degree first, then the
-    smallest lcm under the order (the largest rank), which makes runs
-    reproducible.  The product and chain criteria prune pairs; the chain
-    criterion reads the set of popped pairs.  The kernel caps (PAIR_CAP,
-    DEGREE_CAP on every new element, and the division caps) convert
-    pathological growth into a DegreeCapExceeded error rather than an
-    open-ended run.  Pairs count against PAIR_CAP as they are queued: each
-    queued pair is examined before a run can end, so a run that would
-    examine more is refused once its queue shows it.  Every call computes;
-    ``pres.basis`` keeps the result.  Monomials stay packed, and
-    coefficients over Q reduced int pairs (see normal_form), until the end;
-    one first-divisor memo serves every S-pair reduction by the growing G.
+    Pairs are selected by sugar (Giovini, Mora, Niesi, Robbiano and Traverso,
+    1991), max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm with an input's s
+    its degree and a new element's its pair's sugar, then by lcm degree, then
+    the smallest lcm under the order (the largest rank), and pruned by the
+    Gebauer-Moeller criteria (1988) as each row comes (see add).  A reduction
+    step or S-polynomial merge charges its row's tail length to WORK_CAP (over
+    Q times its factor's 16-bit units, at least 1), an update's lcm or
+    divisibility test 1; GroebnerBasis.work is the sum.  It, DEGREE_CAP on each
+    new element and the division caps raise DegreeCapExceeded.  Every call
+    computes; ``pres.basis`` keeps the result.  Monomials stay packed, and
+    coefficients over Q reduced int pairs (see normal_form), until the end; one
+    first-divisor memo serves every S-pair reduction by the growing G.
     """
     ring, fld = pres.ring, pres.ring.field
     gens = [g for g in pres.generators if g]
@@ -384,39 +387,48 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         return GroebnerBasis(())
     pivots = [g.leading_coeff() for g in pres.generators]
     pk, packed = _packed(ring, gens)
-    shift, guard, G, heap, done, memo = pk.shift, pk.guard, [], [], set(), {}
+    shift, guard, G, live, heap, memo, work = pk.shift, pk.guard, [], {}, [], {}, 0
 
-    def add(row: tuple) -> None:
-        # a basis row; its pairs go by lcm degree, then the larger lcm key
+    def charge(n: int) -> None:
+        nonlocal work
+        if (work := work + n) > WORK_CAP:
+            raise DegreeCapExceeded(f"basis work passed {WORK_CAP} tail terms and pair tests")
+
+    def add(row: tuple, sugar: int) -> None:
+        # row t, lead h: drop new pairs whose lcm another's divides (of equal
+        # lcms a coprime one sorts first) or with coprime leads, queued (sugar,
+        # deg, -key, lcm, i, j) whose lcm h divides unless lcm(i, h) or lcm(j, h)
+        # is it, and from live (row: sugar less lead degree) the rows h divides
+        nonlocal heap, live
+        h, t, e, kept = row[0], len(G), sugar - (row[0] >> shift), []
+        lcms = [pk.lcm(g[0], h) for g in G]
+        tests, heap = t + len(heap), [
+            q for q in heap if (q[3] - h) & guard or q[3] in (lcms[q[4]], lcms[q[5]])]
+        for lcm, noncoprime, i in sorted((lcms[i], lcms[i] != G[i][0] + h, i) for i in live):
+            if noncoprime:
+                tests += len(kept)
+                if any(not (lcm - k) & guard for k in kept):
+                    continue
+                d = lcm >> shift
+                heap.append((max(live[i], e) + d, d, -pk.key(lcm), lcm, i, t))
+            kept.append(lcm)
+        heapq.heapify(heap)
+        live = {i: s for i, s in live.items() if lcms[i] != G[i][0]} | {t: e}
         G.append(row)
-        t = len(G) - 1
-        for i in range(t):
-            lcm = pk.lcm(G[i][0], row[0])
-            heapq.heappush(heap, ((lcm >> shift << shift + 1) - pk.key(lcm), lcm, i, t))
-        if len(heap) + len(done) > PAIR_CAP:
-            raise DegreeCapExceeded(f"more than {PAIR_CAP} S-pairs examined")
+        charge(tests)
 
     for t in packed:
-        add(_row(t, fld))
+        add(_row(t, fld), max(t)[0] >> shift)
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        # Skip coprime leads, and (i, j) when a third lead divides their lcm
-        # and both linking pairs were popped (Buchberger's chain criterion).
-        if lcm == G[i][0] + G[j][0] or any(
-            (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k, row in enumerate(G) if not (lcm - row[0]) & guard
-        ):
-            continue
-        r = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld, memo)[0]
-        if not r:
-            continue
-        if max(r)[0] > pk.cap:
-            raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
-        pivots.append(pk.unpack(r[:1])[0][1])
-        add(_row(r, fld))
-
-    return GroebnerBasis(_reduce_basis(G, pk, ring, pivots), tuple(pivots))
+        sugar, _, _, _, i, j = heapq.heappop(heap)
+        r, _, _, ops = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld, memo)
+        charge(len(G[j][2]) + ops)
+        if r:
+            if max(r)[0] > pk.cap:
+                raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
+            pivots.append(pk.unpack(r[:1])[0][1])
+            add(_row(r, fld), sugar)
+    return GroebnerBasis(_reduce_basis(G, live, pk, ring, pivots), tuple(pivots), work)
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:

@@ -179,13 +179,15 @@ def monomials_up_to(nvars: int, max_degree: int) -> tuple[Mono, ...]:
         raise ValueError("degree bound must be non-negative")
     if math.comb(nvars + max_degree, nvars) > TERM_CAP:
         raise ValueError(f"over {TERM_CAP} monomials of degree <= {max_degree}")
-    # Lexicographic in the exponent vector: the first exponent varies slowest.
-    # The exponents are the gaps before nvars bars among nvars + max_degree
-    # slots, and combinations lists the bars in that order.
-    return tuple(
-        tuple([b - a - 1 for a, b in zip((-1, *bars), bars)])
-        for bars in itertools.combinations(range(nvars + max_degree), nvars)
-    )
+    # Lexicographic, the first exponent slowest: each vector counts a multiset
+    # of variables (index nvars the slack), listed in reverse by combinations.
+    def vector(ks: tuple) -> Mono:
+        m = [0] * (nvars + 1)
+        for k in ks:
+            m[k] += 1
+        return tuple(m[:nvars])
+    ks = itertools.combinations_with_replacement(range(nvars + 1), max_degree)
+    return tuple(map(vector, reversed(list(ks))))
 
 
 def _lex_rank(m: Mono):

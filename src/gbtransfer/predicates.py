@@ -296,7 +296,7 @@ class _Rows:
     def _add(self, m: int):
         rows, q = self.rows, self.p is None
         try:
-            nf, steps, bits = _reduce(self.pk, {m: self.one}, self.table, self.fld, self.memo)
+            nf, steps, bits, _ = _reduce(self.pk, {m: self.one}, self.table, self.fld, self.memo)
         except DegreeCapExceeded:
             rows[m] = None
             return None

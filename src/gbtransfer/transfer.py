@@ -457,10 +457,10 @@ def exceptional_primes(
       degenerates and the complexity is char0's;
     - buchberger runs at p in lockstep with its run over Q.  Each element
       it keeps over Q is p-integral and maps to the one kept at p: an input
-      generator or a new remainder keeps its leading monomial, p dividing
-      no pivot, and a remainder zero over Q is zero at p.  So the pairs,
-      criteria and leads agree, and each basis at p is the image of the
-      basis over Q;
+      generator or a new remainder keeps its leading monomial (p divides no
+      pivot) and its sugar (no generator drops degree), and a remainder zero
+      over Q is zero at p.  The criteria read only leads, so the pairs, their
+      order and the leads agree, and each basis at p is the image of Q's;
     - an image basis is monic, so NF_p of a p-integral image is the image
       of NF_Q, zero where NF_Q is.  Every NF_Q behind I in m, (x) + I in m,
       condition 2 and condition 3 is zero, so those are char0's, and the
@@ -474,7 +474,8 @@ def exceptional_primes(
       monomials are a subset of those of the division over Q, and a factor
       in F_p has no bit size.  The radical search at p takes no more powers
       than over Q, each with at most the terms it has over Q, so the
-      product budgets hold; the basis runs examine the same pairs.
+      product budgets hold; a basis run at p charges WORK_CAP for the same
+      lead tests and a subset of Q's tail terms, 1 each (Q's at least 1).
     """
     numbers = {
         n

@@ -9,15 +9,16 @@ sympy is not installed.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from gbtransfer.groebner import IdealPresentation, buchberger
+from gbtransfer.groebner import DegreeCapExceeded, IdealPresentation, buchberger
 from gbtransfer.polyarith import (
     GREVLEX,
     LEX,
@@ -26,6 +27,7 @@ from gbtransfer.polyarith import (
     QQ,
     RationalField,
     format_polynomial,
+    monomials_up_to,
     parse_polynomial,
 )
 
@@ -133,6 +135,55 @@ def test_reduced_bases_agree_with_sympy_mod_p(kind):
             ).exprs
         }
         assert mine == reference, f"{gens} under {kind} mod {P}"
+
+
+# A dense ideal: 2 or 3 generators in 2 or 3 variables, each with every
+# monomial of degree <= d (1..3) and a nonzero coefficient in -3..3, over Q
+# or F_P, under grevlex or lex.  Dense lex ideals in 3 variables at degree 3
+# pass a kernel cap (the example below, on the coefficient cap).
+@st.composite
+def dense_ideals(draw):
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    size = len(monomials_up_to(n, d))
+    coeffs = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=size, max_size=size)
+    gens = draw(st.lists(coeffs, min_size=2, max_size=3))
+    return n, d, draw(st.sampled_from([None, P])), draw(st.sampled_from(["grevlex", "lex"])), gens
+
+
+@given(dense_ideals())
+@example((3, 3, None, "lex", [
+    [3, -2, -2, -3, 2, -2, 3, -2, 1, -1, -1, -1, -2, -2, 1, 1, 1, -3, 2, -2],
+    [-1, -1, 3, 3, 3, 2, -3, 2, -3, 3, -2, 1, 3, 2, -3, 1, -3, 1, 2, 3],
+    [1, -1, -1, 1, 1, 2, 1, -3, -3, 1, -3, 3, 3, 3, -3, -3, -3, 2, -2, 2],
+]))
+@settings(max_examples=25, deadline=None)
+def test_dense_ideals_answer_as_sympy_or_refuse(case):
+    # every run answers sympy's reduced basis or raises DegreeCapExceeded,
+    # within a wall-clock ceiling (each takes under a second here)
+    n, d, p, kind, coeffs = case
+    names = ("x", "y", "z")[:n]
+    ring = PolyRing(PrimeField(p) if p else QQ, n, GREVLEX if kind == "grevlex" else LEX, names)
+    monos = monomials_up_to(n, d)
+    gens = [ring.from_terms(list(zip(c, monos))) for c in coeffs]
+    t0 = time.monotonic()
+    try:
+        basis = buchberger(IdealPresentation(ring, tuple(gens))).basis
+    except DegreeCapExceeded:
+        basis = None
+    assert time.monotonic() - t0 < 10
+    if basis is None:
+        return
+    syms = sp.symbols(names)
+    exprs = [sp.sympify(format_polynomial(g).replace("^", "**")) for g in gens]
+    if p:
+        reference = {
+            _monic_terms_mod_p(e, syms, kind)
+            for e in sp.groebner(exprs, *syms, order=kind, modulus=P).exprs
+        }
+        assert {g.terms for g in basis} == reference
+    else:
+        reference = {_monic_wrt(e, syms, kind) for e in sp.groebner(exprs, *syms, order=kind).exprs}
+        assert {sp.expand(sp.sympify(format_polynomial(g).replace("^", "**"))) for g in basis} == reference
 
 
 # Polynomial arithmetic against sympy Poly: +, -, *, **, monic and

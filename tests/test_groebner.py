@@ -59,7 +59,7 @@ def kernel_ideal(name):
     return mk(PolyRing(QQ, len(xs), GREVLEX, tuple(xs)), *gens)
 
 # Leading monomials of the pairs that reach the S-polynomial, in the order the
-# normal-strategy queue pops them (lcm degree, then the smaller lcm).
+# sugar queue pops them (sugar, lcm degree, then the smaller lcm).
 S_PAIRS = {
     ("cyclic4", "grevlex"): [
         ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (1, 1, 1, 0)),
@@ -73,10 +73,10 @@ S_PAIRS = {
         ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (1, 1, 1, 0)),
         ((0, 2, 0, 0), (0, 1, 2, 0)), ((1, 0, 0, 0), (1, 1, 1, 1)),
         ((0, 1, 2, 0), (0, 1, 1, 2)), ((0, 2, 0, 0), (0, 1, 1, 2)),
-        ((0, 1, 1, 2), (0, 1, 0, 4)), ((0, 1, 2, 0), (0, 1, 1, 0)),
+        ((0, 1, 1, 2), (0, 1, 0, 4)), ((0, 1, 2, 0), (0, 0, 3, 2)),
+        ((0, 2, 0, 0), (0, 1, 0, 4)), ((0, 1, 2, 0), (0, 1, 1, 0)),
         ((0, 2, 0, 0), (0, 1, 1, 0)), ((0, 1, 1, 2), (0, 1, 1, 0)),
-        ((0, 1, 2, 0), (0, 0, 3, 2)), ((0, 2, 0, 0), (0, 1, 0, 4)),
-        ((0, 0, 3, 2), (0, 0, 2, 6)), ((0, 1, 2, 0), (0, 0, 2, 6)),
+        ((0, 0, 3, 2), (0, 0, 2, 6)), ((0, 1, 0, 4), (0, 0, 2, 6)),
     ],
     ("katsura3", "grevlex"): [
         ((1, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, 0), (2, 0, 0, 0)),
@@ -91,12 +91,9 @@ S_PAIRS = {
         ((0, 2, 0, 0), (0, 1, 0, 1)), ((0, 1, 0, 1), (0, 1, 0, 0)),
         ((0, 1, 1, 0), (0, 1, 0, 0)), ((0, 2, 0, 0), (0, 1, 0, 0)),
         ((0, 0, 2, 1), (0, 0, 2, 0)), ((0, 0, 3, 0), (0, 0, 2, 0)),
-        ((0, 1, 1, 0), (0, 0, 2, 0)), ((0, 0, 1, 3), (0, 0, 1, 2)),
-        ((0, 0, 1, 2), (0, 0, 1, 1)), ((0, 0, 1, 1), (0, 0, 1, 0)),
-        ((0, 0, 2, 0), (0, 0, 1, 0)), ((0, 1, 1, 0), (0, 0, 1, 0)),
-        ((0, 0, 2, 1), (0, 0, 1, 1)), ((0, 0, 2, 2), (0, 0, 2, 1)),
-        ((0, 0, 2, 2), (0, 0, 1, 2)), ((0, 0, 1, 4), (0, 0, 1, 3)),
-        ((0, 0, 1, 4), (0, 0, 0, 8)), ((0, 1, 0, 1), (0, 0, 0, 8)),
+        ((0, 0, 2, 2), (0, 0, 2, 1)), ((0, 0, 1, 3), (0, 0, 1, 2)),
+        ((0, 0, 1, 4), (0, 0, 1, 3)), ((0, 0, 1, 2), (0, 0, 1, 1)),
+        ((0, 0, 1, 1), (0, 0, 1, 0)), ((0, 0, 2, 0), (0, 0, 1, 0)),
     ],
 }
 
@@ -164,30 +161,34 @@ class TestBuchberger:
         assert buchberger(a).basis == buchberger(b).basis == buchberger(c).basis
 
     def test_pair_cap_raises(self):
+        # the pair loop runs under WORK_CAP, which retired the cap on pairs
         pres = mk(R3, "x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
-        with mock.patch.object(groebner, "PAIR_CAP", 1):
-            with pytest.raises(DegreeCapExceeded):
+        with mock.patch.object(groebner, "WORK_CAP", 1):
+            with pytest.raises(DegreeCapExceeded, match="passed 1 tail terms and pair tests"):
                 buchberger(pres)
 
-    @pytest.mark.parametrize("p", [None, 32003])
-    @pytest.mark.parametrize("name, pairs", [("cyclic5", 1035), ("katsura5", 276)])
-    def test_pair_cap_boundary(self, name, pairs, p):
-        # every queued pair is examined, so a run answers at PAIR_CAP equal
-        # to its pair count and is refused one below, over Q and F_p alike
-        pres = kernel_ideal(name)
-        if p:
-            ring = pres.ring.with_field(PrimeField(p))
-            pres = IdealPresentation(
-                ring, tuple(reduce_coeffs_mod_p(g, ring) for g in pres.generators)
-            )
-        with mock.patch.object(groebner, "PAIR_CAP", pairs):
-            assert buchberger(pres).basis
-        with mock.patch.object(groebner, "PAIR_CAP", pairs - 1):
-            with pytest.raises(DegreeCapExceeded, match=f"than {pairs - 1} S-pairs"):
+    @pytest.mark.parametrize("name, p, work", [
+        ("cyclic5", None, 25145), ("cyclic5", 32003, 25145),
+        ("katsura5", None, 152189), ("katsura5", 32003, 63599),
+    ])
+    def test_work_cap_boundary(self, name, p, work):
+        # the work a run charges is exact and machine-independent: it
+        # answers at WORK_CAP equal to its count and is refused one below,
+        # over Q and F_p alike
+        pres = _mod_p(kernel_ideal(name), p) if p else kernel_ideal(name)
+        gb = buchberger(pres)
+        assert gb.work == work
+        with mock.patch.object(groebner, "WORK_CAP", work):
+            assert buchberger(pres) == gb
+        with mock.patch.object(groebner, "WORK_CAP", work - 1):
+            with pytest.raises(DegreeCapExceeded, match=f"passed {work - 1} tail terms"):
                 buchberger(pres)
 
     def test_pair_cap_refuses_before_any_s_polynomial(self):
-        # three generators queue three pairs: past a cap of 2 at once
+        # the three generators' pair updates alone charge 5: one lcm for
+        # the second row; two lcms, one test of the queued pair and one of
+        # the two new pairs with the lcm x*y*z for the third.  A budget of 4
+        # is passed before any S-polynomial, one of 5 only after the first
         pres = mk(R3, "x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
         calls, spoly = [], groebner._spoly
 
@@ -196,12 +197,16 @@ class TestBuchberger:
             return spoly(*args)
 
         with mock.patch.object(groebner, "_spoly", spy):
-            with mock.patch.object(groebner, "PAIR_CAP", 2):
-                with pytest.raises(DegreeCapExceeded, match="more than 2 S-pairs"):
+            with mock.patch.object(groebner, "WORK_CAP", 4):
+                with pytest.raises(DegreeCapExceeded, match="passed 4 tail terms"):
                     buchberger(pres)
             assert calls == []
+            with mock.patch.object(groebner, "WORK_CAP", 5):
+                with pytest.raises(DegreeCapExceeded, match="passed 5 tail terms"):
+                    buchberger(pres)
+            assert len(calls) == 1
             buchberger(pres)
-        assert calls
+        assert len(calls) > 1
 
     def test_degree_cap_raises(self):
         # (x^3 - y, x*y - 1) produces x - y^3 along the way
@@ -211,27 +216,17 @@ class TestBuchberger:
                 buchberger(pres)
 
     def test_coefficient_swell_fails_loudly(self):
-        # under lex this basis marches up in degree while coefficients
-        # double in size every few pairs; default caps must cut it off
-        # promptly instead of grinding
+        # under lex the coefficients of katsura4 over Q double in size every
+        # few pairs; default caps must cut it off promptly instead of grinding
         import time
 
-        from gbtransfer.polyarith import LEX, PolyRing, QQ
-
-        r3 = PolyRing(QQ, 3, LEX, ("w", "x", "y"))
+        gens = kernel_ideal("katsura4").generators
+        ring = PolyRing(QQ, gens[0].ring.nvars, LEX, gens[0].ring.names)
         pres = IdealPresentation(
-            r3,
-            tuple(
-                parse_polynomial(t, r3)
-                for t in (
-                    "2*w^2 - 3*w*x^2*y^2 - x^2*y^2 - x",
-                    "3*w^2*y - x^2*y",
-                    "2*w^2*x^2*y - w*x*y^2 - x^2",
-                )
-            ),
+            ring, tuple(ring.from_dict(dict(g.terms)) for g in gens)
         )
         t0 = time.monotonic()
-        with pytest.raises(DegreeCapExceeded):
+        with pytest.raises(DegreeCapExceeded, match="coefficient passed 8192 bits"):
             buchberger(pres)
         assert time.monotonic() - t0 < 30
 
@@ -272,6 +267,55 @@ class TestPairOrder:
         with mock.patch.object(groebner, "_spoly", spy):
             buchberger(pres)
         assert seen == S_PAIRS[name, kind]
+
+
+def _mod_p(pres, p=32003):
+    ring = pres.ring.with_field(PrimeField(p))
+    return IdealPresentation(
+        ring, tuple(reduce_coeffs_mod_p(g, ring) for g in pres.generators)
+    )
+
+
+class TestPairCriteria:
+    """What the sugar queue and the Gebauer-Moeller update leave to reduce,
+    and the lockstep of runs over Q and mod a prime that exceptional_primes
+    rests on."""
+
+    @pytest.mark.parametrize("name, reduced, zero, new", [
+        ("cyclic5", 112, 75, 37), ("katsura5", 66, 48, 18), ("cyclic6", 343, 245, 98),
+    ])
+    def test_s_polynomial_counts_pinned_over_fp(self, name, reduced, zero, new):
+        # each S-polynomial reduced goes through _spoly; each new element
+        # adds one pivot, besides one per input and one per basis element
+        pres, calls, spoly = _mod_p(kernel_ideal(name)), [], groebner._spoly
+
+        def spy(*args):
+            calls.append(args)
+            return spoly(*args)
+
+        with mock.patch.object(groebner, "_spoly", spy):
+            gb = buchberger(pres)
+        added = len(gb.pivots) - len(pres.generators) - len(gb.basis)
+        assert (len(calls), len(calls) - added, added) == (reduced, zero, new)
+
+    def test_cyclic6_over_q_maps_to_the_fp_basis(self):
+        # cyclic6 answers over Q (45 elements); its basis reduced mod 32003
+        # is the basis over F_32003
+        pres = kernel_ideal("cyclic6")
+        fp = _mod_p(pres)
+        basis = buchberger(pres).basis
+        assert len(basis) == 45
+        assert tuple(reduce_coeffs_mod_p(g, fp.ring) for g in basis) == buchberger(fp).basis
+
+    @pytest.mark.parametrize("name", ["cyclic4", "cyclic5", "katsura3", "katsura4", "katsura5"])
+    def test_work_at_p_at_most_over_q(self, name):
+        # no cap fires at a good prime that the run over Q passed: the same
+        # pairs, a subset of the steps, each weighing 1 at p and at least 1
+        # over Q
+        pres = kernel_ideal(name)
+        over_q, over_p = buchberger(pres), buchberger(_mod_p(pres))
+        assert 0 < over_p.work <= over_q.work
+        assert len(over_p.pivots) == len(over_q.pivots)
 
 
 def _int_pair(v, kind=tuple):
@@ -332,8 +376,8 @@ class TestKernelPins:
         # larger ideals: the count and the SHA-256 of repr(pivots)
         ("katsura4", (28, "558d31b51fdb0aa116a00798f78c0885"
                           "a59e7f1c394249f48e186cdf5da2bce8")),
-        ("cyclic5", (66, "b6b7eb83ee91f82bd1175a844e6835ff"
-                         "65b1e428b18e4afb7469bd60d6dc2a2f")),
+        ("cyclic5", (62, "ae93f1f3a23e52fb29b87269b6a36771"
+                         "2c4b948f3f95eeb0a1f1e4444dbf57a9")),
         ("katsura5", (46, "8c7139ff0560f9412b3222220dab1742"
                           "1ec20219ef40fed40fb44037c0ef0a69")),
     ])

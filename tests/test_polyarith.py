@@ -356,6 +356,19 @@ def test_monomials_up_to_matches_product_filter():
             assert monomials_up_to(n, d) == reference
 
 
+def test_monomials_up_to_matches_the_bars_comprehension():
+    # the former monomials_up_to, which built every gap tuple entry by entry
+    def bars(n, d):
+        return tuple(
+            tuple([b - a - 1 for a, b in zip((-1, *bars), bars)])
+            for bars in itertools.combinations(range(n + d), n)
+        )
+
+    for n in range(1, 7):
+        for d in range(5):
+            assert monomials_up_to(n, d) == bars(n, d), (n, d)
+
+
 def test_monomials_up_to_matches_the_recursive_order():
     @functools.lru_cache(maxsize=None)
     def recursive(n, d):

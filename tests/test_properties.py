@@ -348,7 +348,7 @@ def _divide_in_turn(ring, table, rounds):
             groebner, "COEFF_BIT_CAP", 512
         ):
             try:
-                rem, steps, bits = groebner._reduce(
+                rem, steps, bits, _ = groebner._reduce(
                     pk, dict(work), rows, ring.field, memo
                 )
                 ours.append((Polynomial(ring, pk.unpack(rem)).terms, steps, bits))
@@ -465,7 +465,11 @@ class TestCapOrder:
 # A draw whose basis over Q passes COEFF_BIT_CAP: ideal_equal raises on it.
 CAPPED_GENS = [
     parse_polynomial(text, RXY)
-    for text in ("x^5", "x^3*y^5 + 1/2*x^2*y^4 + x^2*y + 1", "x^4*y^5 + 5*x^3*y^3")
+    for text in (
+        "-4/3*x^5*y^4",
+        "1/2*x^5*y^4 - 3/4*x*y^5 + x^5 + 1",
+        "-x^3*y^3 - 3*x^5 + 1/4*x^2*y^3 - 3*x^3",
+    )
 ]
 
 

@@ -1,10 +1,11 @@
 """Library refusals reachable through the public API: exception type and text."""
 
-import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from gbtransfer import polyarith
 from gbtransfer.groebner import ideal, ideal_contains, ideal_member, s_polynomial
 from gbtransfer.polyarith import (
     GREVLEX,
@@ -118,11 +119,19 @@ def test_library_refusal(call, error, message):
 
 def test_written_out_product_refused_before_it_grows():
     # 2000 factors of 2^8192 are refused at the second, before any product
-    # is formed; multiplied out one by one they took seconds
-    t0 = time.monotonic()
-    with pytest.raises(ValueError, match="product coefficients could pass 8192 bits"):
-        parse_polynomial("*".join(["2^8192"] * 2000), RX)
-    assert time.monotonic() - t0 < 0.2
+    # of factors is formed; multiplied out one by one they took seconds.
+    # Every product a parse forms goes through its budget: 14 squarings and
+    # multiplies form each factor read, and none may join them
+    products, mul = [], polyarith._ProductBudget.mul
+
+    def spy(budget, p, q):
+        products.append((p, q))
+        return mul(budget, p, q)
+
+    with mock.patch.object(polyarith._ProductBudget, "mul", spy):
+        with pytest.raises(ValueError, match="product coefficients could pass 8192 bits"):
+            parse_polynomial("*".join(["2^8192"] * 2000), RX)
+    assert len(products) == 2 * 14
 
 
 def test_library_edge_answers():
