@@ -23,8 +23,7 @@ DEGREE_CAP = 64  # intermediate and basis-element total degree
 WORK_CAP = 10**8  # tail-term operations and pair tests of one basis computation
 STEP_CAP = 100_000  # reduction steps one division takes
 COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
-LAZY_BITS = 256  # a Q step with a factor this small adds without a gcd,
-LAZY_DEN = 1 << 1024  # first reducing a pending pair with a denominator this big
+LAZY_DEN = 1 << 1024  # a pending Q pair with a denominator this big is reduced
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -208,11 +207,12 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     Every term is one (m, c) pair over both fields: c is a residue over
     F_p and, over Q, a reduced (numerator, denominator) pair of ints, split
     once as the polynomials are packed; the loop works on plain ints and
-    the remainder leaves as Fractions again.  A step over Q whose factor
-    has at most LAZY_BITS bits adds unreduced, with no gcd (a pending pair
-    past LAZY_DEN is reduced first); a pair is reduced by one gcd as its
-    monomial is popped, where alone it is read, so factors, remainders and
-    cap messages are those of Fraction arithmetic.
+    the remainder leaves as Fractions again.  A step over Q adds each
+    product over a common denominator, unreduced and with no gcd, except
+    that a pending pair past LAZY_DEN is reduced before it grows on; a pair
+    is reduced by one gcd as its monomial is popped, where alone it is
+    read, so factors, remainders and cap messages are those of Fraction
+    arithmetic.
 
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
@@ -302,11 +302,9 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
 def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
     # work -= c / div * x^quot * tail on (n, d) int pairs, row (lead, div,
     # tail, top), cancelled entries 0, no product past cap (top + quot is the
-    # largest): _reduce's Q step and _spoly's difference.  A factor of at most
-    # LAZY_BITS bits multiplies plainly and adds over a common denominator, an
-    # unreduced list (a pair past LAZY_DEN reduced first); else products cancel
-    # across and a difference divides by the denominators' gcd, then by its
-    # gcd with the numerator (Knuth, TAOCP 4.5.1), a list if prev was; returns bits
+    # largest): _reduce's Q step and _spoly's difference.  Each product is
+    # formed plainly and added over a common denominator, an unreduced list,
+    # but a pending pair past LAZY_DEN is reduced before it grows on; returns bits
     fn, fd = c
     _, div, tail, top = row
     if div:
@@ -319,33 +317,22 @@ def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
     if top is not None and top + quot > cap:
         raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
-    low, lex, push, lazy = pk.low, pk.lex, heapq.heappush, bits <= LAZY_BITS
+    low, lex, push = pk.low, pk.lex, heapq.heappush
     for tm, (tn, td) in tail:
         mm = tm + quot
-        if lazy:
-            pn, pd = fn * tn, fd * td
-        else:
-            g1, g2 = gcd(fn, td), gcd(tn, fd)
-            pn, pd = fn // g1 * (tn // g2), fd // g2 * (td // g1)
+        pn, pd = fn * tn, fd * td
         prev = work.get(mm)
         if not prev:
             if prev is None:
                 push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-            work[mm] = [-pn, pd] if lazy else (-pn, pd)
+            work[mm] = [-pn, pd]
             continue
         an, ad = prev
-        if lazy:  # over a common denominator, unreduced
-            if ad >= LAZY_DEN:  # a large pair is reduced before it grows on
-                an, ad = an // (g := gcd(an, ad)), ad // g
-            if ad != pd:
-                an, ad, pn = an * pd, ad * pd, pn * ad
-            work[mm] = [an - pn, ad] if an != pn else 0
-            continue
-        g = gcd(ad, pd)
-        s = ad // g
-        t = an * (pd // g) - pn * s
-        g2 = gcd(t, g)
-        work[mm] = type(prev)((t // g2, s * (pd // g2))) if t else 0
+        if ad >= LAZY_DEN:
+            an, ad = an // (g := gcd(an, ad)), ad // g
+        if ad != pd:
+            an, ad, pn = an * pd, ad * pd, pn * ad
+        work[mm] = [an - pn, ad] if an != pn else 0
     return bits
 
 

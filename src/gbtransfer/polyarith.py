@@ -669,7 +669,8 @@ class _PolyParser:
                 raise ValueError("unbalanced parenthesis")
             self.depth -= 1
             return p
-        raise ValueError(f"unexpected token {tok!r} in polynomial text")
+        raise ValueError("unexpected end of polynomial text" if tok is None
+                         else f"unexpected token {tok!r} in polynomial text")
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

@@ -980,6 +980,9 @@ class TestRefusals:
             "complexity": 1, "field": "Q", "nvars": 1, "order": ["lex"],
             "rows": [],
         })), None, 2, "unknown monomial order ['lex']"),
+        *[(("member", "--vars", "x", "--ideal", "x", "--f", f), None, 2,
+           "unexpected end of polynomial text")
+          for f in ("", "x +", "x -", "x*", "-")],
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, edit, code, err):
         if edit is not None:

@@ -384,7 +384,7 @@ class TestKernelPins:
     def test_pivots_over_q_pinned(self, name, pivots):
         # and no Fraction enters the kernel: a work entry _reduce is given
         # is a reduced int pair, an int list with a positive denominator (a
-        # small step writes it unreduced) or a cancelled 0; every other
+        # step writes it unreduced) or a cancelled 0; every other
         # coefficient it sees or returns is a reduced int pair: a row
         # (lead, div, tail) div None or a pair and (m, (n, d)) tail terms
         steps = []
@@ -455,6 +455,26 @@ class TestKernelPins:
             c.numerator * pow(c.denominator, -1, p) % p
             for c in buchberger(pres).pivots
         )
+
+    def test_a_large_step_adds_into_a_pending_pair_unreduced(self):
+        # x by x - 3/2*z with the factor 2^301/27, of 307 bits: the product
+        # 2^301*-3/(27*2) would cancel a 2 and a 3 across, and its denominator
+        # shares a 6 with z's pending 1/6, yet it adds over their product
+        fn, fd, tn, td, an, ad = 2 ** 301, 27, -3, 2, 1, 6
+        z, entries, bits, sub = R3.variable(2), [], [], groebner._sub_pairs
+        c = R3.constant
+
+        def spy(pk, work, *args):
+            bits.append(sub(pk, work, *args))
+            entries.extend(work.values())
+            return bits[-1]
+
+        f = c(Fraction(fn, fd)) * P("x", R3) + c(Fraction(an, ad)) * z
+        with mock.patch.object(groebner, "_sub_pairs", spy):
+            got = normal_form(f, [P("x - 3/2*z", R3)])
+        pn, pd = fn * tn, fd * td
+        assert got == c(Fraction(an, ad) - Fraction(pn, pd)) * z
+        assert bits == [307] and entries == [[an * pd - pn * ad, ad * pd]]
 
 
 class TestMembership:

@@ -194,10 +194,10 @@ def _same_as_reference(f, divisors, step_cap, coeff_bit_cap):
 
 @st.composite
 def lazy_gate_problems(draw):
-    """Divisions over Q whose step factors straddle groebner.LAZY_BITS:
-    numerators and denominators of 90 to 160 bits, so factors of about 200
-    to 300 bits, and f a sum of multiples of divisors whose tails share
-    four low monomials, so that several steps add into one pending pair."""
+    """Divisions over Q with large step factors: numerators and
+    denominators of 90 to 160 bits, so factors of about 200 to 300 bits,
+    and f a sum of multiples of divisors whose tails share four low
+    monomials, so that several steps add into one pending pair."""
     ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
     size = st.integers(90, 160).flatmap(lambda b: st.integers(1 << b - 1, 1 << b))
     sign = st.sampled_from([1, -1])
@@ -225,11 +225,11 @@ def _x_power_past_coeff_cap():
 
 
 # Divisions over Q whose denominators share factors: a negative divisor
-# lead, both cross-cancelling gcds of a product above 1, differences whose
-# denominator gcd and whose gcd with the numerator are above 1, and a z that
-# cancels to 0, is written again and is then divided, so an unreduced pair
-# would show in the factor bits.  And one whose denominators are coprime,
-# so that every gcd of its pair arithmetic is 1.
+# lead, a factor that cancels against its divisor's lead, pending pairs
+# whose gcd at the pop is above 1, and a z that cancels to 0, is written
+# again and is then divided, so an unreduced pair would show in the factor
+# bits.  And one whose denominators are coprime, so that every gcd of its
+# pair arithmetic is 1.
 SHARED_DENOMINATORS = (
     P3("1/6*x + 7/16*y - 1/10*z"),
     [P3("-2/3*x + 1/4*y + 2/5*z"), P3("3/4*y - 5/6*z"), P3("3*z - 1")],
@@ -251,7 +251,7 @@ class TestHeapDivisionMatchesReference:
     @example(_x_power_past_coeff_cap())
     @settings(max_examples=100, deadline=None)
     def test_same_remainder_across_the_lazy_gate(self, problem):
-        # pairs a small step added unreduced meet steps that cross-cancel
+        # steps with factors of a few hundred bits add into pending pairs
         f, divisors = problem
         assert _same_as_reference(
             f, divisors, step_cap=5000, coeff_bit_cap=groebner.COEFF_BIT_CAP
