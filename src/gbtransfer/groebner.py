@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -23,7 +23,7 @@ DEGREE_CAP = 64  # intermediate and basis-element total degree
 WORK_CAP = 10**8  # tail-term operations and pair tests of one basis computation
 STEP_CAP = 100_000  # reduction steps one division takes
 COEFF_BIT_CAP = 8192  # numerator plus denominator bits of a division factor
-LAZY_DEN = 1 << 1024  # a pending Q pair with a denominator this big is reduced
+GCD_GATE = 1 << 1024  # past it a Q division cancels its denominator before raising it
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -103,11 +103,12 @@ class _Packing:
         self.guard, self.low = ones << (w - 1), (1 << s) - 1
         self.cap = ((cap + 1) << s) - 1
 
-    def unpack(self, terms) -> tuple:
-        # (m, c) terms, an (n, d) pair c into a Fraction
+    def unpack(self, terms, den=None) -> tuple:
+        # (m, c) terms, an int c over Q a numerator over den, into Fractions
         mask, offsets = (1 << self.w) - 1, self.offsets
         return tuple([(tuple([m >> o & mask for o in offsets]),
-                       Fraction(*c) if type(c) is tuple else c) for m, c in terms])
+                       c if den is None or type(c) is not int else
+                       Fraction(c, den) if den > 1 else Fraction(c)) for m, c in terms])
 
     def lcm(self, a: int, b: int) -> int:
         # field by field the larger exponent; their sum (< 2^(w-1)) is low mod 2^w - 1
@@ -123,50 +124,47 @@ class _Packing:
 
 def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tuple:
     # A packing (built once per shape) wide enough for polys, see normal_form,
-    # and polys packed under it as (m, c) terms, c over Q a reduced int pair
-    # (n, d); a term past DEGREE_CAP packs above pk.cap.
+    # and polys packed under it as (terms, D): (m, c) terms, c over Q an int
+    # numerator over the lcm D of the denominators, D None over F_p; a term
+    # past DEGREE_CAP packs above pk.cap.
     w = (2 * max(DEGREE_CAP, degree)).bit_length() + 1
     pk = _Packing(ring.nvars, ring.order.kind == "lex", w, DEGREE_CAP)
-    mults, q = pk.mults, isinstance(ring.field, RationalField)
-    packed = [[(sum(map(mul, m, mults)), (c.numerator, c.denominator) if q else c)
-               for m, c in g.terms] for g in polys]
-    if not degree and max([m for g in packed for m, _ in g], default=0) > pk.cap:
+    mults, q, packed = pk.mults, isinstance(ring.field, RationalField), []
+    for g in polys:
+        d = lcm(*[c.denominator for _, c in g.terms]) if q else None
+        packed.append(([(sum(map(mul, m, mults)), c if d is None else c.numerator if d == 1
+                         else c.numerator * (d // c.denominator)) for m, c in g.terms], d))
+    if not degree and max([m for t, _ in packed for m, _ in t], default=0) > pk.cap:
         return _packed(ring, polys, max(g.degree() for g in polys))
     return pk, packed
 
 
-def _row(terms: list, fld) -> tuple:
-    # the monic row of packed terms, built by _table (so div is None)
+def _row(packed: tuple, fld) -> tuple:
+    # the monic row of a packed (terms, D), built by _table (so div is None)
+    terms, d = packed
     lead = terms[0][1]
-    if isinstance(fld, RationalField):
-        n, d = lead
-        if n != d:  # times d / n, each product cancelled across
-            n, d = (-n, -d) if n < 0 else (n, d)
-            out = []
-            for m, (tn, td) in terms:
-                g1, g2 = gcd(tn, n), gcd(td, d)
-                out.append((m, (tn // g1 * (d // g2), td // g2 * (n // g1))))
-            terms = out
-    elif lead != 1:
+    if d and lead != d:  # over Q c / D over lead / D is c / lead, cancelled by their gcd
+        g = gcd(*[c for _, c in terms]) * (1 if lead > 0 else -1)
+        terms, d = [(m, c // g) for m, c in terms], lead // g
+    elif not d and lead != 1:
         inv, p = fld.inv(lead), fld.p
         terms = [(m, inv * c % p) for m, c in terms]
-    return _table([terms])[0]
+    return _table([(terms, d)])[0]
 
 
-def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> dict:
-    # two monic rows' tails shifted to the lcm of the leads, a's less b's,
-    # merged in a dict (over Q by _sub_pairs, uncapped, cancelled entries 0)
+def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> tuple:
+    # two monic rows' tails shifted to the lcm of the leads, a's less b's: a
+    # dict and its denominator (over Q by _sub_row, uncapped, cancelled 0s)
     lcm = pk.lcm(a[0], b[0])
     qa, qb = lcm - a[0], lcm - b[0]
     out = {m + qa: c for m, c in a[2]}
     if isinstance(fld, RationalField):
-        _sub_pairs(pk, out, [], b, qb, (1, 1), inf)
-        return out
+        return out, _sub_row(pk, out, a[4], [], b, qb, (1, 1), inf)[1]
     p = fld.p
     for m, c in b[2]:
         m += qb
         out[m] = (out.get(m, 0) - c) % p
-    return out
+    return out, None
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -175,8 +173,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    rem = _reduce(pk, _spoly(pk, a, b, fld), [], fld, {})[0]
-    return Polynomial(f.ring, pk.unpack(rem))
+    rem = _reduce(pk, *_spoly(pk, a, b, fld), [], fld, {})[0]
+    return Polynomial(f.ring, pk.unpack(*rem))
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -204,15 +202,16 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
 
-    Every term is one (m, c) pair over both fields: c is a residue over
-    F_p and, over Q, a reduced (numerator, denominator) pair of ints, split
-    once as the polynomials are packed; the loop works on plain ints and
-    the remainder leaves as Fractions again.  A step over Q adds each
-    product over a common denominator, unreduced and with no gcd, except
-    that a pending pair past LAZY_DEN is reduced before it grows on; a pair
-    is reduced by one gcd as its monomial is popped, where alone it is
-    read, so factors, remainders and cap messages are those of Fraction
-    arithmetic.
+    Every term is one (m, c) pair over both fields: c is a residue over F_p
+    and, over Q, an int numerator over its polynomial's one denominator,
+    the lcm of its coefficients', as the polynomials are packed; the loop
+    works on plain ints and the remainder leaves as Fractions again.  Over
+    Q a division's pending numerators share one denominator, raised to the
+    lcm with a step's (after one gcd past GCD_GATE) only where that does not
+    divide it, so each product is one multiply-add; a popped coefficient is
+    reduced by one gcd where a step reads it, and the remainder by one gcd
+    at the end, so factors, remainders and cap messages are those of
+    Fraction arithmetic.
 
     Division always terminates, but its steps grow with the degree of f,
     and under lex the intermediate degree and the rational coefficient size
@@ -234,38 +233,38 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
         raise AmbientMismatch("divisor outside the ambient ring")
     if not (f and any(divisors)):
         return f, 0, 0
-    pk, (work, *packed) = _packed(ring, (f, *divisors))
-    rem, steps, bits, _ = _reduce(pk, dict(work), _table(packed), ring.field, {})
-    return (Polynomial(ring, pk.unpack(rem)) if steps else f), steps, bits
+    pk, ((work, den), *packed) = _packed(ring, (f, *divisors))
+    rem, steps, bits, _ = _reduce(pk, dict(work), den, _table(packed), ring.field, {})
+    return (Polynomial(ring, pk.unpack(*rem)) if steps else f), steps, bits
 
 
 def _table(packed: list) -> list:
-    # the only row builder: packed divisors as _reduce's rows (lead, div,
-    # tail, top), div None for a 1; max reads no coefficient (monos differ)
-    return [(t[0][0], None if t[0][1] in (1, (1, 1)) else t[0][1], t[1:],
-             max(t[1:])[0] if len(t) > 1 else None) for t in packed if t]
+    # the only row builder: packed (terms, D) as _reduce's rows (lead, div,
+    # tail, top, D), div the lead coefficient (over Q its numerator) or None
+    # for a 1; max reads no coefficient (monos differ)
+    return [(t[0][0], None if t[0][1] == (d or 1) else t[0][1], t[1:],
+             max(t[1:])[0] if len(t) > 1 else None, d) for t, d in packed if t]
 
 
-def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
-    # _divide, packed: work divided in place by rows (lead, div, tail, top),
-    # div the lead coefficient or None for 1, top the largest tail monomial
-    # or None, c as _packed builds it or in work an unreduced Q list; memo
-    # maps a monomial to its first divisor row or, if none divides it, to the
-    # count of rows tested; ops sums step tail lengths (over Q times 16-bit units)
+def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tuple:
+    # _divide, packed: work (over Q numerators over den) divided in place by
+    # rows (lead, div, tail, top, D), top the largest tail monomial or None,
+    # into the remainder (no step adds to a monomial it has popped); memo maps
+    # a monomial to its first divisor row or, if none divides it, to the count
+    # of rows tested; returns the remainder packed as _packed does, steps, top
+    # bits and ops (step tail lengths, over Q times 16-bit units)
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
     q, push = isinstance(fld, RationalField), heapq.heappush
     p = None if q else fld.p
-    # work holds every monomial on the heap, cancelled ones with coefficient 0
+    # every monomial on the heap is in work, cancelled ones with coefficient 0
     heap = sorted(map(pk.key, work))
-    rem, steps, top_bits, ops = [], 0, 0, 0
+    steps = top_bits = ops = 0
     while heap:
         m = heapq.heappop(heap)
         m = pk.lcm(-m, 0) if lex else m - (m >> shift << shift + 1)
         c = work.pop(m)
         if not c:
             continue
-        if type(c) is list:  # a Q pair written unreduced: reduced once, here
-            c = (c[0] // (g := gcd(*c)), c[1] // g)
         row = memo.get(m, 0)
         if type(row) is int:  # no row before the row-th divides m
             for row in table[row:] if row else table:
@@ -273,16 +272,16 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
                     memo[m] = row
                     break
             else:
-                memo[m] = len(table)
-                rem.append((m, c))
+                memo[m], work[m] = len(table), c
                 continue
-        gm, gc, gtail, top = row
+        gm, gc, gtail, top, _ = row
         quot = m - gm
         steps += 1
         if steps > STEP_CAP:
             raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
-        if q:
-            bits = _sub_pairs(pk, work, heap, row, quot, c, cap)
+        if q:  # the numerator over den as a reduced (n, d) pair
+            c = (c // (g := gcd(c, den)), den // g) if den != 1 else (c, 1)
+            bits, den = _sub_row(pk, work, den, heap, row, quot, c, cap)
             top_bits, ops = max(top_bits, bits), ops + len(gtail) * (bits >> 4 or 1)
             continue
         ops += len(gtail)
@@ -296,44 +295,46 @@ def _reduce(pk: _Packing, work: dict, table: list, fld, memo: dict) -> tuple:
                 push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
                 prev = 0
             work[mm] = (prev - factor * tc) % p
-    return rem, steps, top_bits, ops
+    if q and den != 1 and (g := gcd(den, *work.values())) > 1:
+        work, den = {m: c // g for m, c in work.items()}, den // g
+    return (list(work.items()), den if q else None), steps, top_bits, ops
 
 
-def _sub_pairs(pk, work, heap, row, quot, c, cap) -> int:
-    # work -= c / div * x^quot * tail on (n, d) int pairs, row (lead, div,
-    # tail, top), cancelled entries 0, no product past cap (top + quot is the
-    # largest): _reduce's Q step and _spoly's difference.  Each product is
-    # formed plainly and added over a common denominator, an unreduced list,
-    # but a pending pair past LAZY_DEN is reduced before it grows on; returns bits
+def _sub_row(pk, work, den, heap, row, quot, c, cap) -> tuple:
+    # work -= c / div * x^quot * tail over Q, no product past cap (top + quot
+    # the largest): _reduce's step and _spoly's difference.  Where fd * D does
+    # not divide den, work and den are divided by their gcd past GCD_GATE and
+    # raised to the lcm, so each product is one k * tn; returns bits and den
     fn, fd = c
-    _, div, tail, top = row
-    if div:
-        g1, g2 = gcd(fn, div[0]), gcd(fd, div[1])
-        fn, fd = fn // g1 * (div[1] // g2), fd // g2 * (div[0] // g1)
-        if fd < 0:
-            fn, fd = -fn, -fd
+    _, div, tail, top, d = row
+    if div:  # c over div / D, reduced by one gcd
+        fn, fd = fn * d, fd * div
+        g = gcd(fn, fd) if fd > 0 else -gcd(fn, fd)
+        fn, fd = fn // g, fd // g
     bits = fn.bit_length() + fd.bit_length()
     if bits > COEFF_BIT_CAP:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
     if top is not None and top + quot > cap:
         raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
-    low, lex, push = pk.low, pk.lex, heapq.heappush
-    for tm, (tn, td) in tail:
+    fd *= d
+    if den % fd:
+        if den > GCD_GATE and (g := gcd(den, *work.values())) > 1:
+            den //= g
+            for m in work:
+                work[m] //= g
+        s = fd if den == 1 else fd // gcd(den, fd)
+        den *= s
+        for m in work:
+            work[m] *= s
+    k, low, lex, push = fn * (den // fd), pk.low, pk.lex, heapq.heappush
+    for tm, tn in tail:
         mm = tm + quot
-        pn, pd = fn * tn, fd * td
         prev = work.get(mm)
-        if not prev:
-            if prev is None:
-                push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-            work[mm] = [-pn, pd]
-            continue
-        an, ad = prev
-        if ad >= LAZY_DEN:
-            an, ad = an // (g := gcd(an, ad)), ad // g
-        if ad != pd:
-            an, ad, pn = an * pd, ad * pd, pn * ad
-        work[mm] = [an - pn, ad] if an != pn else 0
-    return bits
+        if prev is None:
+            push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
+            prev = 0
+        work[mm] = prev - k * tn
+    return bits, den
 
 
 def _reduce_basis(G: list, live: dict, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
@@ -347,9 +348,9 @@ def _reduce_basis(G: list, live: dict, pk: _Packing, ring: PolyRing, pivots: lis
         # no other lead divides g's, so only the tail reduces, and the pivot is
         # 1; g's lead divides no monomial below it, so minimal serves as table
         pivots.append(fld.one)
-        out.append((g[0], _reduce(pk, dict(g[2]), minimal, fld, memo)[0]))
+        out.append((g[0], *_reduce(pk, dict(g[2]), g[4], minimal, fld, memo)[0]))
     out.sort(key=lambda row: pk.key(row[0]))
-    return tuple(Polynomial(ring, pk.unpack([(g[0], fld.one), *g[1]])) for g in out)
+    return tuple(Polynomial(ring, pk.unpack([(m, fld.one), *t], d)) for m, t, d in out)
 
 
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
@@ -364,9 +365,9 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     Q times its factor's 16-bit units, at least 1), an update's lcm or
     divisibility test 1; GroebnerBasis.work is the sum.  It, DEGREE_CAP on each
     new element and the division caps raise DegreeCapExceeded.  Every call
-    computes; ``pres.basis`` keeps the result.  Monomials stay packed, and
-    coefficients over Q reduced int pairs (see normal_form), until the end; one
-    first-divisor memo serves every S-pair reduction by the growing G.
+    computes; ``pres.basis`` keeps the result.  Monomials stay packed, and over
+    Q each row's coefficients numerators over one denominator (see normal_form),
+    until the end; one first-divisor memo serves every S-pair reduction.
     """
     ring, fld = pres.ring, pres.ring.field
     gens = [g for g in pres.generators if g]
@@ -405,15 +406,15 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         charge(tests)
 
     for t in packed:
-        add(_row(t, fld), max(t)[0] >> shift)
+        add(_row(t, fld), max(t[0])[0] >> shift)
     while heap:
         sugar, _, _, _, i, j = heapq.heappop(heap)
-        r, _, _, ops = _reduce(pk, _spoly(pk, G[i], G[j], fld), G, fld, memo)
+        r, _, _, ops = _reduce(pk, *_spoly(pk, G[i], G[j], fld), G, fld, memo)
         charge(len(G[j][2]) + ops)
-        if r:
-            if max(r)[0] > pk.cap:
+        if r[0]:
+            if max(r[0])[0] > pk.cap:
                 raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
-            pivots.append(pk.unpack(r[:1])[0][1])
+            pivots.append(pk.unpack(r[0][:1], r[1])[0][1])
             add(_row(r, fld), sugar)
     return GroebnerBasis(_reduce_basis(G, live, pk, ring, pivots), tuple(pivots), work)
 

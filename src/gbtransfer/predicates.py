@@ -288,27 +288,26 @@ class _Rows:
     def __init__(self, ring, basis: Sequence[Polynomial], degree: int) -> None:
         self.ring, self.basis, self.den, self.rows = ring, basis, 1, {}
         self.fld = fld = ring.field
-        self.p, self.one = (fld.p, 1) if isinstance(fld, PrimeField) else (None, (1, 1))
+        self.p = fld.p if isinstance(fld, PrimeField) else None
         degree = max([degree, *(g.degree() for g in basis)])  # an empty basis too
         self.pk, packed = _packed(ring, basis, degree)
         self.table, self.memo = _table(packed), {}
 
     def _add(self, m: int):
-        rows, q = self.rows, self.p is None
+        rows = self.rows
         try:
-            nf, steps, bits, _ = _reduce(self.pk, {m: self.one}, self.table, self.fld, self.memo)
+            (nf, d), steps, bits, _ = _reduce(self.pk, {m: 1}, 1, self.table, self.fld, self.memo)
         except DegreeCapExceeded:
             rows[m] = None
             return None
-        d = math.lcm(*(c[1] for _, c in nf)) if q else 1  # c over Q is (n, d)
-        if self.den % d:
+        if d and self.den % d:  # over Q nf holds integers over d
             scale = d // math.gcd(self.den, d)
             self.den *= scale
             for k, r in rows.items():
                 if r is not None:
                     rows[k] = (tuple((t, v * scale) for t, v in r[0]), *r[1:])
-        vec = tuple((t, n * self.den // d) for t, (n, d) in nf) if q else tuple(nf)
-        rows[m] = (vec, steps, bits)
+        k = self.den // d if d else 1
+        rows[m] = (tuple((t, v * k) for t, v in nf), steps, bits)
         return rows[m]
 
     def zero(self, terms) -> bool:

@@ -318,36 +318,36 @@ class TestPairCriteria:
         assert len(over_p.pivots) == len(over_q.pivots)
 
 
-def _int_pair(v, kind=tuple):
+def _reduced_pair(v):
     return (
-        type(v) is kind and len(v) == 2 and all(type(x) is int for x in v)
-        and v[0] != 0 and v[1] > 0
+        type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+        and v[0] != 0 and v[1] > 0 and gcd(*v) == 1
     )
 
 
-def _reduced_pair(v):
-    return _int_pair(v) and gcd(*v) == 1
+def _den(d):
+    return type(d) is int and d > 0
 
 
-def _pending_pair(v):
-    # a pair written unreduced is a list, a tuple is reduced
-    return _int_pair(v, list) or _reduced_pair(v)
+def _layout_spy(num, den, div, steps):
+    """A _reduce that asserts the layout of what it is given and returns:
+    every work entry passes num or is a cancelled 0, every row's tail
+    coefficient and every remainder coefficient passes num and is nonzero,
+    every denominator passes den, a row's div is None or passes div, and
+    the remainder is (terms, d) with no common factor of d and its terms'
+    coefficients over Q; records each division's steps."""
+    reduce = groebner._reduce
 
-
-def _layout_spy(coeff, steps, pending=None):
-    """A _reduce that asserts every coefficient it is given or returns
-    passes coeff, except that a work entry passes pending (coeff if None)
-    or is a cancelled 0, and that records each division's steps."""
-    reduce, pending = groebner._reduce, pending or coeff
-
-    def spy(pk, work, table, fld, memo):
-        assert all(type(v) is int and v == 0 or pending(v) for v in work.values())
-        for gm, div, tail, top in table:
-            assert type(gm) is int and (div is None or coeff(div))
-            assert all(type(m) is int and coeff(c) for m, c in tail)
+    def spy(pk, work, d, table, fld, memo):
+        assert den(d) and all(v == 0 or num(v) for v in work.values())
+        for gm, gc, tail, top, gd in table:
+            assert type(gm) is int and (gc is None or div(gc)) and den(gd)
+            assert all(type(m) is int and c and num(c) for m, c in tail)
             assert top == max([m for m, _ in tail], default=None)
-        out = reduce(pk, work, table, fld, memo)
-        assert all(type(m) is int and coeff(c) for m, c in out[0])
+        out = reduce(pk, work, d, table, fld, memo)
+        terms, rd = out[0]
+        assert den(rd) and all(type(m) is int and c and num(c) for m, c in terms)
+        assert rd is None or gcd(rd, *[c for _, c in terms]) == 1
         steps.append(out[1])
         return out
 
@@ -382,17 +382,23 @@ class TestKernelPins:
                           "1ec20219ef40fed40fb44037c0ef0a69")),
     ])
     def test_pivots_over_q_pinned(self, name, pivots):
-        # and no Fraction enters the kernel: a work entry _reduce is given
-        # is a reduced int pair, an int list with a positive denominator (a
-        # step writes it unreduced) or a cancelled 0; every other
-        # coefficient it sees or returns is a reduced int pair: a row
-        # (lead, div, tail) div None or a pair and (m, (n, d)) tail terms
-        steps = []
+        # and no Fraction enters the kernel: _reduce is given and returns
+        # int numerators over positive int denominators, a row (lead, div,
+        # tail, top, D) has div None or an int, and each factor a step is
+        # given is a reduced pair: the popped numerator over den, less a gcd
+        steps, factors, sub = [], [], groebner._sub_row
         pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
-        spy = _layout_spy(_reduced_pair, steps, pending=_pending_pair)
-        with mock.patch.object(groebner, "_reduce", spy):
+
+        def factor_spy(pk, work, den, heap, row, quot, c, cap):
+            factors.append(c)
+            return sub(pk, work, den, heap, row, quot, c, cap)
+
+        spy = _layout_spy(lambda v: type(v) is int, _den, lambda v: type(v) is int, steps)
+        with mock.patch.object(groebner, "_reduce", spy), mock.patch.object(
+            groebner, "_sub_row", factor_spy
+        ):
             got = buchberger(pres).pivots
-        assert sum(steps)
+        assert sum(steps) and all(_reduced_pair(c) for c in factors)
         # exceptional_primes reads the numerator and denominator of each
         assert all(isinstance(c, Fraction) for c in got)
         if isinstance(pivots, tuple):
@@ -401,43 +407,58 @@ class TestKernelPins:
         else:
             assert got == tuple(map(Fraction, pivots))
 
-    def test_lazy_pending_denominators_pass_the_gate_by_one_contribution(self):
-        # x^i*y^(20-i) reduced by x^i*y^(20-i) - 3^-(200+i)*z: 21 steps of
-        # factor 1 pile their products onto z.  Added unreduced the pending
-        # denominator of z grows past LAZY_DEN; the next step reduces the
-        # pair before it adds, so no denominator passes it by more than one
-        # product's.
-        k, z = 20, R3.variable(2)
-        leads = [P(f"x^{i}*y^{k - i}", R3) for i in range(k + 1)]
-        tails = [Fraction(1, 3 ** (200 + i)) for i in range(k + 1)]
-        divisors = [g - R3.constant(c) * z for g, c in zip(leads, tails)]
-        dens, sub = [], groebner._sub_pairs
+    @pytest.mark.parametrize("q, last", [
+        (groebner.GCD_GATE + 1, 3),
+        (groebner.GCD_GATE - 3, 3 * (groebner.GCD_GATE - 3)),
+    ], ids=["past_the_gate", "below_the_gate"])
+    def test_the_gate_cancels_the_shared_denominator(self, q, last):
+        # x + y + w by x - z/q, y + z/q and w - t/3: the first step raises
+        # the denominator to q, the second adds over it and cancels z to 0,
+        # so every pending numerator is a multiple of q.  The third step
+        # needs a 3: past GCD_GATE the denominator is first divided by the
+        # gcd, q, and rises to 3, below it rises to 3*q
+        ring = PolyRing(QQ, 5, GREVLEX, ("x", "y", "w", "z", "t"))
+        x, y, w, z, t = map(ring.variable, range(5))
+        c, dens, sub = ring.constant, [], groebner._sub_row
+
+        def spy(*args):
+            bits, den = sub(*args)
+            dens.append(den)
+            return bits, den
+
+        divisors = [
+            x - c(Fraction(1, q)) * z, y + c(Fraction(1, q)) * z, w - c(Fraction(1, 3)) * t
+        ]
+        with mock.patch.object(groebner, "_sub_row", spy):
+            got = normal_form(x + y + w, divisors)
+        assert got == c(Fraction(1, 3)) * t and dens == [q, q, last]
+
+    def test_a_step_raises_the_shared_denominator_to_the_lcm(self):
+        # 1/6*z + x + y by x - 1/3*z and y - 1/4*z: f is packed over 6, which
+        # 3 divides, so the first step adds 2 * -1 without a rescale; 4 does
+        # not, so the second raises 6 and every pending numerator by 2, to
+        # the lcm 12, not to 24
+        z, entries, dens, sub = R3.variable(2), [], [], groebner._sub_row
+        c = R3.constant
 
         def spy(pk, work, *args):
-            bits = sub(pk, work, *args)
-            dens.extend(v[1] for v in work.values() if v)
-            return bits
+            bits, den = sub(pk, work, *args)
+            entries.append(dict(work))
+            dens.append(den)
+            return bits, den
 
-        with mock.patch.object(groebner, "_sub_pairs", spy):
-            got = normal_form(sum(leads, R3.zero()), divisors)
-        assert got == R3.constant(sum(tails)) * z
-        assert groebner.LAZY_DEN <= max(dens) < groebner.LAZY_DEN * 3 ** (200 + k)
-
-    def test_a_lazy_step_past_lazy_den_writes_a_list(self):
-        # x by x - 1/3*z multiplies the factor 3 plainly, so -3/3 meets z's
-        # 1/(LAZY_DEN + 1), a reduced pair past LAZY_DEN: their difference
-        # keeps the 3, is a list and is reduced as z is popped
-        z, steps = R3.variable(2), []
-        c = Fraction(1, groebner.LAZY_DEN + 1)
-        spy = _layout_spy(_reduced_pair, steps, pending=_pending_pair)
-        with mock.patch.object(groebner, "_reduce", spy):
-            got = normal_form(P("3*x", R3) + R3.constant(c) * z, [P("x - 1/3*z", R3)])
-        assert got == R3.constant(1 + c) * z and steps == [1]
+        f = c(Fraction(1, 6)) * z + P("x + y", R3)
+        with mock.patch.object(groebner, "_sub_row", spy):
+            got = normal_form(f, [P("x - 1/3*z", R3), P("y - 1/4*z", R3)])
+        my, mz = groebner._packed(R3, [f])[0].mults[1:]
+        assert got == c(Fraction(3, 4)) * z
+        assert dens == [6, 12] and entries == [{my: 6, mz: 3}, {mz: 9}]
 
     def test_pivots_over_fp_are_the_q_pivots_mod_p(self):
         # the F_32003 twin: every coefficient is a residue, an int in
-        # 0..p-1, a row's div None or a residue; and katsura4 takes the
-        # same run as over Q, so its pivots are Q's reduced mod p
+        # 0..p-1, a row's div None or a residue, every denominator None;
+        # and katsura4 takes the same run as over Q, so its pivots are Q's
+        # reduced mod p
         p, steps = 32003, []
         pres = kernel_ideal("katsura4")
         ring = pres.ring.with_field(PrimeField(p))
@@ -448,7 +469,8 @@ class TestKernelPins:
         def residue(v):
             return type(v) is int and 0 <= v < p
 
-        with mock.patch.object(groebner, "_reduce", _layout_spy(residue, steps)):
+        spy = _layout_spy(residue, lambda d: d is None, residue, steps)
+        with mock.patch.object(groebner, "_reduce", spy):
             got = buchberger(pres_p).pivots
         assert sum(steps)
         assert got == tuple(
@@ -456,25 +478,25 @@ class TestKernelPins:
             for c in buchberger(pres).pivots
         )
 
-    def test_a_large_step_adds_into_a_pending_pair_unreduced(self):
-        # x by x - 3/2*z with the factor 2^301/27, of 307 bits: the product
-        # 2^301*-3/(27*2) would cancel a 2 and a 3 across, and its denominator
-        # shares a 6 with z's pending 1/6, yet it adds over their product
-        fn, fd, tn, td, an, ad = 2 ** 301, 27, -3, 2, 1, 6
-        z, entries, bits, sub = R3.variable(2), [], [], groebner._sub_pairs
+    def test_a_large_step_adds_one_product_over_the_shared_denominator(self):
+        # x by x - 3/2*z with the factor 2^301/27, of 307 bits: f is packed
+        # over lcm(27, 6) = 54, which is the factor's 27 times the row's 2,
+        # so the step adds 2^301 * -3 to z's 9 with no rescale and no gcd
+        fn, fd = 2 ** 301, 27
+        z, entries, bits, dens, sub = R3.variable(2), [], [], [], groebner._sub_row
         c = R3.constant
 
         def spy(pk, work, *args):
-            bits.append(sub(pk, work, *args))
+            b, den = sub(pk, work, *args)
+            bits.append(b), dens.append(den)
             entries.extend(work.values())
-            return bits[-1]
+            return b, den
 
-        f = c(Fraction(fn, fd)) * P("x", R3) + c(Fraction(an, ad)) * z
-        with mock.patch.object(groebner, "_sub_pairs", spy):
+        f = c(Fraction(fn, fd)) * P("x", R3) + c(Fraction(1, 6)) * z
+        with mock.patch.object(groebner, "_sub_row", spy):
             got = normal_form(f, [P("x - 3/2*z", R3)])
-        pn, pd = fn * tn, fd * td
-        assert got == c(Fraction(an, ad) - Fraction(pn, pd)) * z
-        assert bits == [307] and entries == [[an * pd - pn * ad, ad * pd]]
+        assert got == c(Fraction(1, 6) + Fraction(fn * 3, fd * 2)) * z
+        assert bits == [307] and dens == [54] and entries == [9 + 3 * fn]
 
 
 class TestMembership:

@@ -197,7 +197,8 @@ def lazy_gate_problems(draw):
     """Divisions over Q with large step factors: numerators and
     denominators of 90 to 160 bits, so factors of about 200 to 300 bits,
     and f a sum of multiples of divisors whose tails share four low
-    monomials, so that several steps add into one pending pair."""
+    monomials, so that several steps add into one pending numerator and
+    the shared denominator is raised past GCD_GATE."""
     ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
     size = st.integers(90, 160).flatmap(lambda b: st.integers(1 << b - 1, 1 << b))
     sign = st.sampled_from([1, -1])
@@ -217,19 +218,63 @@ def lazy_gate_problems(draw):
 
 def _x_power_past_coeff_cap():
     # x^45 + x^44 by (2^100 + 1)*x - 3^63: the first step, of factor 1,
-    # adds onto x^44 unreduced; then each factor is about 200 bits larger
-    # than the last, past COEFF_BIT_CAP after about 40 steps
+    # adds onto x^44; then each factor is about 200 bits larger than the
+    # last, past COEFF_BIT_CAP after about 40 steps, and each raises the
+    # shared denominator by 2^100 + 1
     x = RXY.variable(0)
     g = RXY.constant(Fraction(2 ** 100 + 1)) * x - RXY.constant(Fraction(3 ** 63))
     return x ** 45 + x ** 44, [g]
 
 
+PRIMES = (3, 5, 7, 11)
+
+
+@st.composite
+def coprime_denominator_problems(draw):
+    """Divisions over Q whose rows have pairwise coprime denominators: the
+    i-th row's are powers of the i-th of PRIMES, f's of 13, of about 2^300 to
+    2^400, and f a sum of at least two multiples of each of three or four
+    rows, so that most steps raise the shared denominator and it passes
+    GCD_GATE; under a coefficient cap of 1024 bits or the default."""
+    ring = PolyRing(QQ, 3, draw(orders), ("x", "y", "z"))
+
+    def coeffs(prime):
+        bits = prime.bit_length()
+        power = st.integers(300 // bits, 400 // bits).map(lambda e: prime ** e)
+        return st.builds(Fraction, st.integers(-9, 9).filter(bool), power)
+
+    def poly(prime, min_terms, max_terms, monos=monomials3):
+        terms = st.lists(st.tuples(coeffs(prime), monos), min_size=min_terms,
+                         max_size=max_terms)
+        return terms.map(ring.from_terms)
+
+    lead = monomials3.filter(lambda m: sum(m) >= 2)
+    low = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    divisors = []
+    for prime in PRIMES[:draw(st.integers(3, len(PRIMES)))]:
+        tail = draw(poly(prime, 0, 3, low))
+        divisors.append(ring.from_terms([(draw(coeffs(prime)), draw(lead))]) + tail)
+    f = draw(poly(13, 0, 2))
+    for g in divisors:
+        f = f + draw(poly(13, 2, 3)) * g
+    return f, divisors, draw(st.sampled_from([1024, groebner.COEFF_BIT_CAP]))
+
+
+def _coprime_rows_past_the_gate():
+    # three rows over 3^200, 5^130 and 7^110 and f over 11^100 and 13^90:
+    # the shared denominator passes GCD_GATE at the second step
+    divisors = [
+        P3("x^2 - 1/3^200*y - z"), P3("y^2 - 1/5^130*x - 1"), P3("z^2 - 1/7^110*x + y")
+    ]
+    return P3("1/11^100*x^3 + y^3 + 1/13^90*z^3 + x*y*z"), divisors, groebner.COEFF_BIT_CAP
+
+
 # Divisions over Q whose denominators share factors: a negative divisor
-# lead, a factor that cancels against its divisor's lead, pending pairs
-# whose gcd at the pop is above 1, and a z that cancels to 0, is written
-# again and is then divided, so an unreduced pair would show in the factor
-# bits.  And one whose denominators are coprime, so that every gcd of its
-# pair arithmetic is 1.
+# lead, a factor that cancels against its divisor's lead, pending
+# numerators whose gcd with the shared denominator at the pop is above 1,
+# and a z that cancels to 0, is written again and is then divided, so an
+# unreduced coefficient would show in the factor bits.  And one whose
+# denominators are coprime, so that every step raises the denominator.
 SHARED_DENOMINATORS = (
     P3("1/6*x + 7/16*y - 1/10*z"),
     [P3("-2/3*x + 1/4*y + 2/5*z"), P3("3/4*y - 5/6*z"), P3("3*z - 1")],
@@ -256,6 +301,27 @@ class TestHeapDivisionMatchesReference:
         assert _same_as_reference(
             f, divisors, step_cap=5000, coeff_bit_cap=groebner.COEFF_BIT_CAP
         )
+
+    @given(coprime_denominator_problems())
+    @example(_coprime_rows_past_the_gate())
+    @settings(max_examples=60, deadline=None)
+    def test_same_remainder_over_coprime_row_denominators(self, problem):
+        # and the same steps, factor bits or cap message, as _capped asserts
+        f, divisors, coeff_bit_cap = problem
+        _capped(f, divisors, step_cap=5000, coeff_bit_cap=coeff_bit_cap)
+
+    def test_coprime_row_denominators_pass_the_gate(self):
+        f, divisors, _ = _coprime_rows_past_the_gate()
+        dens, sub = [], groebner._sub_row
+
+        def spy(*args):
+            bits, den = sub(*args)
+            dens.append(den)
+            return bits, den
+
+        with mock.patch.object(groebner, "_sub_row", spy):
+            assert _capped(f, divisors)[1:] == (3, 347)
+        assert dens[0] < groebner.GCD_GATE < dens[1] < dens[2]
 
     @given(division_problems())
     @example(SHARED_DENOMINATORS)
@@ -343,15 +409,15 @@ def _divide_in_turn(ring, table, rounds):
     rows, memo, ours, refs = groebner._table(packed[:len(table)]), {}, [], []
     packed = packed[len(table):]
     caps = (groebner.DEGREE_CAP, 300, 512)
-    for (f, new), work, row in zip(rounds, packed[::2], packed[1::2]):
+    for (f, new), (work, den), row in zip(rounds, packed[::2], packed[1::2]):
         with mock.patch.object(groebner, "STEP_CAP", 300), mock.patch.object(
             groebner, "COEFF_BIT_CAP", 512
         ):
             try:
                 rem, steps, bits, _ = groebner._reduce(
-                    pk, dict(work), rows, ring.field, memo
+                    pk, dict(work), den, rows, ring.field, memo
                 )
-                ours.append((Polynomial(ring, pk.unpack(rem)).terms, steps, bits))
+                ours.append((Polynomial(ring, pk.unpack(*rem)).terms, steps, bits))
             except DegreeCapExceeded as exc:
                 ours.append(str(exc))
         refs.append(_division_outcome(reference_divide, f, divisors, *caps))
@@ -602,7 +668,7 @@ class TestPackedLcm:
     @example((PolyRing(QQ, 1000, LEX), _exps(0, e=1), _exps(1, e=1)))
     def test_field_wise_max(self, problem):
         ring, a, b = problem
-        pk, ((ta,), (tb,)) = groebner._packed(
+        pk, (((ta,), _), ((tb,), _)) = groebner._packed(
             ring, [Polynomial(ring, ((m, QQ.one),)) for m in (a, b)]
         )
         # the width _packed picks keeps any lcm's degree below 2^(w-1)
@@ -631,8 +697,9 @@ R3_F7 = PolyRing(PrimeField(7), 3, GREVLEX, ("x", "y", "z"))
 
 class TestSPolynomialMatchesReference:
     """s_polynomial makes both rows monic and merges them on packed
-    coefficients, residues over F_p and reduced int pairs over Q; the
-    reference multiplies and subtracts Fractions or residues."""
+    coefficients, residues over F_p and over Q int numerators over one
+    denominator; the reference multiplies and subtracts Fractions or
+    residues."""
 
     @given(s_pairs())
     # negative and non-unit leads with denominators that share factors,
