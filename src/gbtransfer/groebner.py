@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -104,11 +104,11 @@ class _Packing:
         self.cap = ((cap + 1) << s) - 1
 
     def unpack(self, terms, den=None) -> tuple:
-        # (m, c) terms, an int c over Q a numerator over den, into Fractions
+        # (m, c) terms, c over Q a numerator over den, into Fractions
         mask, offsets = (1 << self.w) - 1, self.offsets
         return tuple([(tuple([m >> o & mask for o in offsets]),
-                       c if den is None or type(c) is not int else
-                       Fraction(c, den) if den > 1 else Fraction(c)) for m, c in terms])
+                       c if den is None else Fraction(c, den) if den > 1 else Fraction(c))
+                      for m, c in terms])
 
     def lcm(self, a: int, b: int) -> int:
         # field by field the larger exponent; their sum (< 2^(w-1)) is low mod 2^w - 1
@@ -152,19 +152,18 @@ def _row(packed: tuple, fld) -> tuple:
     return _table([(terms, d)])[0]
 
 
-def _spoly(pk: _Packing, a: tuple, b: tuple, fld) -> tuple:
-    # two monic rows' tails shifted to the lcm of the leads, a's less b's: a
-    # dict and its denominator (over Q by _sub_row, uncapped, cancelled 0s)
-    lcm = pk.lcm(a[0], b[0])
-    qa, qb = lcm - a[0], lcm - b[0]
-    out = {m + qa: c for m, c in a[2]}
-    if isinstance(fld, RationalField):
-        return out, _sub_row(pk, out, a[4], [], b, qb, (1, 1), inf)[1]
-    p = fld.p
+def _spoly(pk: _Packing, a: tuple, b: tuple) -> tuple:
+    # two monic rows' tails shifted to the lcm of the leads, a's less b's, as
+    # pending ints (cancelled 0s kept) over D = lcm(D_a, D_b), None over F_p
+    lm = pk.lcm(a[0], b[0])
+    qa, qb, da, db = lm - a[0], lm - b[0], a[4], b[4]
+    d = da and lcm(da, db)
+    ka, kb = (d // da, d // db) if d else (1, 1)
+    out = {m + qa: ka * c for m, c in a[2]}
     for m, c in b[2]:
         m += qb
-        out[m] = (out.get(m, 0) - c) % p
-    return out, None
+        out[m] = out.get(m, 0) - kb * c
+    return out, d
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -173,7 +172,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f.leading_term(), g.leading_term()  # ValueError for a zero polynomial
     fld, (pk, packed) = f.ring.field, _packed(f.ring, (f, g))
     a, b = (_row(t, fld) for t in packed)
-    rem = _reduce(pk, *_spoly(pk, a, b, fld), [], fld, {})[0]
+    rem = _reduce(pk, *_spoly(pk, a, b), [], fld, {})[0]
     return Polynomial(f.ring, pk.unpack(*rem))
 
 
@@ -205,10 +204,13 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     Every term is one (m, c) pair over both fields: c is a residue over F_p
     and, over Q, an int numerator over its polynomial's one denominator,
     the lcm of its coefficients', as the polynomials are packed; the loop
-    works on plain ints and the remainder leaves as Fractions again.  Over
-    Q a division's pending numerators share one denominator, raised to the
-    lcm with a step's (after one gcd past GCD_GATE) only where that does not
-    divide it, so each product is one multiply-add; a popped coefficient is
+    works on plain ints and the remainder leaves as Fractions again.  A
+    pending coefficient, written but not yet read, is a plain int over both
+    fields, so one tail loop serves both: each product is one multiply-add,
+    and a coefficient is read only when its monomial is popped, over F_p by
+    one ``% p`` (delayed reduction).  Over Q a division's pending numerators
+    share one denominator, raised to the lcm with a step's (after one gcd
+    past GCD_GATE) only where that does not divide it; a popped numerator is
     reduced by one gcd where a step reads it, and the remainder by one gcd
     at the end, so factors, remainders and cap messages are those of
     Fraction arithmetic.
@@ -247,15 +249,14 @@ def _table(packed: list) -> list:
 
 
 def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tuple:
-    # _divide, packed: work (over Q numerators over den) divided in place by
-    # rows (lead, div, tail, top, D), top the largest tail monomial or None,
-    # into the remainder (no step adds to a monomial it has popped); memo maps
-    # a monomial to its first divisor row or, if none divides it, to the count
-    # of rows tested; returns the remainder packed as _packed does, steps, top
-    # bits and ops (step tail lengths, over Q times 16-bit units)
+    # _divide, packed: work (pending ints, over Q numerators over den) divided
+    # in place by rows (lead, div, tail, top, D), top the largest tail monomial
+    # or None, into the remainder (no step adds to a monomial it has popped);
+    # memo maps a monomial to its first divisor row or, if none divides it, to
+    # the count of rows tested; returns the remainder packed as _packed does,
+    # steps, top bits and ops (step tail lengths, over Q times 16-bit units)
     guard, cap, low, lex, shift = pk.guard, pk.cap, pk.low, pk.lex, pk.shift
-    q, push = isinstance(fld, RationalField), heapq.heappush
-    p = None if q else fld.p
+    push, p = heapq.heappush, None if isinstance(fld, RationalField) else fld.p
     # every monomial on the heap is in work, cancelled ones with coefficient 0
     heap = sorted(map(pk.key, work))
     steps = top_bits = ops = 0
@@ -263,6 +264,8 @@ def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tupl
         m = heapq.heappop(heap)
         m = pk.lcm(-m, 0) if lex else m - (m >> shift << shift + 1)
         c = work.pop(m)
+        if p:  # a pending int is read as a residue once, here
+            c %= p
         if not c:
             continue
         row = memo.get(m, 0)
@@ -279,34 +282,33 @@ def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tupl
         steps += 1
         if steps > STEP_CAP:
             raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
-        if q:  # the numerator over den as a reduced (n, d) pair
+        if p:
+            k, ops = c if gc is None else c * fld.inv(gc) % p, ops + len(gtail)
+        else:  # the numerator over den as a reduced (n, d) pair
             c = (c // (g := gcd(c, den)), den // g) if den != 1 else (c, 1)
-            bits, den = _sub_row(pk, work, den, heap, row, quot, c, cap)
+            k, bits, den = _q_factor(work, den, row, c)
             top_bits, ops = max(top_bits, bits), ops + len(gtail) * (bits >> 4 or 1)
-            continue
-        ops += len(gtail)
         if top is not None and top + quot > cap:
             raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
-        factor = c if gc is None else c * fld.inv(gc) % p
-        for tm, tc in gtail:
+        for tm, tn in gtail:
             mm = tm + quot
             prev = work.get(mm)
             if prev is None:
                 push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
                 prev = 0
-            work[mm] = (prev - factor * tc) % p
-    if q and den != 1 and (g := gcd(den, *work.values())) > 1:
+            work[mm] = prev - k * tn
+    if not p and den != 1 and (g := gcd(den, *work.values())) > 1:
         work, den = {m: c // g for m, c in work.items()}, den // g
-    return (list(work.items()), den if q else None), steps, top_bits, ops
+    return (list(work.items()), den), steps, top_bits, ops
 
 
-def _sub_row(pk, work, den, heap, row, quot, c, cap) -> tuple:
-    # work -= c / div * x^quot * tail over Q, no product past cap (top + quot
-    # the largest): _reduce's step and _spoly's difference.  Where fd * D does
-    # not divide den, work and den are divided by their gcd past GCD_GATE and
-    # raised to the lcm, so each product is one k * tn; returns bits and den
+def _q_factor(work: dict, den: int, row: tuple, c: tuple) -> tuple:
+    # a Q step's multiplier k of row's tail numerators over den: the popped
+    # (n, d) over row's lead div / D, reduced by one gcd, capped at COEFF_BIT_CAP
+    # bits; where fd * D does not divide den, work and den are divided by their
+    # gcd past GCD_GATE and raised to the lcm; returns k, the bits and den
     fn, fd = c
-    _, div, tail, top, d = row
+    _, div, _, _, d = row
     if div:  # c over div / D, reduced by one gcd
         fn, fd = fn * d, fd * div
         g = gcd(fn, fd) if fd > 0 else -gcd(fn, fd)
@@ -314,8 +316,6 @@ def _sub_row(pk, work, den, heap, row, quot, c, cap) -> tuple:
     bits = fn.bit_length() + fd.bit_length()
     if bits > COEFF_BIT_CAP:
         raise DegreeCapExceeded(f"division coefficient passed {COEFF_BIT_CAP} bits")
-    if top is not None and top + quot > cap:
-        raise DegreeCapExceeded(f"division intermediate degree passed {DEGREE_CAP}")
     fd *= d
     if den % fd:
         if den > GCD_GATE and (g := gcd(den, *work.values())) > 1:
@@ -326,31 +326,7 @@ def _sub_row(pk, work, den, heap, row, quot, c, cap) -> tuple:
         den *= s
         for m in work:
             work[m] *= s
-    k, low, lex, push = fn * (den // fd), pk.low, pk.lex, heapq.heappush
-    for tm, tn in tail:
-        mm = tm + quot
-        prev = work.get(mm)
-        if prev is None:
-            push(heap, -(mm & low) if lex else ((mm & low) << 1) - mm)
-            prev = 0
-        work[mm] = prev - k * tn
-    return bits, den
-
-
-def _reduce_basis(G: list, live: dict, pk: _Packing, ring: PolyRing, pivots: list) -> tuple:
-    # of the live rows (no lead divides an earlier one's) drop those a kept one's divides
-    minimal: list = []
-    for g in map(G.__getitem__, live):
-        if all((g[0] - h[0]) & pk.guard for h in minimal):
-            minimal.append(g)
-    fld, out, memo = ring.field, [], {}
-    for g in minimal:
-        # no other lead divides g's, so only the tail reduces, and the pivot is
-        # 1; g's lead divides no monomial below it, so minimal serves as table
-        pivots.append(fld.one)
-        out.append((g[0], *_reduce(pk, dict(g[2]), g[4], minimal, fld, memo)[0]))
-    out.sort(key=lambda row: pk.key(row[0]))
-    return tuple(Polynomial(ring, pk.unpack([(m, fld.one), *t], d)) for m, t, d in out)
+    return fn * (den // fd), bits, den
 
 
 def buchberger(pres: IdealPresentation) -> GroebnerBasis:
@@ -361,13 +337,14 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
     its degree and a new element's its pair's sugar, then by lcm degree, then
     the smallest lcm under the order (the largest rank), and pruned by the
     Gebauer-Moeller criteria (1988) as each row comes (see add).  A reduction
-    step or S-polynomial merge charges its row's tail length to WORK_CAP (over
-    Q times its factor's 16-bit units, at least 1), an update's lcm or
-    divisibility test 1; GroebnerBasis.work is the sum.  It, DEGREE_CAP on each
-    new element and the division caps raise DegreeCapExceeded.  Every call
-    computes; ``pres.basis`` keeps the result.  Monomials stay packed, and over
-    Q each row's coefficients numerators over one denominator (see normal_form),
-    until the end; one first-divisor memo serves every S-pair reduction.
+    step (the final inter-reduction's too) or S-polynomial merge charges its
+    row's tail length to WORK_CAP (over Q times its factor's 16-bit units, at
+    least 1), an update's lcm or divisibility test 1; GroebnerBasis.work is the
+    sum.  It, DEGREE_CAP on each new element and the division caps raise
+    DegreeCapExceeded.  Every call computes; ``pres.basis`` keeps the result.
+    Monomials stay packed, and over Q each row's coefficients numerators over
+    one denominator (see normal_form), until the end; one first-divisor memo
+    serves every S-pair reduction.
     """
     ring, fld = pres.ring, pres.ring.field
     gens = [g for g in pres.generators if g]
@@ -409,14 +386,28 @@ def buchberger(pres: IdealPresentation) -> GroebnerBasis:
         add(_row(t, fld), max(t[0])[0] >> shift)
     while heap:
         sugar, _, _, _, i, j = heapq.heappop(heap)
-        r, _, _, ops = _reduce(pk, *_spoly(pk, G[i], G[j], fld), G, fld, memo)
+        r, _, _, ops = _reduce(pk, *_spoly(pk, G[i], G[j]), G, fld, memo)
         charge(len(G[j][2]) + ops)
         if r[0]:
             if max(r[0])[0] > pk.cap:
                 raise DegreeCapExceeded(f"basis element degree passed the cap {DEGREE_CAP}")
             pivots.append(pk.unpack(r[0][:1], r[1])[0][1])
             add(_row(r, fld), sugar)
-    return GroebnerBasis(_reduce_basis(G, live, pk, ring, pivots), tuple(pivots), work)
+    # the final inter-reduction: keep the live rows (no lead divides an earlier
+    # one's) whose lead no kept lead divides; each tail reduces by the kept rows
+    # (its own lead divides no lower monomial), pivot 1, under a new memo
+    minimal, out, memo = [], [], {}
+    for g in map(G.__getitem__, live):
+        if all((g[0] - h[0]) & guard for h in minimal):
+            minimal.append(g)
+    for g in minimal:
+        pivots.append(fld.one)
+        rem, _, _, ops = _reduce(pk, dict(g[2]), g[4], minimal, fld, memo)
+        charge(ops)
+        out.append((g[0], *rem))
+    out.sort(key=lambda row: pk.key(row[0]))
+    basis = tuple(Polynomial(ring, pk.unpack([(m, d or 1), *t], d)) for m, t, d in out)
+    return GroebnerBasis(basis, tuple(pivots), work)
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:

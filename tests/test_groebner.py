@@ -1,6 +1,7 @@
 """Normal forms, Buchberger, and the ideal comparison procedures."""
 
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -167,17 +168,33 @@ class TestBuchberger:
             with pytest.raises(DegreeCapExceeded, match="passed 1 tail terms and pair tests"):
                 buchberger(pres)
 
-    @pytest.mark.parametrize("name, p, work", [
-        ("cyclic5", None, 25145), ("cyclic5", 32003, 25145),
-        ("katsura5", None, 152189), ("katsura5", 32003, 63599),
+    # each id names the pair loop's work; the final inter-reduction's ops
+    # come on top of it
+    @pytest.mark.parametrize("name, p, pair_work, work", [
+        pytest.param(name, p, pair_work, work, id=f"{name}-{p}-{pair_work}")
+        for name, p, pair_work, work in [
+            ("cyclic5", None, 25145, 25322), ("cyclic5", 32003, 25145, 25322),
+            ("katsura5", None, 152189, 152506), ("katsura5", 32003, 63599, 63916),
+        ]
     ])
-    def test_work_cap_boundary(self, name, p, work):
+    def test_work_cap_boundary(self, name, p, pair_work, work):
         # the work a run charges is exact and machine-independent: it
         # answers at WORK_CAP equal to its count and is refused one below,
-        # over Q and F_p alike
+        # over Q and F_p alike; the final inter-reduction (the _reduce calls
+        # by the kept rows, the last call's table) charges what the run
+        # charges beyond the pair loop
         pres = _mod_p(kernel_ideal(name), p) if p else kernel_ideal(name)
-        gb = buchberger(pres)
+        calls, reduce = [], groebner._reduce
+
+        def spy(pk, work, d, table, fld, memo):
+            out = reduce(pk, work, d, table, fld, memo)
+            calls.append((table, out[3]))
+            return out
+
+        with mock.patch.object(groebner, "_reduce", spy):
+            gb = buchberger(pres)
         assert gb.work == work
+        assert sum(ops for table, ops in calls if table is calls[-1][0]) == work - pair_work
         with mock.patch.object(groebner, "WORK_CAP", work):
             assert buchberger(pres) == gb
         with mock.patch.object(groebner, "WORK_CAP", work - 1):
@@ -258,11 +275,11 @@ class TestPairOrder:
         seen = []
         spoly = groebner._spoly
 
-        def spy(pk, a, b, fld):
+        def spy(pk, a, b):
             # a and b are packed rows; a row's first entry is its lead
             leads = pk.unpack([(a[0], None), (b[0], None)])
             seen.append(tuple(m for m, _ in leads))
-            return spoly(pk, a, b, fld)
+            return spoly(pk, a, b)
 
         with mock.patch.object(groebner, "_spoly", spy):
             buchberger(pres)
@@ -311,11 +328,24 @@ class TestPairCriteria:
     def test_work_at_p_at_most_over_q(self, name):
         # no cap fires at a good prime that the run over Q passed: the same
         # pairs, a subset of the steps, each weighing 1 at p and at least 1
-        # over Q
-        pres = kernel_ideal(name)
-        over_q, over_p = buchberger(pres), buchberger(_mod_p(pres))
+        # over Q; the S-pairs reach _spoly with the same leads in the same
+        # order in both runs
+        pres, spoly = kernel_ideal(name), groebner._spoly
+
+        def run(pres):
+            leads = []
+
+            def spy(pk, a, b):
+                leads.append(tuple(m for m, _ in pk.unpack([(a[0], 1), (b[0], 1)])))
+                return spoly(pk, a, b)
+
+            with mock.patch.object(groebner, "_spoly", spy):
+                return buchberger(pres), leads
+
+        (over_q, leads_q), (over_p, leads_p) = run(pres), run(_mod_p(pres))
         assert 0 < over_p.work <= over_q.work
         assert len(over_p.pivots) == len(over_q.pivots)
+        assert leads_p == leads_q and leads_q
 
 
 def _reduced_pair(v):
@@ -329,17 +359,17 @@ def _den(d):
     return type(d) is int and d > 0
 
 
-def _layout_spy(num, den, div, steps):
+def _layout_spy(num, den, div, steps, pending=None):
     """A _reduce that asserts the layout of what it is given and returns:
-    every work entry passes num or is a cancelled 0, every row's tail
-    coefficient and every remainder coefficient passes num and is nonzero,
-    every denominator passes den, a row's div is None or passes div, and
-    the remainder is (terms, d) with no common factor of d and its terms'
-    coefficients over Q; records each division's steps."""
+    every work entry passes pending (by default num) or is a cancelled 0,
+    every row's tail coefficient and every remainder coefficient passes num
+    and is nonzero, every denominator passes den, a row's div is None or
+    passes div, and the remainder is (terms, d) with no common factor of d
+    and its terms' coefficients over Q; records each division's steps."""
     reduce = groebner._reduce
 
     def spy(pk, work, d, table, fld, memo):
-        assert den(d) and all(v == 0 or num(v) for v in work.values())
+        assert den(d) and all(v == 0 or (pending or num)(v) for v in work.values())
         for gm, gc, tail, top, gd in table:
             assert type(gm) is int and (gc is None or div(gc)) and den(gd)
             assert all(type(m) is int and c and num(c) for m, c in tail)
@@ -352,6 +382,39 @@ def _layout_spy(num, den, div, steps):
         return out
 
     return spy
+
+
+@contextmanager
+def _after_each_q_step():
+    """Spies on _reduce and _q_factor that yield (steps, entries): each Q
+    step's (k, bits, den) and a division's pending entries as that step
+    left them, its products included, read at the next pop."""
+    steps, entries, reduce, factor = [], [], groebner._reduce, groebner._q_factor
+
+    class Pending(dict):
+        stepped = False
+
+        def pop(self, m):
+            if self.stepped:
+                entries.append(dict(self))
+                self.stepped = False
+            return super().pop(m)
+
+    def reduce_spy(pk, work, *args):
+        nonlocal pending
+        pending = Pending(work)
+        return reduce(pk, pending, *args)
+
+    def factor_spy(*args):
+        steps.append(factor(*args))
+        pending.stepped = True
+        return steps[-1]
+
+    pending = None
+    with mock.patch.object(groebner, "_reduce", reduce_spy), mock.patch.object(
+        groebner, "_q_factor", factor_spy
+    ):
+        yield steps, entries
 
 
 class TestKernelPins:
@@ -386,16 +449,16 @@ class TestKernelPins:
         # int numerators over positive int denominators, a row (lead, div,
         # tail, top, D) has div None or an int, and each factor a step is
         # given is a reduced pair: the popped numerator over den, less a gcd
-        steps, factors, sub = [], [], groebner._sub_row
+        steps, factors, factor = [], [], groebner._q_factor
         pres = dict(NAMED_IDEALS).get(name) or kernel_ideal(name)
 
-        def factor_spy(pk, work, den, heap, row, quot, c, cap):
+        def factor_spy(work, den, row, c):
             factors.append(c)
-            return sub(pk, work, den, heap, row, quot, c, cap)
+            return factor(work, den, row, c)
 
         spy = _layout_spy(lambda v: type(v) is int, _den, lambda v: type(v) is int, steps)
         with mock.patch.object(groebner, "_reduce", spy), mock.patch.object(
-            groebner, "_sub_row", factor_spy
+            groebner, "_q_factor", factor_spy
         ):
             got = buchberger(pres).pivots
         assert sum(steps) and all(_reduced_pair(c) for c in factors)
@@ -419,17 +482,17 @@ class TestKernelPins:
         # gcd, q, and rises to 3, below it rises to 3*q
         ring = PolyRing(QQ, 5, GREVLEX, ("x", "y", "w", "z", "t"))
         x, y, w, z, t = map(ring.variable, range(5))
-        c, dens, sub = ring.constant, [], groebner._sub_row
+        c, dens, factor = ring.constant, [], groebner._q_factor
 
         def spy(*args):
-            bits, den = sub(*args)
+            k, bits, den = factor(*args)
             dens.append(den)
-            return bits, den
+            return k, bits, den
 
         divisors = [
             x - c(Fraction(1, q)) * z, y + c(Fraction(1, q)) * z, w - c(Fraction(1, 3)) * t
         ]
-        with mock.patch.object(groebner, "_sub_row", spy):
+        with mock.patch.object(groebner, "_q_factor", spy):
             got = normal_form(x + y + w, divisors)
         assert got == c(Fraction(1, 3)) * t and dens == [q, q, last]
 
@@ -438,25 +501,20 @@ class TestKernelPins:
         # 3 divides, so the first step adds 2 * -1 without a rescale; 4 does
         # not, so the second raises 6 and every pending numerator by 2, to
         # the lcm 12, not to 24
-        z, entries, dens, sub = R3.variable(2), [], [], groebner._sub_row
-        c = R3.constant
-
-        def spy(pk, work, *args):
-            bits, den = sub(pk, work, *args)
-            entries.append(dict(work))
-            dens.append(den)
-            return bits, den
-
+        z, c = R3.variable(2), R3.constant
         f = c(Fraction(1, 6)) * z + P("x + y", R3)
-        with mock.patch.object(groebner, "_sub_row", spy):
+        with _after_each_q_step() as (steps, entries):
             got = normal_form(f, [P("x - 1/3*z", R3), P("y - 1/4*z", R3)])
         my, mz = groebner._packed(R3, [f])[0].mults[1:]
         assert got == c(Fraction(3, 4)) * z
-        assert dens == [6, 12] and entries == [{my: 6, mz: 3}, {mz: 9}]
+        assert [den for _, _, den in steps] == [6, 12]
+        assert entries == [{my: 6, mz: 3}, {mz: 9}]
 
     def test_pivots_over_fp_are_the_q_pivots_mod_p(self):
-        # the F_32003 twin: every coefficient is a residue, an int in
-        # 0..p-1, a row's div None or a residue, every denominator None;
+        # the F_32003 twin: every row and remainder coefficient is a
+        # residue, an int in 0..p-1, every pending entry given an int in
+        # -p+1..p-1 (an S-polynomial's difference of two residues), a row's
+        # div None or a residue, every denominator None;
         # and katsura4 takes the same run as over Q, so its pivots are Q's
         # reduced mod p
         p, steps = 32003, []
@@ -469,7 +527,10 @@ class TestKernelPins:
         def residue(v):
             return type(v) is int and 0 <= v < p
 
-        spy = _layout_spy(residue, lambda d: d is None, residue, steps)
+        def pending(v):
+            return type(v) is int and -p < v < p
+
+        spy = _layout_spy(residue, lambda d: d is None, residue, steps, pending)
         with mock.patch.object(groebner, "_reduce", spy):
             got = buchberger(pres_p).pivots
         assert sum(steps)
@@ -483,20 +544,13 @@ class TestKernelPins:
         # over lcm(27, 6) = 54, which is the factor's 27 times the row's 2,
         # so the step adds 2^301 * -3 to z's 9 with no rescale and no gcd
         fn, fd = 2 ** 301, 27
-        z, entries, bits, dens, sub = R3.variable(2), [], [], [], groebner._sub_row
-        c = R3.constant
-
-        def spy(pk, work, *args):
-            b, den = sub(pk, work, *args)
-            bits.append(b), dens.append(den)
-            entries.extend(work.values())
-            return b, den
-
+        z, c = R3.variable(2), R3.constant
         f = c(Fraction(fn, fd)) * P("x", R3) + c(Fraction(1, 6)) * z
-        with mock.patch.object(groebner, "_sub_row", spy):
+        with _after_each_q_step() as (steps, entries):
             got = normal_form(f, [P("x - 3/2*z", R3)])
         assert got == c(Fraction(1, 6) + Fraction(fn * 3, fd * 2)) * z
-        assert bits == [307] and dens == [54] and entries == [9 + 3 * fn]
+        assert [(bits, den) for _, bits, den in steps] == [(307, 54)]
+        assert [list(e.values()) for e in entries] == [[9 + 3 * fn]]
 
 
 class TestMembership:

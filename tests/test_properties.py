@@ -165,9 +165,14 @@ class TestNormalFormProperties:
         assert ideal_member(h1 * f1 + h2 * f2, pres)
 
 
+# a word-sized prime: a pending entry, read as a residue only when popped,
+# is then an unreduced int of several machine digits
+WORD_PRIME = PrimeField(2 ** 61 - 1)
+
+
 @st.composite
 def division_problems(draw):
-    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003), WORD_PRIME]))
     ring = PolyRing(field, 3, draw(orders), ("x", "y", "z"))
     polys = poly_strategy(ring, monomials3, max_terms=5)
     return draw(polys), draw(st.lists(polys, max_size=4))
@@ -312,14 +317,14 @@ class TestHeapDivisionMatchesReference:
 
     def test_coprime_row_denominators_pass_the_gate(self):
         f, divisors, _ = _coprime_rows_past_the_gate()
-        dens, sub = [], groebner._sub_row
+        dens, factor = [], groebner._q_factor
 
         def spy(*args):
-            bits, den = sub(*args)
+            k, bits, den = factor(*args)
             dens.append(den)
-            return bits, den
+            return k, bits, den
 
-        with mock.patch.object(groebner, "_sub_row", spy):
+        with mock.patch.object(groebner, "_q_factor", spy):
             assert _capped(f, divisors)[1:] == (3, 347)
         assert dens[0] < groebner.GCD_GATE < dens[1] < dens[2]
 
@@ -679,9 +684,9 @@ class TestPackedLcm:
 
 @st.composite
 def s_pairs(draw):
-    """Pairs over Q, F_7 and F_32003; under lex half of them with exponents
-    in 60..70 too, so that their terms straddle DEGREE_CAP."""
-    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    """Pairs over Q, F_7, F_32003 and F_(2^61 - 1); under lex half of them
+    with exponents in 60..70 too, so that their terms straddle DEGREE_CAP."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003), WORD_PRIME]))
     order = draw(orders)
     exps = st.integers(0, 4)
     if order is LEX and draw(st.booleans()):
