@@ -22,7 +22,7 @@ from .encoding import (
     encode_ideal,
     field_from_json,
 )
-from .groebner import DegreeCapExceeded, IdealPresentation, normal_form
+from .groebner import DegreeCapExceeded, IdealPresentation
 from .polyarith import (
     AmbientMismatch,
     MonomialOrder,
@@ -352,7 +352,7 @@ def _run_gb(pres, args):
 
 def _run_member(pres, args):
     f = parse_polynomial(_read_operand(args.f), pres.ring)
-    residue = normal_form(f, pres.basis)
+    residue = pres.normal_form(f)
     payload = {"member": not residue, "normal_form": format_polynomial(residue)}
     return payload, 1 if residue else 0
 

@@ -40,7 +40,7 @@ class IdealPresentation(_IdealPresentation):
 
     Zero generators are dropped at construction; the zero ideal keeps a
     single zero generator so every presentation is non-empty.  Instances
-    keep a __dict__ for the memos below.
+    keep a __dict__ for the memos below, the packed basis among them.
     """
 
     def __new__(cls, ring: PolyRing, generators: tuple[Polynomial, ...]):
@@ -66,6 +66,18 @@ class IdealPresentation(_IdealPresentation):
     def basis(self) -> tuple[Polynomial, ...]:
         """Reduced Groebner basis: groebner.basis."""
         return self.groebner.basis
+
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """normal_form(f, self.basis), dividing by the basis packed once."""
+        return _divide(f, self.basis, self._packed_basis())[0]
+
+    def _packed_basis(self) -> tuple:
+        # the basis as _divide's rows, kept; packed again if DEGREE_CAP (pk holds it) moved
+        rows = self.__dict__.get("_rows")
+        if rows is None or rows[0].cap >> rows[0].shift != DEGREE_CAP:
+            pk, packed = _packed(self.ring, self.basis)
+            rows = self.__dict__["_rows"] = pk, _table(packed, self.ring.field), {}
+        return rows
 
 
 def ideal(*gens: Polynomial, ring: PolyRing | None = None) -> IdealPresentation:
@@ -103,6 +115,12 @@ class _Packing:
         self.guard, self.low = ones << (w - 1), (1 << s) - 1
         self.cap = ((cap + 1) << s) - 1
 
+    def pack(self, g: Polynomial) -> tuple:
+        mults, q = self.mults, isinstance(g.ring.field, RationalField)
+        d = lcm(*[c.denominator for _, c in g.terms]) if q else None
+        return [(sum(map(mul, m, mults)), c if d is None else c.numerator if d == 1
+                 else c.numerator * (d // c.denominator)) for m, c in g.terms], d
+
     def unpack(self, terms, den=None) -> tuple:
         # (m, c) terms, c over Q a numerator over den, into Fractions
         mask, offsets = (1 << self.w) - 1, self.offsets
@@ -129,11 +147,7 @@ def _packed(ring: PolyRing, polys: Sequence[Polynomial], degree: int = 0) -> tup
     # past DEGREE_CAP packs above pk.cap.
     w = (2 * max(DEGREE_CAP, degree)).bit_length() + 1
     pk = _Packing(ring.nvars, ring.order.kind == "lex", w, DEGREE_CAP)
-    mults, q, packed = pk.mults, isinstance(ring.field, RationalField), []
-    for g in polys:
-        d = lcm(*[c.denominator for _, c in g.terms]) if q else None
-        packed.append(([(sum(map(mul, m, mults)), c if d is None else c.numerator if d == 1
-                         else c.numerator * (d // c.denominator)) for m, c in g.terms], d))
+    packed = [pk.pack(g) for g in polys]
     if not degree and max([m for t, _ in packed for m, _ in t], default=0) > pk.cap:
         return _packed(ring, polys, max(g.degree() for g in polys))
     return pk, packed
@@ -146,10 +160,7 @@ def _row(packed: tuple, fld) -> tuple:
     if d and lead != d:  # over Q c / D over lead / D is c / lead, cancelled by their gcd
         g = gcd(*[c for _, c in terms]) * (1 if lead > 0 else -1)
         terms, d = [(m, c // g) for m, c in terms], lead // g
-    elif not d and lead != 1:
-        inv, p = fld.inv(lead), fld.p
-        terms = [(m, inv * c % p) for m, c in terms]
-    return _table([(terms, d)])[0]
+    return _table([(terms, d)], fld)[0]
 
 
 def _spoly(pk: _Packing, a: tuple, b: tuple) -> tuple:
@@ -195,8 +206,9 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     divisor's largest tail monomial times the quotient against the cap.
     Each monomial's first divisor is found once and kept in a memo (see
     _reduce), which cannot change a step: in a list that only grows, as
-    buchberger's does, the first divisor of a monomial never changes, and
-    a monomial no divisor divided is tested again from where it stopped.
+    buchberger's does, or stays fixed, as a presentation's packed basis
+    does, the first divisor of a monomial never changes, and a monomial no
+    divisor divided is tested again from where it stopped.
     Pending terms sit in a dict, each pushed once onto a heap as its key
     (exponent fields less degree field under grevlex, their negation under
     lex): the heap's top is the leading term, skipped once cancelled.
@@ -226,26 +238,37 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     return _divide(f, divisors)[0]
 
 
-def _divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple:
+def _divide(f: Polynomial, divisors: Sequence[Polynomial], rows: tuple = ()) -> tuple:
     """normal_form's division with its costs: the remainder, the steps taken
     and the largest numerator-plus-denominator bit size of a step's factor
-    (0 over F_p)."""
+    (0 over F_p).  rows, a presentation's kept (pk, table, memo), spare packing divisors."""
     ring = f.ring
     if any(g.ring is not ring and g.ring != ring for g in divisors):
         raise AmbientMismatch("divisor outside the ambient ring")
     if not (f and any(divisors)):
         return f, 0, 0
-    pk, ((work, den), *packed) = _packed(ring, (f, *divisors))
-    rem, steps, bits, _ = _reduce(pk, dict(work), den, _table(packed), ring.field, {})
+    if rows:
+        pk, table, memo = rows
+        work, den = pk.pack(f)
+    if not rows or max(work)[0] > pk.cap:  # f past DEGREE_CAP packs with the divisors
+        pk, ((work, den), *packed) = _packed(ring, (f, *divisors))
+        table, memo = _table([t for t in packed if t[0]], ring.field), {}
+    rem, steps, bits, _ = _reduce(pk, dict(work), den, table, ring.field, memo)
     return (Polynomial(ring, pk.unpack(*rem)) if steps else f), steps, bits
 
 
-def _table(packed: list) -> list:
-    # the only row builder: packed (terms, D) as _reduce's rows (lead, div,
-    # tail, top, D), div the lead coefficient (over Q its numerator) or None
-    # for a 1; max reads no coefficient (monos differ)
-    return [(t[0][0], None if t[0][1] == (d or 1) else t[0][1], t[1:],
-             max(t[1:])[0] if len(t) > 1 else None, d) for t, d in packed if t]
+def _table(packed: list, fld) -> list:
+    # the only row builder: packed (terms, D) as _reduce's rows (lead, div, tail,
+    # top, D), over F_p made monic, once, here, so div is None, over Q with div
+    # the lead's numerator or None for a 1; max reads no coefficient (monos differ)
+    rows = []
+    for t, d in packed:
+        if d is None and t[0][1] != 1:
+            inv, p = fld.inv(t[0][1]), fld.p
+            t = [(m, inv * c % p) for m, c in t]
+        rows.append((t[0][0], None if t[0][1] == (d or 1) else t[0][1], t[1:],
+                     max(t[1:])[0] if len(t) > 1 else None, d))
+    return rows
 
 
 def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tuple:
@@ -277,13 +300,13 @@ def _reduce(pk: _Packing, work: dict, den, table: list, fld, memo: dict) -> tupl
             else:
                 memo[m], work[m] = len(table), c
                 continue
-        gm, gc, gtail, top, _ = row
+        gm, _, gtail, top, _ = row
         quot = m - gm
         steps += 1
         if steps > STEP_CAP:
             raise DegreeCapExceeded(f"division passed {STEP_CAP} reduction steps")
-        if p:
-            k, ops = c if gc is None else c * fld.inv(gc) % p, ops + len(gtail)
+        if p:  # a monic row (see _table)
+            k, ops = c, ops + len(gtail)
         else:  # the numerator over den as a reduced (n, d) pair
             c = (c // (g := gcd(c, den)), den // g) if den != 1 else (c, 1)
             k, bits, den = _q_factor(work, den, row, c)
@@ -414,14 +437,14 @@ def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:
     """Membership through the reduced basis: normal form equals zero."""
     if f.ring != I.ring:
         raise AmbientMismatch("polynomial outside the ideal's ring")
-    return not normal_form(f, I.basis)
+    return not I.normal_form(f)
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation) -> bool:
     """Whether I is a subset of J (every generator of I lies in J)."""
     if I.ring != J.ring:
         raise AmbientMismatch("ideals from different rings")
-    return all(not normal_form(g, J.basis) for g in I.generators)
+    return all(not J.normal_form(g) for g in I.generators)
 
 
 def ideal_equal(I: IdealPresentation, J: IdealPresentation) -> bool:

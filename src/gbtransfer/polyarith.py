@@ -365,7 +365,8 @@ class Polynomial:
             self.ring, tuple((m, fld.reduce(c * tc)) for m, tc in self.terms)
         )
 
-    def __add__(self, other) -> "Polynomial":
+    def __add__(self, other, minus: bool = False) -> "Polynomial":
+        # self + other, or with minus self - other in the same one pass
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.ring != self.ring:
@@ -374,16 +375,18 @@ class Polynomial:
         acc = dict(self.terms)
         for m, c in other.terms:
             prev = acc.get(m)
-            acc[m] = c if prev is None else reduce(prev + c)
+            if minus:
+                acc[m] = reduce(-c if prev is None else prev - c)
+            else:
+                acc[m] = c if prev is None else reduce(prev + c)
         return self.ring.from_dict(acc)
 
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
-
     def __sub__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, True)
+
+    def __neg__(self) -> "Polynomial":
+        reduce = self.ring.field.reduce
+        return Polynomial(self.ring, tuple((m, reduce(-c)) for m, c in self.terms))
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -427,17 +430,17 @@ class Polynomial:
 
 
 def _power(base: Polynomial, e: int, mul) -> Polynomial:
-    """base ** e by square-and-multiply, forming every product with mul.
+    """base ** e by square-and-multiply from base, not 1 times it, each product by mul.
 
     Over Q a one-term base costs one term pair per squaring while its
     coefficient doubles in size, so the coefficient size is bounded first.
     """
     if e * _coeff_bits(base) > POWER_BIT_CAP:
         raise ValueError(f"power coefficients could pass {POWER_BIT_CAP} bits")
-    result = base.ring.one()
+    result = None if e else base.ring.one()
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         e >>= 1
         if e:
             base = mul(base, base)
@@ -490,11 +493,12 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     for mono, c in f.terms:
         if not isinstance(c, Fraction) or c.denominator != 1:
             raise ValueError("substitution source must have integer coefficients")
-        term = target.constant(c.numerator)
+        term = None  # the images' powers multiplied, then scaled by c
         for i, e in enumerate(mono):
             if e:
-                term = budget.mul(term, _power(images[i], e, budget.mul))
-        total = total + term
+                power = _power(images[i], e, budget.mul)
+                term = power if term is None else budget.mul(term, power)
+        total = total + (target.one() if term is None else term).scale(c.numerator)
     return total
 
 

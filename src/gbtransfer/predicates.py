@@ -15,9 +15,7 @@ from typing import NamedTuple, Sequence
 
 from . import groebner
 from .groebner import (
-    DegreeCapExceeded, IdealPresentation, _packed, _reduce, _table, ideal,
-    ideal_contains, normal_form,
-)
+    DegreeCapExceeded, IdealPresentation, _packed, _reduce, _table, ideal_contains)
 from .polyarith import (
     AmbientMismatch,
     Polynomial,
@@ -173,7 +171,7 @@ def radical_equals(
         for e in range(1, exponent_cap + 1):
             if e > 1:
                 power = budget.mul(power, g)
-            if not normal_form(power, I.basis):
+            if not I.normal_form(power):
                 found.append((g, e))
                 break
         else:
@@ -256,12 +254,12 @@ class _Rows:
     """Whether draws reduce to zero modulo a basis, read off memoized rows.
 
     A row is the normal form of one packed monomial.  It is divided on first
-    use by normal_form's loop (groebner._reduce) over the basis, packed once
-    wide enough for degree, and kept with the division's step count and
-    largest factor bit size, or as None when the division passed a cap.  A
-    row holds integers over den, one denominator shared by every row,
-    raised to the lcm (and the rows rescaled) when a new row needs it; over
-    F_p the integers are residues and den is 1.
+    use by normal_form's loop (groebner._reduce) over the presentation's
+    packed basis (packed anew where degree needs wider fields), and kept
+    with the division's step count and largest factor bit size, or as None
+    when the division passed a cap.  A row holds integers over den, one
+    denominator shared by every row, raised to the lcm (and the rows
+    rescaled) when a new row needs it; over F_p they are residues, den 1.
 
     The division of f = sum c_m * m by a fixed divisor table is linear.
     Monomials are popped in descending order, every term a step adds is
@@ -285,13 +283,15 @@ class _Rows:
     COEFF_BIT_CAP, so the division it stands in for stays within every cap.
     """
 
-    def __init__(self, ring, basis: Sequence[Polynomial], degree: int) -> None:
-        self.ring, self.basis, self.den, self.rows = ring, basis, 1, {}
-        self.fld = fld = ring.field
+    def __init__(self, pres: IdealPresentation, degree: int) -> None:
+        self.pres, self.ring, self.den, self.rows = pres, pres.ring, 1, {}
+        self.fld = fld = pres.ring.field
         self.p = fld.p if isinstance(fld, PrimeField) else None
-        degree = max([degree, *(g.degree() for g in basis)])  # an empty basis too
-        self.pk, packed = _packed(ring, basis, degree)
-        self.table, self.memo = _table(packed), {}
+        self.pk, self.table, self.memo = pres._packed_basis()  # as wide within DEGREE_CAP
+        if degree > groebner.DEGREE_CAP:
+            degree = max([degree, *(g.degree() for g in pres.basis)])
+            self.pk, packed = _packed(self.ring, pres.basis, degree)
+            self.table, self.memo = _table(packed, fld), {}
 
     def _add(self, m: int):
         rows = self.rows
@@ -339,7 +339,7 @@ class _Rows:
                 if self.p is not None:
                     return not any(v % self.p for v in acc.values())
                 return not any(acc.values())
-        return not normal_form(_polynomial(self.ring, self.pk.unpack(terms)), self.basis)
+        return not self.pres.normal_form(_polynomial(self.ring, self.pk.unpack(terms)))
 
 
 def prime_probe(
@@ -372,7 +372,7 @@ def prime_probe(
         return ProbeResult(PROBE_PROBABLY_PRIME, trials)
     coeffs = _sample_coefficients(ring.field)
     bits = random.Random(seed).getrandbits
-    rows = _Rows(ring, P.basis, 2 * degree_bound)
+    rows = _Rows(P, 2 * degree_bound)
     zero, mults, compress = rows.zero, rows.pk.mults, itertools.compress
     # packed from the nonzero exponents only: in many variables most are 0
     monos = [sum(map(mul, compress(m, m), compress(mults, m))) for m in monos]
@@ -404,9 +404,7 @@ def rational_maximal(m: IdealPresentation, point) -> bool:
     ring = m.ring
     if len(point) != ring.nvars:
         raise AmbientMismatch("point length does not match the ring")
-    gens = tuple(
-        ring.variable(i) - ring.constant(b) for i, b in enumerate(point)
-    )
+    gens = [ring.variable(i) - ring.constant(b) for i, b in enumerate(point)]
     if any(g.degree() == 0 for g in m.basis):
         return False
-    return ideal_contains(ideal(*gens, ring=ring), m)
+    return not any(map(m.normal_form, gens))

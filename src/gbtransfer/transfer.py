@@ -20,12 +20,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, filterfalse, product as _cartesian, repeat
 from typing import NamedTuple, Sequence
 
-from .groebner import (
-    DegreeCapExceeded,
-    IdealPresentation,
-    ideal_contains,
-    normal_form,
-)
+from .groebner import DegreeCapExceeded, IdealPresentation, ideal_contains
 from .polyarith import (
     AmbientMismatch,
     BadPrime,
@@ -245,7 +240,7 @@ def verify_witness(
     images = list(w.x_images) + list(w.y_images)
     flags, residues = [], []
     for F in sys_.equations:
-        residue = normal_form(substitute(F, images), I.basis)
+        residue = I.normal_form(substitute(F, images))
         flags.append(not residue)
         residues.append(format_polynomial(residue))
 

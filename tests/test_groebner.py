@@ -552,6 +552,19 @@ class TestKernelPins:
         assert [(bits, den) for _, bits, den in steps] == [(307, 54)]
         assert [list(e.values()) for e in entries] == [[9 + 3 * fn]]
 
+    def test_a_non_monic_fp_row_is_made_monic_once(self):
+        # over F_(2^61 - 1) the table row of 3*x - 5*y is that of its monic
+        # twin x - 5/3*y, so the 61-term sum of x^i*y^(60-i) divides by
+        # either in the same 60 steps to the same remainder
+        ring = PolyRing(PrimeField(2 ** 61 - 1), 2, GREVLEX, ("x", "y"))
+        f = parse_polynomial(" + ".join(f"x^{i}*y^{60 - i}" for i in range(61)), ring)
+        g, twin = parse_polynomial("3*x - 5*y", ring), parse_polynomial("x - 5/3*y", ring)
+        _, (row, twin_row) = groebner._packed(ring, [g, twin])
+        assert groebner._table([row], ring.field) == groebner._table([twin_row], ring.field)
+        assert groebner._table([row], ring.field)[0][1] is None
+        got = groebner._divide(f, [g])
+        assert got == groebner._divide(f, [twin]) and got[1] == 60
+
 
 class TestMembership:
     def test_multiple_of_generator(self):

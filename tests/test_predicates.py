@@ -242,13 +242,13 @@ class TestPrimeProbe:
             rows.append(self.pk.unpack([(m, 1)])[0][0])
             return real_add(self, m)
 
-        def whole(f, divisors):
+        def whole(pres, f):
             trials.append(f)
-            return groebner.normal_form(f, divisors)
+            return groebner.normal_form(f, pres.basis)
 
         monkeypatch.setattr(predicates, "_draw", draw)
         monkeypatch.setattr(predicates._Rows, "_add", row)
-        monkeypatch.setattr(predicates, "normal_form", whole)
+        monkeypatch.setattr(IdealPresentation, "normal_form", whole)
         monkeypatch.setattr(predicates._Rows, "zero", _checked_zero(asked))
         res = prime_probe(I, 2, 200, seed=0)
         assert res.probably_prime and len(draws) == 2 * 200
@@ -336,7 +336,7 @@ def _checked_zero(asked):
         z = real(rows, terms)
         f = predicates._polynomial(rows.ring, rows.pk.unpack(terms))
         try:
-            nf = groebner.normal_form(f, rows.basis)
+            nf = groebner.normal_form(f, rows.pres.basis)
         except DegreeCapExceeded as exc:
             raise AssertionError(f"rows answered past a cap: {exc}")
         assert z is (not nf), terms
@@ -442,8 +442,8 @@ class TestRowsZero:
         ((X2, 1), (XY, -1), (Y, 1)),
     ])
     def test_answers_past_the_rows_bounds(self, step_cap, capped, terms):
-        basis = mk(R2, "x - y").basis
-        rows = predicates._Rows(R2, basis, 2)
+        pres = mk(R2, "x - y")
+        basis, rows = pres.basis, predicates._Rows(pres, 2)
         packed = tuple((_pack(rows, m), c) for m, c in terms)
         with mock.patch.object(groebner, "STEP_CAP", step_cap):
             z = rows.zero(packed)
@@ -458,14 +458,14 @@ class TestRowsZero:
     # divides it, under 6 the row answers.
     @pytest.mark.parametrize("bit_cap, divided", [(5, True), (6, False)])
     def test_one_term_reads_the_same_bounds(self, bit_cap, divided, monkeypatch):
-        basis = mk(R2, "2*x - y").basis
-        rows, whole = predicates._Rows(R2, basis, 2), []
+        pres = mk(R2, "2*x - y")
+        rows, whole = predicates._Rows(pres, 2), []
 
-        def normal_form(f, divisors):
+        def normal_form(pres, f):
             whole.append(f)
-            return groebner.normal_form(f, divisors)
+            return groebner.normal_form(f, pres.basis)
 
-        monkeypatch.setattr(predicates, "normal_form", normal_form)
+        monkeypatch.setattr(IdealPresentation, "normal_form", normal_form)
         with mock.patch.object(groebner, "COEFF_BIT_CAP", bit_cap):
             assert rows.zero(((_pack(rows, (1, 0)), -2),)) is False
         assert whole == ([P("-2*x")] if divided else [])
@@ -512,7 +512,7 @@ class TestProbePacking:
 
         with mock.patch.object(predicates, "_draw", first_draw), pytest.raises(_Drawn):
             prime_probe(pres, bound, 1, 0)
-        pk = predicates._Rows(ring, pres.basis, 2 * bound).pk
+        pk = predicates._Rows(pres, 2 * bound).pk
         monos = monomials_up_to(ring.nvars, bound)
         assert drawn[0] == [sum(map(mul, m, pk.mults)) for m in monos]
         assert [m for m, _ in pk.unpack((t, 1) for t in drawn[0])] == list(monos)

@@ -12,7 +12,8 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from gbtransfer import groebner
 from gbtransfer.groebner import (
-    DegreeCapExceeded, ideal, ideal_member, normal_form, s_polynomial,
+    DegreeCapExceeded, IdealPresentation, ideal, ideal_contains, ideal_member, normal_form,
+    s_polynomial,
 )
 from gbtransfer.polyarith import (
     BadPrime,
@@ -411,7 +412,7 @@ def _divide_in_turn(ring, table, rounds):
     reference_divide, over the table as it stands at that round."""
     divisors = list(table)
     pk, packed = groebner._packed(ring, [*table, *(p for r in rounds for p in r)])
-    rows, memo, ours, refs = groebner._table(packed[:len(table)]), {}, [], []
+    rows, memo, ours, refs = groebner._table(packed[:len(table)], ring.field), {}, [], []
     packed = packed[len(table):]
     caps = (groebner.DEGREE_CAP, 300, 512)
     for (f, new), (work, den), row in zip(rounds, packed[::2], packed[1::2]):
@@ -426,7 +427,7 @@ def _divide_in_turn(ring, table, rounds):
             except DegreeCapExceeded as exc:
                 ours.append(str(exc))
         refs.append(_division_outcome(reference_divide, f, divisors, *caps))
-        rows += groebner._table([row])
+        rows += groebner._table([row], ring.field)
         divisors.append(new)
     return ours, refs, pk, rows, memo
 
@@ -472,6 +473,82 @@ class TestSharedMemo:
         assert ours[1] == (p("1").terms, 1, 0 if ring is RXY_F else 2)
         assert memo[sum(pk.mults)] is rows[1]  # x*y packed
         _memo_is_first_divisor(pk, rows, memo)
+
+
+@st.composite
+def presentation_problems(draw):
+    """A small ideal over Q, F_7 or F_32003, grevlex or lex, and dividends
+    to divide in turn through its one presentation: drawn ones, one with a
+    term past DEGREE_CAP, and, at a drawn place, patched-down STEP_CAP and
+    COEFF_BIT_CAP for one of them."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    ring = PolyRing(field, 3, draw(orders), ("x", "y", "z"))
+    polys = poly_strategy(ring, st.tuples(*[st.integers(0, 2)] * 3), max_terms=4)
+    gens, fs = draw(st.lists(polys, min_size=1, max_size=3)), draw(st.lists(polys, max_size=4))
+    # an exponent past 255 no longer fits the fields DEGREE_CAP alone sets
+    wide = ring.variable(draw(st.integers(0, 2))) ** draw(st.sampled_from([65, 127, 300]))
+    wide = wide + draw(polys)
+    fs.insert(draw(st.integers(0, len(fs))), wide)
+    caps = {"STEP_CAP": draw(st.sampled_from([1, 2, 3, 5])),
+            "COEFF_BIT_CAP": draw(st.sampled_from([3, 4, 6, 8]))}
+    return IdealPresentation(ring, tuple(gens)), fs, draw(st.integers(0, len(fs) - 1)), caps
+
+
+def _outcome(call, *args):
+    # call's value, or the message of the cap it passed
+    try:
+        return call(*args)
+    except DegreeCapExceeded as exc:
+        return str(exc)
+
+
+class TestPresentationDivision:
+    """A presentation divides by its basis packed once, and every division
+    by it shares one first-divisor memo: each gives the remainder or cap
+    message of normal_form(f, I.basis), and ideal_member and ideal_contains
+    agree with it."""
+
+    @given(presentation_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_same_as_normal_form_by_the_basis(self, problem):
+        I, fs, capped, caps = problem
+        try:
+            I.basis  # under the default caps
+        except DegreeCapExceeded:
+            reject()
+        for k, f in enumerate(fs):
+            patched = caps if k == capped else {"STEP_CAP": groebner.STEP_CAP}
+            with mock.patch.multiple(groebner, **patched):
+                ours = _outcome(I.normal_form, f)
+                assert ours == _outcome(normal_form, f, I.basis)
+                member = _outcome(ideal_member, f, I)
+                assert member == (ours if type(ours) is str else not ours)
+        contained = True  # the first generator that is capped or not in I decides
+        for g in IdealPresentation(I.ring, tuple(fs)).generators:
+            contained = _outcome(ideal_member, g, I)
+            if contained is not True:
+                break
+        assert _outcome(ideal_contains, IdealPresentation(I.ring, tuple(fs)), I) == contained
+        _memo_is_first_divisor(*I._packed_basis())
+
+    def test_the_kept_packing_follows_the_degree_cap(self):
+        # the packing holds DEGREE_CAP: x^3 by x - y writes x^2*y, past 2
+        I = ideal(P3("x - y"))
+        assert I.normal_form(P3("x^3")) == P3("y^3")
+        with mock.patch.object(groebner, "DEGREE_CAP", 2):
+            with pytest.raises(DegreeCapExceeded, match="degree passed 2"):
+                I.normal_form(P3("x^3"))
+        assert I.normal_form(P3("x^3")) == P3("y^3")
+
+    def test_a_basis_past_the_cap_packs_wider_once(self):
+        # x^150 - y packs at its own degree; a dividend within the cap is
+        # divided under that packing, one past it packed with the basis anew
+        I = ideal(P3("x^150 - y"))
+        assert I.normal_form(P3("x^200")) == P3("x^50*y")
+        pk, rows, memo = I._packed_basis()
+        assert pk.w > groebner._packed(R3, ())[0].w and not memo
+        assert I.normal_form(P3("x*y + z")) == P3("x*y + z")
+        assert I._packed_basis()[0] is pk and len(memo) == 2
 
 
 RXYZ_LEX = PolyRing(QQ, 3, LEX, ("x", "y", "z"))

@@ -120,8 +120,9 @@ def test_library_refusal(call, error, message):
 def test_written_out_product_refused_before_it_grows():
     # 2000 factors of 2^8192 are refused at the second, before any product
     # of factors is formed; multiplied out one by one they took seconds.
-    # Every product a parse forms goes through its budget: 14 squarings and
-    # multiplies form each factor read, and none may join them
+    # Every product a parse forms goes through its budget: each factor read
+    # is 13 squarings (a power starts from its base, not from 1 times it),
+    # and no product may join them
     products, mul = [], polyarith._ProductBudget.mul
 
     def spy(budget, p, q):
@@ -131,7 +132,7 @@ def test_written_out_product_refused_before_it_grows():
     with mock.patch.object(polyarith._ProductBudget, "mul", spy):
         with pytest.raises(ValueError, match="product coefficients could pass 8192 bits"):
             parse_polynomial("*".join(["2^8192"] * 2000), RX)
-    assert len(products) == 2 * 14
+    assert len(products) == 2 * 13
 
 
 def test_library_edge_answers():
